@@ -1,22 +1,21 @@
 /**
  * @file
  * Decoder-backend micro-bench: dense (precomputed all-pairs tables) vs
- * sparse rows (on-demand truncated Dijkstra) vs the matrix-free sparse
+ * sparse rows (on-demand bounded Dijkstra) vs the matrix-free sparse
  * blossom. Measures the cold path every new deformed-patch shape pays —
  * decoding-graph construction — steady-state decode throughput, and
  * burst-syndrome throughput (shots/sec vs fired-defect count, the
  * Q3DE-style cosmic-ray regime where the matrix-free matcher is the
- * designed winner). Verifies on every sampled shot that the exact-mode
- * sparse rows decoder predicts bit-identically to dense, and that the
- * sparse blossom's matched weight equals the dense blossom's exactly on
- * every burst shot. Emits BENCH_decoder.json.
+ * designed winner) for each path and for the default dispatch between
+ * rows and matcher. Verifies that the default sparse decoder matches
+ * dense (prediction and matched weight) on every sampled and every
+ * burst shot, and that the sparse blossom's matched weight equals the
+ * dense blossom's on every burst shot. Emits BENCH_decoder.json.
  *
  * Flags: --scale=S (shot budget), --dmax=N (default 13), --dburst=N
  * (default 11, burst-section distance), --json=DIR.
  * Exits non-zero on any equivalence violation, so CI smoke runs double
- * as the cross-backend gate. The default sparse config (truncated,
- * radius-bounded, burst dispatch) is timed as well and its agreement
- * rate reported — it may differ from dense only on equal-weight ties.
+ * as the cross-backend gate.
  */
 
 #include <chrono>
@@ -88,32 +87,32 @@ main(int argc, char **argv)
 
         const MwpmDecoder dense(dem, 1, nullptr, MatchingBackend::Dense);
         const MwpmDecoder sparse(dem, 1, nullptr, MatchingBackend::Sparse);
-        MwpmDecoder exact(dem, 1, nullptr, MatchingBackend::Sparse);
-        exact.setTruncation(SIZE_MAX);
         FrameSimulator sim(built.circuit, shots, 20240731);
         const SparseSyndromes syndromes = sim.sparseFiredDetectors();
         MwpmScratch scratch;
 
         std::vector<uint8_t> dense_pred(shots), sparse_pred(shots);
+        std::vector<int64_t> dense_weight(shots), sparse_weight(shots);
         t0 = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < shots; ++i)
+        for (size_t i = 0; i < shots; ++i) {
             dense_pred[i] =
                 dense.decode(syndromes.data(i), syndromes.count(i), scratch);
+            dense_weight[i] = scratch.lastWeight;
+        }
         const double dense_decode = secondsSince(t0);
         t0 = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < shots; ++i)
+        for (size_t i = 0; i < shots; ++i) {
             sparse_pred[i] =
                 sparse.decode(syndromes.data(i), syndromes.count(i), scratch);
+            sparse_weight[i] = scratch.lastWeight;
+        }
         const double sparse_decode = secondsSince(t0);
 
-        size_t exact_disagree = 0, default_disagree = 0;
-        for (size_t i = 0; i < shots; ++i) {
-            exact_disagree +=
-                dense_pred[i] != exact.decode(syndromes.data(i),
-                                              syndromes.count(i), scratch);
-            default_disagree += dense_pred[i] != sparse_pred[i];
-        }
-        if (exact_disagree)
+        size_t default_disagree = 0;
+        for (size_t i = 0; i < shots; ++i)
+            default_disagree += dense_pred[i] != sparse_pred[i] ||
+                                dense_weight[i] != sparse_weight[i];
+        if (default_disagree)
             all_agree = false;
 
         const size_t nodes = dense.graph().numNodes();
@@ -123,7 +122,7 @@ main(int argc, char **argv)
                     dense_build / std::max(1e-9, sparse_build),
                     shots / std::max(1e-9, dense_decode),
                     shots / std::max(1e-9, sparse_decode),
-                    exact_disagree ? "  DISAGREE (BUG)" : "");
+                    default_disagree ? "  DISAGREE (BUG)" : "");
 
         const std::string suffix = "_d" + std::to_string(d);
         report.metric("build_ms_dense" + suffix, 1e3 * dense_build);
@@ -134,17 +133,17 @@ main(int argc, char **argv)
                       shots / std::max(1e-9, dense_decode));
         report.metric("decode_shots_per_sec_sparse" + suffix,
                       shots / std::max(1e-9, sparse_decode));
-        report.metric("exact_disagreements" + suffix,
-                      static_cast<double>(exact_disagree));
-        report.metric("default_agreement_rate" + suffix,
-                      1.0 - static_cast<double>(default_disagree) / shots);
+        report.metric("default_disagreements" + suffix,
+                      static_cast<double>(default_disagree));
     }
     // ---- Burst syndromes: decode throughput vs fired-defect count ----
     // The regime Surf-Deformer's dynamic-defect scenarios produce:
     // cosmic-ray events fire large contiguous detector clusters. The
     // dense path pays the k x k matrix + O(k^3) blossom; the rows path
-    // additionally builds (memoized) full Dijkstra rows; the matrix-free
-    // sparse blossom grows bounded balls and solves a sparse instance.
+    // builds (memoized) bounded Dijkstra rows and solves the pruned
+    // mirror instance; the matrix-free sparse blossom grows bounded
+    // balls instead of rows; the default decoder dispatches between the
+    // last two at the blossom threshold.
     const int dburst = static_cast<int>(flagValue(argc, argv, "dburst", 11));
     bool burst_weights_equal = true;
     {
@@ -157,17 +156,19 @@ main(int argc, char **argv)
         const auto dem = buildDem(built.circuit, PauliType::Z);
         const MwpmDecoder dense(dem, 1, nullptr, MatchingBackend::Dense);
         MwpmDecoder rows(dem, 1, nullptr, MatchingBackend::Sparse);
-        rows.setBlossomThreshold(SIZE_MAX); // pin the rows + matrix path
+        rows.setBlossomThreshold(SIZE_MAX); // pin the rows path
+        const MwpmDecoder deflt(dem, 1, nullptr, MatchingBackend::Sparse);
         const MwpmDecoder blossom(dem, 1, nullptr,
                                   MatchingBackend::SparseBlossom);
         std::printf("\nburst syndromes at d=%d (cluster-fired detectors; "
-                    "dense-vs-blossom weight gate on every shot):\n",
-                    dburst);
-        std::printf("    k    dense sh/s     rows sh/s  blossom sh/s"
-                    "   vs dense   vs rows\n");
+                    "dense-vs-default and dense-vs-blossom gates on every "
+                    "shot; default dispatches at k >= %zu):\n",
+                    dburst, deflt.blossomThreshold());
+        std::printf("    k    dense sh/s     rows sh/s  default sh/s"
+                    "  blossom sh/s   blossom vs rows\n");
         Rng rng(0xbadbeef);
-        MwpmScratch sd, sr, sb;
-        for (const size_t kk : {8u, 16u, 32u, 64u, 128u}) {
+        MwpmScratch sd, sr, sf, sb;
+        for (const size_t kk : {8u, 16u, 32u, 48u, 64u, 96u, 128u}) {
             const size_t reps = std::max<size_t>(
                 4, static_cast<size_t>(s * 4096 / kk));
             std::vector<std::vector<uint32_t>> bursts;
@@ -185,34 +186,48 @@ main(int argc, char **argv)
             const double t_rows = secondsSince(t0);
             t0 = std::chrono::steady_clock::now();
             for (const auto &b : bursts)
+                (void)deflt.decode(b.data(), b.size(), sf);
+            const double t_default = secondsSince(t0);
+            t0 = std::chrono::steady_clock::now();
+            for (const auto &b : bursts)
                 (void)blossom.decode(b.data(), b.size(), sb);
             const double t_blossom = secondsSince(t0);
-            size_t weight_mismatch = 0;
+            size_t weight_mismatch = 0, default_disagree = 0;
             for (const auto &b : bursts) {
-                (void)dense.decode(b.data(), b.size(), sd);
+                const bool dp = dense.decode(b.data(), b.size(), sd);
                 (void)blossom.decode(b.data(), b.size(), sb);
                 weight_mismatch += sd.lastWeight != sb.lastWeight;
+                default_disagree += dp != deflt.decode(b.data(), b.size(),
+                                                       sf) ||
+                                    sd.lastWeight != sf.lastWeight;
             }
             if (weight_mismatch)
                 burst_weights_equal = false;
+            if (default_disagree)
+                all_agree = false;
             const double sps_dense = reps / std::max(1e-9, t_dense);
             const double sps_rows = reps / std::max(1e-9, t_rows);
+            const double sps_default = reps / std::max(1e-9, t_default);
             const double sps_blossom = reps / std::max(1e-9, t_blossom);
-            std::printf("  %3zu  %10.0f    %10.0f    %10.0f   %7.2fx  "
-                        "%7.2fx%s\n",
-                        kk, sps_dense, sps_rows, sps_blossom,
-                        sps_blossom / std::max(1e-9, sps_dense),
+            std::printf("  %3zu  %10.0f    %10.0f    %10.0f    %10.0f"
+                        "   %7.2fx%s%s\n",
+                        kk, sps_dense, sps_rows, sps_default, sps_blossom,
                         sps_blossom / std::max(1e-9, sps_rows),
-                        weight_mismatch ? "  WEIGHT MISMATCH (BUG)" : "");
+                        weight_mismatch ? "  WEIGHT MISMATCH (BUG)" : "",
+                        default_disagree ? "  DEFAULT DISAGREES (BUG)" : "");
             const std::string suffix = "_k" + std::to_string(kk);
             report.metric("burst_shots_per_sec_dense" + suffix, sps_dense);
             report.metric("burst_shots_per_sec_rows" + suffix, sps_rows);
+            report.metric("burst_shots_per_sec_default" + suffix,
+                          sps_default);
             report.metric("burst_shots_per_sec_blossom" + suffix,
                           sps_blossom);
             report.metric("burst_blossom_vs_rows" + suffix,
                           sps_blossom / std::max(1e-9, sps_rows));
             report.metric("burst_weight_mismatches" + suffix,
                           static_cast<double>(weight_mismatch));
+            report.metric("burst_default_disagreements" + suffix,
+                          static_cast<double>(default_disagree));
         }
 
         // ---- Row budget: resident row memory with and without a cap.
@@ -225,7 +240,7 @@ main(int argc, char **argv)
         {
             Rng rng2(0xbadbeef);
             MwpmScratch sq;
-            for (const size_t kk : {8u, 16u, 32u, 64u, 128u}) {
+            for (const size_t kk : {8u, 16u, 32u, 48u, 64u, 96u, 128u}) {
                 const size_t reps = std::max<size_t>(
                     4, static_cast<size_t>(s * 4096 / kk));
                 for (size_t r = 0; r < reps; ++r) {
@@ -256,7 +271,8 @@ main(int argc, char **argv)
     const bool ok = all_agree && burst_weights_equal;
     report.metric("backends_agree", all_agree ? 1.0 : 0.0);
     report.metric("burst_weights_equal", burst_weights_equal ? 1.0 : 0.0);
-    std::printf("\nbackends agree on every exact-regime shot: %s\n",
+    std::printf("\ndefault sparse decoder equals dense on every sampled "
+                "and burst shot: %s\n",
                 all_agree ? "yes" : "NO (BUG)");
     std::printf("sparse blossom weight-equal to dense on every burst "
                 "shot: %s\n",

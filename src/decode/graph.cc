@@ -117,11 +117,6 @@ DecodingGraph::memoryBytes() const
 {
     const size_t row_bytes =
         (numNodes() + 1) * (sizeof(float) + 1) + sizeof(Row);
-    size_t retired;
-    {
-        std::lock_guard<std::mutex> lock(evict_mutex_);
-        retired = retired_.size();
-    }
     return global_of_.capacity() * sizeof(uint32_t) +
            local_of_.capacity() * sizeof(int) +
            csr_off_.capacity() * sizeof(uint32_t) +
@@ -130,8 +125,7 @@ DecodingGraph::memoryBytes() const
            dist_.capacity() * sizeof(float) + obs_.capacity() +
            rows_.size() * (sizeof(rows_[0]) + sizeof(fast_rows_[0]) +
                            sizeof(row_stamp_[0])) +
-           (rows_resident_.load(std::memory_order_relaxed) + retired) *
-               row_bytes;
+           rows_resident_.load(std::memory_order_relaxed) * row_bytes;
 }
 
 void
@@ -180,20 +174,14 @@ DecodingGraph::enforceRowBudget() const
 }
 
 void
-DecodingGraph::search(int src, DijkstraScratch &sc, double cutoff,
-                      Row *record, bool bound_at_boundary) const
+DecodingGraph::search(int src, DijkstraScratch &sc, Row *record) const
 {
-    // Pairs whose true distance sits within the quantization margin of
-    // the radius bound must stay inside a bounded row, because an
-    // integer-tied edge can still appear in an optimal matching.
-    constexpr double kTieMargin = kWeightTieMargin;
     const size_t n = numNodes() + 1;
     sc.bind(n);
     if (++sc.cur == 0) {
         std::fill(sc.gen.begin(), sc.gen.end(), 0);
         sc.cur = 1;
     }
-    const int bnode = boundaryNode();
     using Item = std::pair<double, int>;
     const auto by_dist = std::greater<Item>();
     auto &heap = sc.heap;
@@ -206,23 +194,17 @@ DecodingGraph::search(int src, DijkstraScratch &sc, double cutoff,
         std::pop_heap(heap.begin(), heap.end(), by_dist);
         const auto [dv, v] = heap.back();
         heap.pop_back();
-        if (dv > cutoff)
-            break; // heap min beyond the radius: nothing closer remains
         const auto vi = static_cast<size_t>(v);
         if (dv > sc.dist[vi])
             continue; // stale entry: v already settled closer
         if (record) {
             record->dist[vi] = static_cast<float>(sc.dist[vi]);
             record->par[vi] = sc.par[vi];
-            if (v == bnode && bound_at_boundary)
-                cutoff = 2.0 * dv + kTieMargin;
         }
         const uint32_t b0 = csr_off_[vi], b1 = csr_off_[vi + 1];
         for (uint32_t i = b0; i < b1; ++i) {
             const auto to = static_cast<size_t>(csr_to_[i]);
             const double nd = dv + csr_w_[i];
-            if (nd > cutoff)
-                continue; // positive weights: can't help nodes in radius
             if (sc.gen[to] != sc.cur || nd < sc.dist[to] - 1e-12) {
                 sc.gen[to] = sc.cur;
                 sc.dist[to] = nd;
@@ -232,23 +214,21 @@ DecodingGraph::search(int src, DijkstraScratch &sc, double cutoff,
             }
         }
     }
-    if (record)
-        record->radius = cutoff;
 }
 
 DecodingGraph::Row *
-DecodingGraph::buildRow(int src, bool exact, DijkstraScratch &sc) const
+DecodingGraph::buildRow(int src, DijkstraScratch &sc) const
 {
     auto *row = new Row;
     row->dist.assign(numNodes() + 1,
                      std::numeric_limits<float>::infinity());
     row->par.assign(numNodes() + 1, 0);
-    search(src, sc, kInf, row, !exact);
+    search(src, sc, row);
     return row;
 }
 
 std::shared_ptr<const DecodingGraph::Row>
-DecodingGraph::row(int src, bool exact, DijkstraScratch &sc) const
+DecodingGraph::row(int src, DijkstraScratch &sc) const
 {
     SURF_ASSERT(backend_ != MatchingBackend::Dense &&
                     static_cast<size_t>(src) < rows_.size(),
@@ -257,13 +237,12 @@ DecodingGraph::row(int src, bool exact, DijkstraScratch &sc) const
     // Unbudgeted graphs (the default) never evict, so warm hits read a
     // raw mirror pointer with no refcount traffic and return a
     // non-owning handle — the same lock-free fast path the raw-pointer
-    // design had. Rows displaced by exactness upgrades are retired (not
-    // freed) to keep those non-owning readers safe.
+    // design had.
     if (!row_budget_ever_.load(std::memory_order_acquire)) {
         const Row *fast =
             fast_rows_[static_cast<size_t>(src)].load(
                 std::memory_order_acquire);
-        if (fast && (!exact || fast->radius == kInf))
+        if (fast)
             return {std::shared_ptr<const void>(), fast};
     }
     // LRU stamps only matter when a budget can evict; the unbudgeted
@@ -276,39 +255,26 @@ DecodingGraph::row(int src, bool exact, DijkstraScratch &sc) const
                 std::memory_order_relaxed);
     };
     std::shared_ptr<const Row> cur = slot.load(std::memory_order_acquire);
-    if (cur && (!exact || cur->radius == kInf)) {
+    if (cur) {
         touch();
         return cur;
     }
-    std::shared_ptr<const Row> fresh{buildRow(src, exact, sc)};
-    for (;;) {
-        if (slot.compare_exchange_strong(cur, fresh,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-            rows_built_.fetch_add(1, std::memory_order_relaxed);
-            if (!cur) {
-                rows_resident_.fetch_add(1, std::memory_order_relaxed);
-            } else {
-                // Upgrade over a truncated row: non-owning fast-path
-                // readers may still hold it, so it lives with the graph.
-                std::lock_guard<std::mutex> lock(evict_mutex_);
-                retired_.push_back(std::move(cur));
-            }
-            fast_rows_[static_cast<size_t>(src)].store(
-                fresh.get(), std::memory_order_release);
-            touch();
-            if (row_budget_ &&
-                rows_resident_.load(std::memory_order_relaxed) >
-                    row_budget_)
-                enforceRowBudget();
-            return fresh;
-        }
-        // Lost the race; `cur` now holds the winner.
-        if (cur && (!exact || cur->radius == kInf)) {
-            touch();
-            return cur;
-        }
+    std::shared_ptr<const Row> fresh{buildRow(src, sc)};
+    if (!slot.compare_exchange_strong(cur, fresh, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+        // Lost the race; `cur` now holds the (identical) winner.
+        touch();
+        return cur;
     }
+    rows_built_.fetch_add(1, std::memory_order_relaxed);
+    rows_resident_.fetch_add(1, std::memory_order_relaxed);
+    fast_rows_[static_cast<size_t>(src)].store(fresh.get(),
+                                               std::memory_order_release);
+    touch();
+    if (row_budget_ &&
+        rows_resident_.load(std::memory_order_relaxed) > row_budget_)
+        enforceRowBudget();
+    return fresh;
 }
 
 uint64_t
@@ -365,8 +331,6 @@ DecodingGraph::restoreRow(int src, Row &&row) const
     const size_t n = numNodes() + 1;
     if (row.dist.size() != n || row.par.size() != n)
         return false;
-    if (!(row.radius >= 0.0)) // rejects NaN and negative radii
-        return false;
     auto &slot = rows_[static_cast<size_t>(src)];
     std::shared_ptr<const Row> cur = slot.load(std::memory_order_acquire);
     if (cur)
@@ -406,7 +370,7 @@ DecodingGraph::buildApsp(ThreadPool *pool)
     std::vector<DijkstraScratch> scratch(pool ? pool->size() : 1);
     auto fillRow = [&](size_t src, size_t worker) {
         DijkstraScratch &sc = scratch[worker];
-        search(static_cast<int>(src), sc, kInf, nullptr, false);
+        search(static_cast<int>(src), sc, nullptr);
         for (size_t t = src; t < n; ++t) {
             if (sc.gen[t] != sc.cur)
                 continue; // unreachable: stays at infinity

@@ -5,9 +5,9 @@
  * adjacency. Two query backends answer shortest-path questions:
  *
  *  - Sparse (default): no precompute. Distances and observable parities
- *    are answered by lazy Dijkstra searches from each fired defect,
- *    truncated to the nearest targets, using caller-owned epoch-stamped
- *    scratch state (reset is O(1), steady state allocates nothing).
+ *    are answered by lazy, memoized Dijkstra searches from each fired
+ *    defect, using caller-owned epoch-stamped scratch state (reset is
+ *    O(1), steady state allocates nothing).
  *    Graph construction is O(edges), so cold decoder builds are cheap.
  *  - Dense: the historical all-pairs shortest-path tables (flat
  *    triangular distance + observable-parity arrays). O(n^2 log n)
@@ -41,8 +41,12 @@ class ThreadPool;
 /** Shortest-path query backend of a decoding graph. */
 enum class MatchingBackend : uint8_t
 {
-    Dense,  ///< precomputed all-pairs tables
-    Sparse, ///< on-demand truncated Dijkstra rows + dense blossom
+    Dense, ///< precomputed all-pairs tables
+    /** Memoized Dijkstra rows per fired defect + an exact
+     *  adjacency-list blossom on the pruned mirror instance
+     *  (see mwpm.hh); burst shots past the dispatch threshold go to
+     *  the matrix-free matcher instead. */
+    Sparse,
     /** Matrix-free sparse blossom (see sparse_blossom.hh): per-shot
      *  bounded ball growth on the CSR adjacency + an adjacency-list
      *  blossom solve; no rows, no k x k matrix. The graph itself stores
@@ -61,9 +65,9 @@ enum class MatchingBackend : uint8_t
  */
 MatchingBackend defaultMatchingBackend();
 
-/** Quantized matrix weights tie at 1/1024 granularity; radius-bounded
- *  searches keep this margin so integer-tied pairs stay inside bounded
- *  rows and balls (shared by the row builder and the sparse blossom). */
+/** Quantized matrix weights tie at 1/1024 granularity; the sparse
+ *  blossom's radius-bounded ball growth keeps this margin so
+ *  integer-tied pairs stay inside its balls. */
 inline constexpr double kWeightTieMargin = 8.0 / 1024.0;
 
 /**
@@ -149,13 +153,12 @@ class DecodingGraph
 
     /**
      * One memoized shortest-path row (Sparse backend): distances and
-     * parities from a source node to everything within `radius`
-     * (infinity elsewhere: beyond the radius, or unreachable).
-     * Immutable once published; shared lock-free across decode workers.
+     * parities from a source node to every node of the graph (infinity
+     * where unreachable). Immutable once published; shared lock-free
+     * across decode workers.
      */
     struct Row
     {
-        double radius = 0.0;
         std::vector<float> dist; ///< numNodes()+1 entries, inf = absent
         std::vector<uint8_t> par;
     };
@@ -168,23 +171,21 @@ class DecodingGraph
      * table-lookup speed, while a shape that is decoded once only ever
      * pays for the rows its own defects touch.
      *
-     * When `exact`, the row covers the full graph and its entries are
-     * bit-identical to the dense backend's table row. Otherwise the row
-     * is truncated at radius 2 * d(src, boundary): for any defect pair
-     * (i, j), max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B), so every pair
-     * that could appear in a minimum-weight perfect matching (farther
-     * pairs lose to matching both ends into the boundary) is present in
-     * at least one of its endpoints' rows.
+     * A row is one full search through the dense tables' kernel, so its
+     * entries are the dense table's src-rooted values and parity
+     * witnesses. (A radius cap would not save work: the boundary node
+     * is traversable, so d(src, t) <= d(src, B) + d(t, B), and no cap
+     * that keeps every pair able to beat the boundary excludes any node
+     * of src's component.)
      *
      * Concurrent builders may race; the first publication wins and the
      * values are identical either way, so results never depend on the
      * winner. The returned shared_ptr keeps the row alive for the
      * caller even if the row budget evicts it mid-shot; rows are pure
-     * functions of (src, exact), so eviction and rebuild can never
-     * change results, only cost.
+     * functions of `src`, so eviction and rebuild can never change
+     * results, only cost.
      */
-    std::shared_ptr<const Row> row(int src, bool exact,
-                                   DijkstraScratch &sc) const;
+    std::shared_ptr<const Row> row(int src, DijkstraScratch &sc) const;
 
     /**
      * Bound the memoized row pool: at most `max_rows` rows stay
@@ -210,7 +211,7 @@ class DecodingGraph
     }
 
     /** Total rows built over the graph's lifetime (diagnostics; counts
-     *  rebuilds after eviction and exactness upgrades). */
+     *  rebuilds after eviction). */
     size_t rowsBuilt() const
     {
         return rows_built_.load(std::memory_order_relaxed);
@@ -240,17 +241,15 @@ class DecodingGraph
 
     /**
      * Publish a previously memoized row into an empty slot — the
-     * snapshot-restore path. Rows are pure functions of (src, radius
-     * policy), so a restored row is bit-identical to what the first
+     * snapshot-restore path. Rows are pure functions of `src`, so a
+     * restored row is bit-identical to what the first
      * decode worker would have built; publishing uses the same CAS
      * discipline as row(), so restores race safely against concurrent
      * readers and row-budget reclamation. Rejects (returns false)
-     * out-of-range sources, size-mismatched arrays, non-finite
-     * negative radii and occupied slots; never aborts.
+     * out-of-range sources, size-mismatched arrays and occupied slots;
+     * never aborts.
      */
     bool restoreRow(int src, Row &&row) const;
-
-    static constexpr double kInf = std::numeric_limits<double>::infinity();
 
   private:
     void buildApsp(ThreadPool *pool);
@@ -258,14 +257,11 @@ class DecodingGraph
     /**
      * The one Dijkstra kernel both backends run — identical relaxation
      * order, tie epsilon and float rounding, which is what makes sparse
-     * rows bit-compatible with the dense tables. With `record` null the
-     * frontier is exhausted into the scratch (dense table build);
-     * otherwise every settled node is written into the record row, and
-     * `bound_at_boundary` caps the radius at 2 * d(src, boundary) (plus
-     * a quantized-tie margin) the moment the boundary settles.
+     * rows bit-compatible with the dense tables. The frontier is
+     * exhausted into the scratch; with `record` non-null every settled
+     * node is also written into the record row.
      */
-    void search(int src, DijkstraScratch &sc, double cutoff, Row *record,
-                bool bound_at_boundary) const;
+    void search(int src, DijkstraScratch &sc, Row *record) const;
 
     /**
      * Index into the flat upper-triangular APSP storage (diagonal
@@ -283,9 +279,8 @@ class DecodingGraph
         return lo * n - lo * (lo + 1) / 2 + hi;
     }
 
-    /** Bounded Dijkstra for one row: explores freely until the boundary
-     *  settles, then caps the radius (infinite when `exact`). */
-    Row *buildRow(int src, bool exact, DijkstraScratch &sc) const;
+    /** Full Dijkstra for one memoized row. */
+    Row *buildRow(int src, DijkstraScratch &sc) const;
 
     MatchingBackend backend_;
     uint8_t tag_ = 0;
@@ -310,10 +305,10 @@ class DecodingGraph
     // Slots are atomic shared_ptrs so the budget can evict concurrently
     // with readers; per-slot use stamps drive the LRU choice. While no
     // budget has ever been set (the default), readers take a lock-free
-    // raw-pointer fast path instead (fast_rows_ mirrors the slots, and
-    // rows displaced by exactness upgrades are retired, not freed, so
-    // non-owning readers stay safe); the first setRowBudget permanently
-    // switches readers to owned handles.
+    // raw-pointer fast path instead (fast_rows_ mirrors the slots; a
+    // published row is never replaced, so non-owning readers stay safe);
+    // the first setRowBudget permanently switches readers to owned
+    // handles.
     mutable std::vector<std::atomic<std::shared_ptr<const Row>>> rows_;
     mutable std::vector<std::atomic<const Row *>> fast_rows_;
     mutable std::vector<std::atomic<uint64_t>> row_stamp_;
@@ -323,7 +318,6 @@ class DecodingGraph
     std::atomic<size_t> row_budget_{0};      ///< 0 = unbounded
     std::atomic<bool> row_budget_ever_{false};
     mutable std::mutex evict_mutex_;
-    mutable std::vector<std::shared_ptr<const Row>> retired_;
 };
 
 } // namespace surf

@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared integer weight construction of the MWPM decode paths. All
- * backends (dense tables, sparse rows + dense blossom, matrix-free
+ * backends (dense tables, sparse rows + mirror instance, matrix-free
  * sparse blossom) build their matching instances through these helpers,
  * which is what makes their results comparable shot for shot:
  *

@@ -72,12 +72,8 @@ MwpmDecoder::decode(const uint32_t *fired, size_t n_fired,
       case MatchingBackend::Sparse:
       default:
         // Burst dispatch: past the threshold the matrix-free matcher
-        // avoids the k x k weight matrix and the dense O(k^3) blossom.
-        // Fully-exact mode (truncation SIZE_MAX) keeps the rows path on
-        // every shot — its contract is bit-identity with Dense, which
-        // the matcher only guarantees up to equal-weight ties.
-        return defects.size() >= blossomThreshold() &&
-                       truncate_k_ != SIZE_MAX
+        // avoids building one Dijkstra row per defect.
+        return defects.size() >= blossomThreshold()
                    ? decodeSparseBlossom(scratch)
                    : decodeSparse(scratch);
     }
@@ -93,10 +89,8 @@ MwpmDecoder::decodeLadder(MwpmScratch &sc) const
     // use it anyway (SparseBlossom backend, or Sparse past the burst
     // threshold). Non-burst shots skip straight to the rows stage: the
     // matcher is slower there and a downgrade must never be one.
-    const bool burst =
-        graph_.backend() == MatchingBackend::SparseBlossom ||
-        (sc.defects.size() >= blossomThreshold() &&
-         truncate_k_ != SIZE_MAX);
+    const bool burst = graph_.backend() == MatchingBackend::SparseBlossom ||
+                       sc.defects.size() >= blossomThreshold();
     if (burst) {
         dl.beginStage(sc.stallNs[kStageBlossom]);
         bool timed_out = false;
@@ -240,65 +234,45 @@ MwpmDecoder::decodeSparse(MwpmScratch &sc) const
     constexpr float kInf = std::numeric_limits<float>::infinity();
 
     // Per-shot path cache over defect slots (and the boundary slot):
-    // filled once by the lazy searches; the closed forms, the matrix
+    // filled once by the lazy searches; the closed forms, the instance
     // assembly and the post-blossom parity reads are all table lookups.
-    // Pairs share one (lo, hi) cell, filled by the run rooted at the
-    // smaller node id first — the same witness the dense tables store.
+    // Pairs share one (lo, hi) cell.
     auto tri = [cols](int a, int b) {
         const auto lo = static_cast<size_t>(a < b ? a : b);
         const auto hi = static_cast<size_t>(a < b ? b : a);
         return lo * cols + hi;
     };
-    // Fill the per-shot path cache from the graph's memoized rows (each
-    // row is one lazy bounded Dijkstra, built at most once per graph and
-    // shared across shots, epochs and cache reuses). The (i, j) cell is
-    // witnessed by the smaller node id's row when it holds the pair —
-    // the same witness the dense tables store — and by the other
-    // endpoint's row otherwise: for any pair that can matter to the
-    // matching, max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B) puts it
-    // within at least one of the two radii.
-    const bool exact = truncate_k_ == SIZE_MAX;
     // Cooperative deadline poll (no-op with a null/disarmed deadline):
-    // row construction and the O(k^3) blossom solve are the two
-    // unbounded work chunks of this path, so the budget is checked
-    // before each row build and before each solve.
+    // row construction and the blossom solve are the two unbounded work
+    // chunks of this path, so the budget is checked before each row
+    // build and before the solve.
     auto outOfTime = [&sc] {
         if (sc.deadline == nullptr || !sc.deadline->expired())
             return false;
         sc.timedOut = true;
         return true;
     };
+    // Fill the per-shot path cache from the graph's memoized rows (each
+    // row is one lazy Dijkstra, built at most once per graph and shared
+    // across shots, epochs and cache reuses). Every cell comes from the
+    // row of the pair's smaller node id, the witness the dense tables
+    // store.
     sc.pathDist.assign(cols * cols, kInf);
     sc.pathPar.assign(cols * cols, 0);
     sc.rows.clear();
     for (int i = 0; i < k; ++i) {
         if (outOfTime())
             return false;
-        sc.rows.push_back(graph_.row(defects[static_cast<size_t>(i)],
-                                     exact, sc.dijkstra));
+        sc.rows.push_back(
+            graph_.row(defects[static_cast<size_t>(i)], sc.dijkstra));
     }
     for (int i = 0; i < k; ++i) {
         const DecodingGraph::Row &ri = *sc.rows[static_cast<size_t>(i)];
-        const size_t bi = tri(i, k);
-        sc.pathDist[bi] = ri.dist[static_cast<size_t>(bnode)];
-        sc.pathPar[bi] = ri.par[static_cast<size_t>(bnode)];
-        for (int j = i + 1; j < k; ++j) {
-            const auto tj =
-                static_cast<size_t>(defects[static_cast<size_t>(j)]);
-            const size_t idx = tri(i, j);
-            if (std::isfinite(ri.dist[tj])) {
-                sc.pathDist[idx] = ri.dist[tj];
-                sc.pathPar[idx] = ri.par[tj];
-            } else {
-                const DecodingGraph::Row &rj =
-                    *sc.rows[static_cast<size_t>(j)];
-                const auto ti =
-                    static_cast<size_t>(defects[static_cast<size_t>(i)]);
-                if (std::isfinite(rj.dist[ti])) {
-                    sc.pathDist[idx] = rj.dist[ti];
-                    sc.pathPar[idx] = rj.par[ti];
-                }
-            }
+        for (int j = i + 1; j <= k; ++j) {
+            const auto tj = static_cast<size_t>(
+                j < k ? defects[static_cast<size_t>(j)] : bnode);
+            sc.pathDist[tri(i, j)] = ri.dist[tj];
+            sc.pathPar[tri(i, j)] = ri.par[tj];
         }
     }
 
@@ -324,86 +298,44 @@ MwpmDecoder::decodeSparse(MwpmScratch &sc) const
         return (sc.pathPar[tri(0, 2)] ^ sc.pathPar[tri(1, 2)]) != 0;
     }
 
-    // K-nearest truncation of the matching graph (PyMatching-style):
-    // when the shot has more than K+1 defects, each defect only offers
-    // edges to its K nearest fellow defects (kept if either endpoint
-    // nominates the pair) plus its boundary edge.
-    const bool truncate =
-        !exact && static_cast<size_t>(k - 1) > truncate_k_;
-    if (truncate) {
-        sc.pairKeep.assign(static_cast<size_t>(k) * k, 0);
-        for (int i = 0; i < k; ++i) {
-            sc.nearCand.clear();
-            for (int j = 0; j < k; ++j) {
-                if (j == i)
-                    continue;
-                const float d = sc.pathDist[tri(i, j)];
-                if (std::isfinite(d))
-                    sc.nearCand.push_back({d, j});
-            }
-            if (sc.nearCand.size() > truncate_k_)
-                std::nth_element(
-                    sc.nearCand.begin(),
-                    sc.nearCand.begin() +
-                        static_cast<std::ptrdiff_t>(truncate_k_),
-                    sc.nearCand.end());
-            const size_t keep = std::min(truncate_k_, sc.nearCand.size());
-            for (size_t c = 0; c < keep; ++c)
-                sc.pairKeep[static_cast<size_t>(i) * k +
-                            sc.nearCand[c].second] = 1;
-        }
+    // Pruned mirror instance, solved by the adjacency-list blossom (the
+    // construction the matrix-free path builds after ball growth, see
+    // sparse_blossom.hh): defects are nodes 0..k-1 and their mirrors
+    // k..2k-1, every kept pair appears in both copies, and each defect
+    // joins its own mirror at twice its boundary weight. A pair heavier
+    // than sending both ends to the boundary is never in an optimum, so
+    // it is dropped; both its ends keep their boundary edges, so every
+    // instance stays feasible.
+    auto &bw = sc.weights; // perturbed boundary weight per defect
+    bw.assign(static_cast<size_t>(k), kMatchForbidden);
+    for (int i = 0; i < k; ++i) {
+        const double db = sc.pathDist[tri(i, k)];
+        if (std::isfinite(db))
+            bw[static_cast<size_t>(i)] = perturbedMatchWeight(
+                db, defects[static_cast<size_t>(i)], bnode);
     }
-
-    const int n = 2 * k;
-    auto &w = sc.weights;
-    auto at = [&](int a, int b) -> int64_t & {
-        return w[static_cast<size_t>(a) * n + b];
-    };
-    auto buildMatrix = [&](bool use_mask) {
-        w.assign(static_cast<size_t>(n) * n, kMatchForbidden);
-        for (int i = 0; i < k; ++i) {
-            for (int j = i + 1; j < k; ++j) {
-                if (use_mask &&
-                    !(sc.pairKeep[static_cast<size_t>(i) * k + j] |
-                      sc.pairKeep[static_cast<size_t>(j) * k + i]))
-                    continue;
-                const double d = sc.pathDist[tri(i, j)];
-                if (std::isfinite(d)) {
-                    const int64_t iw = perturbedMatchWeight(
-                        d, defects[static_cast<size_t>(i)],
-                        defects[static_cast<size_t>(j)]);
-                    at(i, j) = iw;
-                    at(j, i) = iw;
-                }
-            }
-            const double db = sc.pathDist[tri(i, k)];
-            if (std::isfinite(db)) {
-                const int64_t iw = perturbedMatchWeight(
-                    db, defects[static_cast<size_t>(i)], bnode);
-                at(i, k + i) = iw;
-                at(k + i, i) = iw;
-            }
-            for (int j = 0; j < k; ++j)
-                if (j != i) {
-                    at(k + i, k + j) = 0;
-                    at(k + j, k + i) = 0;
-                }
+    auto &edges = sc.blossom.edges;
+    edges.clear();
+    for (int i = 0; i < k; ++i) {
+        for (int j = i + 1; j < k; ++j) {
+            const double d = sc.pathDist[tri(i, j)];
+            if (!std::isfinite(d))
+                continue;
+            const int64_t pw = perturbedMatchWeight(
+                d, defects[static_cast<size_t>(i)],
+                defects[static_cast<size_t>(j)]);
+            if (pw > bw[static_cast<size_t>(i)] + bw[static_cast<size_t>(j)])
+                continue;
+            addMirrorPair(edges, k, i, j, pw);
         }
-    };
+        if (bw[static_cast<size_t>(i)] != kMatchForbidden)
+            addMirrorBoundary(edges, k, i, bw[static_cast<size_t>(i)]);
+    }
     if (outOfTime())
         return false;
-    buildMatrix(truncate);
-    bool found = minWeightPerfectMatching(n, w, sc.mate);
-    if (!found && truncate) {
-        // Truncation left the matching graph without a perfect matching
-        // (isolated far-apart defects): retry with every known pair.
-        if (outOfTime())
-            return false;
-        buildMatrix(false);
-        found = minWeightPerfectMatching(n, w, sc.mate);
-    }
     bool obs = false;
-    if (!found) {
+    if (!sparseMinWeightPerfectMatching(2 * k, edges, sc.blossom.matcher,
+                                        sc.mate)) {
         // Genuinely disconnected leftovers: fall back to matching every
         // defect to the boundary, exactly like the dense backend.
         for (int i = 0; i < k; ++i) {
@@ -415,14 +347,12 @@ MwpmDecoder::decodeSparse(MwpmScratch &sc) const
     }
     for (int i = 0; i < k; ++i) {
         const int m = sc.mate[static_cast<size_t>(i)];
-        if (m < k) {
-            if (m > i) {
-                obs ^= sc.pathPar[tri(i, m)] != 0;
-                sc.lastWeight += trueMatchWeight(at(i, m));
-            }
-        } else {
+        if (m == k + i) {
             obs ^= sc.pathPar[tri(i, k)] != 0;
-            sc.lastWeight += trueMatchWeight(at(i, k + i));
+            sc.lastWeight += quantizeW(sc.pathDist[tri(i, k)]);
+        } else if (m > i && m < k) {
+            obs ^= sc.pathPar[tri(i, m)] != 0;
+            sc.lastWeight += quantizeW(sc.pathDist[tri(i, m)]);
         }
     }
     return obs;

@@ -6,7 +6,7 @@
  * of the observable parities along the matched paths.
  *
  * Two backends (see graph.hh): the default Sparse backend answers the
- * path queries with per-shot truncated Dijkstra searches from each
+ * path queries with memoized Dijkstra searches from each
  * fired defect (O(defects x local search) per shot, O(edges) decoder
  * construction), while the Dense backend keeps the historical
  * precomputed all-pairs tables.
@@ -17,21 +17,15 @@
  * living in the DeformedCodeCache reaches dense-table speed after its
  * first shots while never paying for rows no defect touches.
  *
- * Sparse exactness ladder:
- *  - setTruncation(SIZE_MAX): fully exact — rows cover the whole graph
- *    with values bit-identical to the dense tables, so predictions are
- *    bit-identical to the dense backend on every shot.
- *  - default (truncation K): rows are radius-bounded at 2 d(src, B);
- *    since max(2 d(i,B), 2 d(j,B)) >= d(i,B) + d(j,B), every pair that
- *    could appear in a minimum-weight perfect matching (farther pairs
- *    lose to matching both ends into the boundary) is present in at
- *    least one endpoint's row, so the returned matching is still
- *    minimum-weight — only the choice among equal-weight optima may
- *    differ from the dense backend. Shots with more than K+1 defects
- *    additionally truncate the matching graph to each defect's K
- *    nearest fellow defects (the PyMatching-style approximation), with
- *    an untruncated retry whenever that leaves the matching graph
- *    without a perfect matching.
+ * Sparse exactness: each row is a full search through the dense
+ * tables' kernel, and every path cell of a shot is read from the row of
+ * the pair's smaller node id, so the path cache holds the dense tables'
+ * values and parity witnesses. The rows path drops every pair heavier
+ * than matching both ends into the boundary (never in an optimum) and
+ * solves the remaining mirror instance with the adjacency-list blossom
+ * of sparse_blossom.hh; with the shared tie-break (match_weights.hh)
+ * its predictions and matched weight equal the dense backend's on every
+ * shot.
  */
 
 #ifndef SURF_DECODE_MWPM_HH
@@ -47,22 +41,16 @@
 
 namespace surf {
 
-/** Default per-defect neighbor budget of the sparse backend: searches
- *  stop after the K nearest fellow defects (plus the boundary), so any
- *  shot with at most K+1 defects is matched exactly. */
-inline constexpr size_t kDefaultNearestDefects = 16;
-
 /** Floor of the automatic sparse-blossom dispatch threshold: the Sparse
  *  backend hands a shot to the matrix-free matcher when its defect
- *  count reaches max(kDefaultBlossomDefects, numNodes() / 12). The
- *  density guard is what separates the two regimes on real workloads:
- *  a fired-defect count that is a sizable fraction of the whole graph
- *  only happens for contiguous burst clusters (cosmic-ray events),
- *  where ball growth stays a few edges wide and the matcher beats the
- *  rows + k x k matrix + O(k^3) blossom pipeline at every measured
- *  size — while scattered syndromes of any realistic count keep the
- *  memoized-rows fast path. Override with setBlossomThreshold(). */
-inline constexpr size_t kDefaultBlossomDefects = 16;
+ *  count reaches max(kDefaultBlossomDefects, numNodes() / 12). Both
+ *  paths are exact; the floor is where the matcher, whose balls stay a
+ *  few edges wide on contiguous burst clusters (cosmic-ray events),
+ *  overtakes the memoized-rows path: at k ~ 56 for d = 7..11, while the
+ *  rows path wins at every k <= 48 (README, "Selection"). The density
+ *  guard only raises the threshold on large graphs (d >= 13). Override
+ *  with setBlossomThreshold(). */
+inline constexpr size_t kDefaultBlossomDefects = 56;
 
 /** Process-wide default for the sparse-blossom dispatch: automatic
  *  (count + density heuristic above), or never when
@@ -83,25 +71,26 @@ size_t defaultBlossomThreshold();
 struct MwpmScratch
 {
     std::vector<int> defects;
+    /** Dense: the 2k x 2k weight matrix; Sparse rows path: the perturbed
+     *  boundary weight per defect. */
     std::vector<int64_t> weights;
     std::vector<int> mate; ///< blossom output buffer
 
     // Sparse backend: lazy-search state plus the per-shot path cache
     // (distance/parity per defect pair and per defect-boundary pair),
-    // filled once from the graph's memoized rows so matrix assembly and
-    // the final blossom re-queries are table reads.
+    // filled once from the graph's memoized rows so instance assembly
+    // and the final blossom re-queries are table reads.
     DijkstraScratch dijkstra;
     std::vector<float> pathDist;
     std::vector<uint8_t> pathPar;
     /** Shared row handles held for the duration of one shot, so a row
      *  budget eviction can never free a row mid-decode. */
     std::vector<std::shared_ptr<const DecodingGraph::Row>> rows;
-    std::vector<uint8_t> pairKeep; ///< K-nearest matrix truncation mask
-    std::vector<std::pair<float, int>> nearCand;
 
     // Matrix-free matcher arena (ball growth, candidate hash, blossom
     // solver); used by the SparseBlossom backend and by burst shots the
-    // Sparse backend dispatches past the blossom threshold.
+    // Sparse backend dispatches past the blossom threshold. The rows
+    // path reuses its edge list and solver for its mirror instance.
     SparseBlossomScratch blossom;
 
     /** Total weight of the last decode's matching, in the shared
@@ -145,13 +134,6 @@ class MwpmDecoder
 
     const DecodingGraph &graph() const { return graph_; }
     MatchingBackend backend() const { return graph_.backend(); }
-
-    /** Sparse truncation knob: each defect's searches stop after its K
-     *  nearest fellow defects (and are radius-bounded via boundary
-     *  distances). SIZE_MAX = fully exact: no truncation, no radius
-     *  bound, bit-identical to Dense. Ignored by the Dense backend. */
-    void setTruncation(size_t k) { truncate_k_ = k ? k : 1; }
-    size_t truncation() const { return truncate_k_; }
 
     /** Fired-defect count at which Sparse-backend shots go to the
      *  matrix-free sparse blossom (0 = always, SIZE_MAX = never). The
@@ -206,7 +188,6 @@ class MwpmDecoder
     bool decodeLadder(MwpmScratch &scratch) const;
 
     DecodingGraph graph_;
-    size_t truncate_k_ = kDefaultNearestDefects;
     size_t blossom_threshold_ = defaultBlossomThreshold();
     bool auto_threshold_ = defaultBlossomThreshold() == 0;
 };

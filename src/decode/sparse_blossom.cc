@@ -1085,23 +1085,21 @@ sparseBlossomDecode(const DecodingGraph &graph,
             const int b = static_cast<int>((c.key - 1) & 0xffffffffu);
             if (static_cast<double>(c.w) > radiusOf(a) + radiusOf(b))
                 continue;
-            // Perturbed weights (same node-id tie-break hash the matrix
-            // paths bake into their k x k entries), so every backend
+            // Perturbed weights (same node-id tie-break hash the dense
+            // and rows paths build their instances with), so every backend
             // picks the same optimum even among equal-weight matchings.
             const int64_t pw = perturbedMatchWeight(
                 static_cast<double>(c.w), defects[static_cast<size_t>(a)],
                 defects[static_cast<size_t>(b)]);
-            sc.edges.push_back({a, b, pw});
-            sc.edges.push_back({k + a, k + b, pw});
+            addMirrorPair(sc.edges, k, a, b, pw);
         }
         for (int t = 0; t < k; ++t)
             if (std::isfinite(bd(t)))
-                sc.edges.push_back(
-                    {t, k + t,
-                     2 * perturbedMatchWeight(
-                             static_cast<double>(
-                                 sc.bDist[static_cast<size_t>(t)]),
-                             defects[static_cast<size_t>(t)], bnode)});
+                addMirrorBoundary(
+                    sc.edges, k, t,
+                    perturbedMatchWeight(
+                        static_cast<double>(sc.bDist[static_cast<size_t>(t)]),
+                        defects[static_cast<size_t>(t)], bnode));
 
         const bool perfect = sparseMinWeightPerfectMatching(
             2 * k, sc.edges, sc.matcher, sc.mate, nullptr);

@@ -1,10 +1,9 @@
 /**
  * @file
  * Matrix-free sparse blossom matcher for burst syndromes (the
- * PyMatching-2-style backend of the MWPM decoder). Instead of building a
- * k x k weight matrix from per-defect shortest-path rows and running the
- * dense O(k^3) blossom, the matcher works directly on the decoding
- * graph's CSR adjacency:
+ * PyMatching-2-style backend of the MWPM decoder). Instead of building
+ * one shortest-path row per fired defect, the matcher works directly on
+ * the decoding graph's CSR adjacency:
  *
  *  1. Discovery: one multi-source Dijkstra grows a ball outward from
  *     every fired defect simultaneously (one shared heap, globally
@@ -118,6 +117,28 @@ bool sparseMinWeightPerfectMatching(int n,
                                     SparseMatcherScratch &scratch,
                                     std::vector<int> &mate,
                                     int64_t *totalWeight = nullptr);
+
+/**
+ * Emit steps of the mirror instance both Sparse-backend paths solve
+ * (defects 0..k-1, mirrors k..2k-1): a defect pair enters both copies
+ * at its perturbed weight `pw`, and a defect joins its own mirror at
+ * twice its perturbed boundary weight `bw`. Both copies cost the
+ * optimum, so the doubled total is twice the matching weight.
+ */
+inline void
+addMirrorPair(std::vector<SparseMatchEdge> &edges, int k, int a, int b,
+              int64_t pw)
+{
+    edges.push_back({a, b, pw});
+    edges.push_back({k + a, k + b, pw});
+}
+
+inline void
+addMirrorBoundary(std::vector<SparseMatchEdge> &edges, int k, int t,
+                  int64_t bw)
+{
+    edges.push_back({t, k + t, 2 * bw});
+}
 
 /**
  * Reusable arena of the burst matcher: the multi-source Dijkstra state

@@ -174,7 +174,6 @@ writeSegmentRecord(SnapshotWriter &snap, const std::string &key,
     w.u64(rows.size());
     for (const SavedRow &sr : rows) {
         w.u64(static_cast<uint64_t>(sr.src));
-        w.f64(sr.row.radius);
         w.u64(sr.row.dist.size());
         for (float d : sr.row.dist)
             w.f32(d);
@@ -220,14 +219,12 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
     rows.reserve(static_cast<size_t>(n_rows));
     for (uint64_t i = 0; i < n_rows; ++i) {
         const uint64_t src = r.u64();
-        const double radius = r.f64();
         const uint64_t len = r.u64();
         if (!r.ok() || len != row_len || src >= n_tag_nodes ||
-            len * 5 > r.remaining() || !(radius >= 0.0))
+            len * 5 > r.remaining())
             return false;
         SavedRow sr;
         sr.src = static_cast<int>(src);
-        sr.row.radius = radius;
         sr.row.dist.reserve(static_cast<size_t>(len));
         for (uint64_t k = 0; k < len; ++k)
             sr.row.dist.push_back(r.f32());

@@ -42,7 +42,7 @@ namespace surf {
 enum DecodeStage : uint8_t
 {
     kStageBlossom = 0,   ///< matrix-free sparse blossom (burst shots)
-    kStageRows = 1,      ///< memoized-rows MWPM (matrix + dense blossom)
+    kStageRows = 1,      ///< memoized-rows MWPM (pruned mirror instance)
     kStageUnionFind = 2, ///< union-find floor: always completes
     kNumDecodeStages = 3,
 };

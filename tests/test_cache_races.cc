@@ -47,9 +47,7 @@ TEST(CacheRaces, RowBudgetEvictionRacesLiveRowHandles)
     const auto dem = buildDem(built.circuit, PauliType::Z);
 
     MwpmDecoder reference(dem, 1, nullptr, MatchingBackend::Sparse);
-    reference.setTruncation(SIZE_MAX);
     MwpmDecoder budgeted(dem, 1, nullptr, MatchingBackend::Sparse);
-    budgeted.setTruncation(SIZE_MAX);
     budgeted.setRowBudget(4);
 
     FrameSimulator sim(built.circuit, 512, 0xace5);

@@ -663,7 +663,6 @@ TEST(PersistRaces, RestoreRowRacesDecodeAndEviction)
     const auto dem = buildDem(built.circuit, PauliType::Z);
 
     MwpmDecoder reference(dem, 1, nullptr, MatchingBackend::Sparse);
-    reference.setTruncation(SIZE_MAX);
     FrameSimulator sim(built.circuit, 256, 0xfeed);
     const SparseSyndromes syndromes = sim.sparseFiredDetectors();
     std::vector<uint8_t> expected(sim.shots());
@@ -681,7 +680,6 @@ TEST(PersistRaces, RestoreRowRacesDecodeAndEviction)
     ASSERT_FALSE(rows.empty());
 
     MwpmDecoder target(dem, 1, nullptr, MatchingBackend::Sparse);
-    target.setTruncation(SIZE_MAX);
     target.setRowBudget(4); // budget set before workers start
 
     std::atomic<size_t> mismatches{0};
@@ -728,19 +726,11 @@ TEST(PersistRaces, RestoreRowRejectsMalformedRows)
     const size_t n = g.numNodes() + 1;
 
     DecodingGraph::Row short_row;
-    short_row.radius = 1.0;
     short_row.dist.resize(n - 1);
     short_row.par.resize(n - 1);
     EXPECT_FALSE(g.restoreRow(0, std::move(short_row)));
 
-    DecodingGraph::Row nan_row;
-    nan_row.radius = std::numeric_limits<double>::quiet_NaN();
-    nan_row.dist.resize(n);
-    nan_row.par.resize(n);
-    EXPECT_FALSE(g.restoreRow(0, std::move(nan_row)));
-
     DecodingGraph::Row oob;
-    oob.radius = 1.0;
     oob.dist.resize(n);
     oob.par.resize(n);
     EXPECT_FALSE(g.restoreRow(-1, DecodingGraph::Row(oob)));

@@ -1,22 +1,29 @@
 /**
  * @file
  * Equivalence tests for the sparse on-demand MWPM backend against the
- * dense all-pairs backend: bit-identical predictions on random
- * graphlike DEMs, on deformed-patch circuits at both basis tags, and
- * query-level agreement of the truncated Dijkstra with the dense
- * tables. Also: truncation fallback behavior, union-find invariance,
- * and the d=13 smoke test only the sparse backend can afford per-epoch.
+ * dense all-pairs backend: bit-identical predictions and matched weight
+ * on random graphlike DEMs, on deformed-patch circuits at both basis
+ * tags, on d=9 memory shots and on burst clusters across the blossom
+ * dispatch threshold, and entry-level agreement of the memoized
+ * Dijkstra rows with the dense tables, including the parity witness of
+ * a via-boundary shortest-path tie. Also: the no-perfect-matching
+ * fallback, scratch sharing across decoders and the deadline ladder,
+ * union-find invariance, and the d=13 smoke test only the sparse
+ * backend can afford per-epoch.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include "baselines/strategies.hh"
 #include "burst_syndromes.hh"
 #include "decode/blossom.hh"
+#include "decode/match_weights.hh"
 #include "decode/memory_experiment.hh"
 #include "decode/mwpm.hh"
 #include "decode/sparse_blossom.hh"
@@ -75,12 +82,9 @@ TEST(SparseMatching, BitIdenticalToDenseOnRandomDems)
         for (uint8_t tag : {0, 1}) {
             const MwpmDecoder dense(dem, tag, nullptr,
                                     MatchingBackend::Dense);
-            MwpmDecoder sparse(dem, tag, nullptr, MatchingBackend::Sparse);
+            const MwpmDecoder sparse(dem, tag, nullptr,
+                                     MatchingBackend::Sparse);
             ASSERT_EQ(sparse.backend(), MatchingBackend::Sparse);
-            // Fully exact sparse mode: bit-identity is guaranteed for
-            // every syndrome, including ties between equal-weight
-            // matchings (which random weights do produce).
-            sparse.setTruncation(SIZE_MAX);
             MwpmScratch ds, ss;
             for (int shot = 0; shot < 40; ++shot) {
                 std::set<uint32_t> fired_set;
@@ -117,33 +121,18 @@ TEST(SparseMatching, BitIdenticalToDenseOnDeformedPatchBothBases)
         const auto dem = buildDem(built.circuit, basis);
         const uint8_t tag = (basis == PauliType::Z) ? 1 : 0;
         const MwpmDecoder dense(dem, tag, nullptr, MatchingBackend::Dense);
-        MwpmDecoder sparse(dem, tag, nullptr, MatchingBackend::Sparse);
-        // Fully exact sparse queries: bit-identity must hold on every
-        // sampled shot, whatever its defect count.
-        sparse.setTruncation(SIZE_MAX);
+        const MwpmDecoder sparse(dem, tag, nullptr, MatchingBackend::Sparse);
         FrameSimulator sim(built.circuit, 1500, 0xd0d0);
         const SparseSyndromes syndromes = sim.sparseFiredDetectors();
-        MwpmDecoder deflt(dem, tag, nullptr, MatchingBackend::Sparse);
         MwpmScratch ds, ss;
-        size_t default_disagree = 0;
         for (size_t s = 0; s < sim.shots(); ++s) {
-            const bool dn =
-                dense.decode(syndromes.data(s), syndromes.count(s), ds);
-            ASSERT_EQ(dn, sparse.decode(syndromes.data(s),
-                                        syndromes.count(s), ss))
+            ASSERT_EQ(dense.decode(syndromes.data(s), syndromes.count(s), ds),
+                      sparse.decode(syndromes.data(s), syndromes.count(s),
+                                    ss))
                 << "basis " << (basis == PauliType::Z ? "Z" : "X")
                 << " shot " << s;
-            // The default config (truncated, radius-bounded) returns a
-            // minimum-weight matching too; it may only differ from the
-            // dense pick on equal-weight ties, which are rare on real
-            // surface-code graphs.
-            default_disagree +=
-                dn != deflt.decode(syndromes.data(s), syndromes.count(s),
-                                   ss);
+            ASSERT_EQ(ds.lastWeight, ss.lastWeight) << "shot " << s;
         }
-        EXPECT_LE(default_disagree, sim.shots() / 100)
-            << "default sparse config diverges from dense far more often "
-               "than tie-breaking can explain";
     }
 }
 
@@ -156,106 +145,287 @@ TEST(SparseMatching, MemoizedRowsMatchDenseTables)
     const BuiltCircuit built = buildMemoryCircuit(squarePatch(5), spec, noise);
     const auto dem = buildDem(built.circuit, PauliType::Z);
     const DecodingGraph dense(dem, 1, nullptr, MatchingBackend::Dense);
-    const DecodingGraph exact_rows(dem, 1, nullptr, MatchingBackend::Sparse);
-    const DecodingGraph bounded_rows(dem, 1, nullptr,
-                                     MatchingBackend::Sparse);
+    const DecodingGraph sparse(dem, 1, nullptr, MatchingBackend::Sparse);
     const int n = static_cast<int>(dense.numNodes());
     const int bnode = dense.boundaryNode();
     ASSERT_GT(n, 10);
 
+    // Rows are the dense table's src-rooted rows, entry for entry:
+    // distances for every target, parity witnesses for targets >= src
+    // (where the dense table stores the src-rooted path). The rows path
+    // reads every pair from its smaller node id's row, so these are the
+    // witnesses its predictions use.
     DijkstraScratch sc;
     for (int src = 0; src < n; src += 3) {
-        // Exact rows: bit-identical to the dense table, entry for
-        // entry. (Parity witnesses are compared for targets >= src,
-        // where the dense table stores the src-rooted path.)
-        const auto ex_p = exact_rows.row(src, true, sc);
-        const DecodingGraph::Row &ex = *ex_p;
-        EXPECT_EQ(ex.radius, DecodingGraph::kInf);
+        const auto row_p = sparse.row(src, sc);
+        const DecodingGraph::Row &row = *row_p;
+        ASSERT_TRUE(std::isfinite(row.dist[static_cast<size_t>(bnode)]));
         for (int t = 0; t <= n; ++t) {
             const double dd = dense.dist(src, t);
-            if (std::isfinite(dd)) {
-                ASSERT_EQ(static_cast<double>(
-                              ex.dist[static_cast<size_t>(t)]),
-                          dd)
-                    << "src " << src << " target " << t;
-                if (t >= src)
-                    ASSERT_EQ(ex.par[static_cast<size_t>(t)] != 0,
-                              dense.obsParity(src, t))
-                        << "src " << src << " target " << t;
-            } else {
-                ASSERT_FALSE(std::isfinite(
-                    ex.dist[static_cast<size_t>(t)]));
+            const auto ti = static_cast<size_t>(t);
+            if (!std::isfinite(dd)) {
+                ASSERT_FALSE(std::isfinite(row.dist[ti]));
+                continue;
             }
-        }
-
-        // Bounded rows: radius-capped at 2 d(src, B); everything within
-        // the radius is present with the dense table's exact value.
-        const auto bd_p = bounded_rows.row(src, false, sc);
-        const DecodingGraph::Row &bd = *bd_p;
-        const double db = dense.dist(src, bnode);
-        ASSERT_TRUE(std::isfinite(db));
-        EXPECT_GE(bd.radius, 2.0 * db);
-        ASSERT_TRUE(std::isfinite(bd.dist[static_cast<size_t>(bnode)]));
-        for (int t = 0; t <= n; ++t) {
-            const double dd = dense.dist(src, t);
-            if (std::isfinite(dd) && dd <= 2.0 * db)
-                ASSERT_EQ(static_cast<double>(
-                              bd.dist[static_cast<size_t>(t)]),
-                          dd)
+            ASSERT_EQ(static_cast<double>(row.dist[ti]), dd)
+                << "src " << src << " target " << t;
+            if (t >= src)
+                ASSERT_EQ(row.par[ti] != 0, dense.obsParity(src, t))
                     << "src " << src << " target " << t;
         }
-
-        // Asking the bounded graph for an exact row upgrades in place.
-        const auto up_p = bounded_rows.row(src, true, sc);
-        const DecodingGraph::Row &up = *up_p;
-        EXPECT_EQ(up.radius, DecodingGraph::kInf);
-        for (int t = 0; t <= n; ++t)
-            ASSERT_EQ(static_cast<double>(up.dist[static_cast<size_t>(t)]),
-                      static_cast<double>(
-                          ex.dist[static_cast<size_t>(t)]));
+        // Asking again returns the memoized row.
+        EXPECT_EQ(sparse.row(src, sc).get(), row_p.get());
     }
-    EXPECT_GT(exact_rows.rowsBuilt(), 0u);
+    EXPECT_GT(sparse.rowsBuilt(), 0u);
 }
 
-TEST(SparseMatching, TinyTruncationStillDecodesAndFallsBackExactly)
+/** Decode every shot with both decoders and require equal predictions
+ *  and matched weights; returns the number of shots compared. */
+size_t
+expectSameAsDense(const MwpmDecoder &dense, const MwpmDecoder &sparse,
+                  const std::vector<std::vector<uint32_t>> &shots)
 {
-    // K = 1 forces heavy truncation; the exact fallback must kick in
-    // whenever the truncated matching graph has no perfect matching, so
-    // predictions stay valid (and, for k <= 2, bit-identical to dense).
+    MwpmScratch ds, ss;
+    size_t s = 0;
+    for (; s < shots.size(); ++s) {
+        const auto &fired = shots[s];
+        const bool dp = dense.decode(fired.data(), fired.size(), ds);
+        const bool sp = sparse.decode(fired.data(), fired.size(), ss);
+        EXPECT_EQ(dp, sp) << "shot " << s << " k " << fired.size();
+        EXPECT_EQ(ds.lastWeight, ss.lastWeight)
+            << "shot " << s << " k " << fired.size();
+        if (dp != sp || ds.lastWeight != ss.lastWeight)
+            break;
+    }
+    return s;
+}
+
+/** Z-basis memory DEM of a d x d patch over d rounds. */
+DetectorErrorModel
+memoryDem(int d, double p)
+{
     MemorySpec spec;
-    spec.rounds = 3;
+    spec.rounds = d;
     NoiseParams noise;
-    noise.p = 2e-2; // dense syndromes: plenty of k > 2 shots
-    const BuiltCircuit built = buildMemoryCircuit(squarePatch(5), spec, noise);
+    noise.p = p;
+    return buildDem(
+        buildMemoryCircuit(squarePatch(d), spec, noise).circuit,
+        PauliType::Z);
+}
+
+TEST(SparseMatching, DefaultEqualsDenseOnD9MemoryShots)
+{
+    // d = 9 at p = 5e-3: scattered syndromes of a few dozen defects per
+    // tag, the regime the rows path once approximated with a K-nearest
+    // truncation. The default decoder, no knobs set, is exact here.
+    MemorySpec spec;
+    spec.rounds = 9;
+    NoiseParams noise;
+    noise.p = 5e-3;
+    const BuiltCircuit built = buildMemoryCircuit(squarePatch(9), spec, noise);
     const auto dem = buildDem(built.circuit, PauliType::Z);
     const MwpmDecoder dense(dem, 1, nullptr, MatchingBackend::Dense);
-    MwpmDecoder sparse(dem, 1, nullptr, MatchingBackend::Sparse);
-    sparse.setTruncation(1);
-    EXPECT_EQ(sparse.truncation(), 1u);
-    FrameSimulator sim(built.circuit, 400, 99);
+    const MwpmDecoder sparse(dem, 1, nullptr, MatchingBackend::Sparse);
+    FrameSimulator sim(built.circuit, 768, 0x9d5e3);
     const SparseSyndromes syndromes = sim.sparseFiredDetectors();
-    MwpmScratch ds, ss;
-    size_t big_shots = 0;
+    std::vector<std::vector<uint32_t>> shots;
+    size_t above_old_truncation = 0;
     for (size_t s = 0; s < sim.shots(); ++s) {
-        const bool sp =
-            sparse.decode(syndromes.data(s), syndromes.count(s), ss);
-        const bool dn =
-            dense.decode(syndromes.data(s), syndromes.count(s), ds);
-        if (syndromes.count(s) <= 2)
-            EXPECT_EQ(sp, dn) << "shot " << s;
-        else
-            ++big_shots;
+        shots.emplace_back(syndromes.data(s),
+                           syndromes.data(s) + syndromes.count(s));
+        size_t k = 0;
+        for (uint32_t det : shots.back())
+            k += dense.graph().localOf(det) >= 0;
+        above_old_truncation += k > 17;
     }
-    EXPECT_GT(big_shots, 20u) << "noise too low to exercise truncation";
+    EXPECT_GT(above_old_truncation, sim.shots() / 2)
+        << "noise too low to reach the high-defect regime";
+    EXPECT_EQ(expectSameAsDense(dense, sparse, shots), shots.size());
+}
 
-    // Flipping the same decoder to fully-exact afterwards upgrades its
-    // memoized truncated rows in place (old rows are retired, not
-    // freed under readers) and restores bit-identity with dense.
-    sparse.setTruncation(SIZE_MAX);
-    for (size_t s = 0; s < sim.shots(); ++s)
-        ASSERT_EQ(sparse.decode(syndromes.data(s), syndromes.count(s), ss),
-                  dense.decode(syndromes.data(s), syndromes.count(s), ds))
-            << "post-upgrade shot " << s;
+TEST(SparseMatching, DefaultEqualsDenseOnBurstClustersAcrossDispatch)
+{
+    // Contiguous clusters on both sides of the blossom dispatch floor:
+    // the rows path answers below it, the matrix-free matcher at and
+    // above it. Both must reproduce the dense pick exactly.
+    const auto dem = memoryDem(9, 2e-3);
+    const MwpmDecoder dense(dem, 1, nullptr, MatchingBackend::Dense);
+    const MwpmDecoder sparse(dem, 1, nullptr, MatchingBackend::Sparse);
+    ASSERT_EQ(sparse.blossomThreshold(), kDefaultBlossomDefects);
+    Rng rng(0xc1a57e);
+    for (size_t target : {24u, 48u, 56u, 64u, 96u}) {
+        std::vector<std::vector<uint32_t>> shots;
+        for (int rep = 0; rep < 12; ++rep)
+            shots.push_back(
+                benchutil::burstCluster(dem, dense.graph(), target, rng));
+        EXPECT_EQ(expectSameAsDense(dense, sparse, shots), shots.size())
+            << "cluster " << target;
+    }
+}
+
+TEST(SparseMatching, NoPerfectMatchingFallsBackToAllBoundary)
+{
+    // Detectors 0-1-2 form a chain with no boundary edge; 3-4 reach the
+    // boundary through an observable-flipping edge. Firing {0, 1, 2, 3}
+    // leaves an odd defect count in the boundary-free component, so no
+    // perfect matching exists and both backends must fall back to
+    // matching every defect to the boundary.
+    DetectorErrorModel dem;
+    dem.numDetectors = 5;
+    dem.detectorTag.assign(dem.numDetectors, 0);
+    const auto edge = [](int a, int b, bool obs) {
+        DemEdge e;
+        e.a = a;
+        e.b = b;
+        e.p = 0.01;
+        e.flipsObs = obs;
+        return e;
+    };
+    dem.edges[0] = {edge(0, 1, false), edge(1, 2, true), edge(3, 4, false),
+                    edge(4, -1, true)};
+    const MwpmDecoder dense(dem, 0, nullptr, MatchingBackend::Dense);
+    const MwpmDecoder sparse(dem, 0, nullptr, MatchingBackend::Sparse);
+    ASSERT_LT(4u, sparse.blossomThreshold()) << "shot must take the rows path";
+    const std::vector<uint32_t> fired{0, 1, 2, 3};
+    MwpmScratch ds, ss;
+    const bool dp = dense.decode(fired.data(), fired.size(), ds);
+    const bool sp = sparse.decode(fired.data(), fired.size(), ss);
+    // Only defect 3 reaches the boundary: two edges, one flipping.
+    EXPECT_TRUE(dp);
+    EXPECT_EQ(ds.lastWeight,
+              quantizeMatchWeight(2.0 * std::log((1.0 - 0.01) / 0.01)));
+    EXPECT_EQ(sp, dp);
+    EXPECT_EQ(ss.lastWeight, ds.lastWeight);
+}
+
+TEST(SparseMatching, ViaBoundaryTieUsesTheDenseWitness)
+{
+    // Detectors 0 and 1 are joined by two equally long shortest paths
+    // of opposite observable parity: 0-2-1 (wb + wa, not flipping) and
+    // 0-B-1 (wa + wb, flipping). The searches rooted at 0 and at 1 each
+    // take their cheaper first hop, so the two rows disagree on the
+    // witness. Dense stores the 0-rooted path; whenever the pair is
+    // matched the rows path must report that parity. With wa < wb the
+    // pair is also beyond 0's former 2 d(0, B) row radius. Detector 3
+    // reaches the boundary on its own, which puts the shot through the
+    // mirror instance (k = 3); unfired padding detectors shift the
+    // boundary's node id and so the tie-break hash that decides whether
+    // the tied pair is matched.
+    size_t pair_matched = 0;
+    for (uint32_t pad = 0; pad < 32; ++pad) {
+        const double pa = pad % 2 ? 0.05 : 0.01;
+        const double pb = pad % 2 ? 0.01 : 0.05;
+        DetectorErrorModel dem;
+        dem.numDetectors = 4 + pad;
+        dem.detectorTag.assign(dem.numDetectors, 0);
+        const auto edge = [](int a, int b, double p, bool obs) {
+            DemEdge e;
+            e.a = a;
+            e.b = b;
+            e.p = p;
+            e.flipsObs = obs;
+            return e;
+        };
+        dem.edges[0] = {edge(0, -1, pa, true), edge(1, -1, pb, false),
+                        edge(0, 2, pb, false), edge(2, 1, pa, false),
+                        edge(3, -1, 0.02, false)};
+        const MwpmDecoder dense(dem, 0, nullptr, MatchingBackend::Dense);
+        const MwpmDecoder sparse(dem, 0, nullptr, MatchingBackend::Sparse);
+        MwpmScratch ds, ss;
+        for (const std::vector<uint32_t> &fired :
+             {std::vector<uint32_t>{0, 1}, std::vector<uint32_t>{0, 1, 3}}) {
+            const bool dp = dense.decode(fired.data(), fired.size(), ds);
+            const bool sp = sparse.decode(fired.data(), fired.size(), ss);
+            EXPECT_EQ(sp, dp) << "pad " << pad << " k " << fired.size();
+            EXPECT_EQ(ss.lastWeight, ds.lastWeight) << "pad " << pad;
+            // With wb < wa, Dense's witness does not flip, so a
+            // non-flipping prediction means the pair was matched.
+            pair_matched += pb > pa && !dp;
+        }
+    }
+    EXPECT_GT(pair_matched, 0u) << "the tied pair was never matched";
+}
+
+TEST(SparseMatching, SharedScratchMatchesFreshScratch)
+{
+    // One workspace serves every backend and graph size in turn: the
+    // rows path and the matrix-free matcher share its edge list and
+    // blossom arena, and the dense path its mate buffer. Interleaving
+    // them, with and without an armed deadline ladder, must reproduce
+    // what a fresh workspace computes for each shot.
+    struct Case
+    {
+        DetectorErrorModel dem;
+        std::vector<std::vector<uint32_t>> shots;
+    };
+    std::vector<Case> cases;
+    Rng rng(0x5ca7c4);
+    for (int d : {3, 7}) {
+        Case c{memoryDem(d, 6e-3), {}};
+        const DecodingGraph g(c.dem, 1, nullptr, MatchingBackend::Sparse);
+        for (size_t target : {4u, 12u, 40u, 72u})
+            c.shots.push_back(benchutil::burstCluster(c.dem, g, target, rng));
+        cases.push_back(std::move(c));
+    }
+    {
+        const auto out = applyStrategy(Strategy::SurfDeformer, 5, 2,
+                                       {{5, 5}, {6, 6}});
+        ASSERT_TRUE(out.alive);
+        MemorySpec spec;
+        spec.rounds = 5;
+        NoiseParams noise;
+        noise.p = 1e-2;
+        const BuiltCircuit built = buildMemoryCircuit(out.patch, spec, noise);
+        Case c{buildDem(built.circuit, PauliType::Z), {}};
+        FrameSimulator sim(built.circuit, 4, 0x5ca7);
+        const SparseSyndromes syndromes = sim.sparseFiredDetectors();
+        for (size_t s = 0; s < sim.shots(); ++s)
+            c.shots.emplace_back(syndromes.data(s),
+                                 syndromes.data(s) + syndromes.count(s));
+        cases.push_back(std::move(c));
+    }
+    std::vector<std::unique_ptr<const MwpmDecoder>> decoders;
+    std::vector<size_t> case_of;
+    for (size_t ci = 0; ci < cases.size(); ++ci)
+        for (MatchingBackend b :
+             {MatchingBackend::Dense, MatchingBackend::Sparse,
+              MatchingBackend::SparseBlossom}) {
+            decoders.push_back(std::make_unique<const MwpmDecoder>(
+                cases[ci].dem, 1, nullptr, b));
+            case_of.push_back(ci);
+        }
+
+    // Ladder configurations: off; armed with ample budget; armed with
+    // the blossom stage overrun (bursts fall to rows); both stages
+    // overrun (the caller's union-find floor would answer).
+    constexpr uint64_t kSoft = 1000;
+    const std::array<std::array<uint64_t, kNumDecodeStages>, 4> stalls{{
+        {0, 0, 0}, {0, 0, 0}, {2 * kSoft, 0, 0}, {2 * kSoft, 2 * kSoft, 0}}};
+    DecodeDeadline deadline;
+    MwpmScratch shared;
+    for (size_t mode = 0; mode < stalls.size(); ++mode) {
+        deadline.configure(mode == 0 ? 0 : kSoft, /*virtualClock=*/true);
+        shared.deadline = &deadline;
+        shared.stallNs = stalls[mode];
+        for (size_t s = 0; s < 4; ++s)
+            for (size_t di = 0; di < decoders.size(); ++di) {
+                const auto &fired = cases[case_of[di]].shots[s];
+                MwpmScratch fresh;
+                fresh.deadline = &deadline;
+                fresh.stallNs = stalls[mode];
+                const bool a =
+                    decoders[di]->decode(fired.data(), fired.size(), shared);
+                const bool b =
+                    decoders[di]->decode(fired.data(), fired.size(), fresh);
+                EXPECT_EQ(a, b) << "mode " << mode << " decoder " << di
+                                << " shot " << s << " k " << fired.size();
+                EXPECT_EQ(shared.lastWeight, fresh.lastWeight)
+                    << "mode " << mode << " decoder " << di << " shot " << s;
+                EXPECT_EQ(shared.timedOut, fresh.timedOut);
+                EXPECT_EQ(shared.ladder.attempted, fresh.ladder.attempted);
+                EXPECT_EQ(shared.ladder.answer, fresh.ladder.answer);
+            }
+    }
 }
 
 TEST(SparseMatching, UnionFindUnchangedByBackendChoice)
