@@ -220,11 +220,13 @@ DeformState::build(DeformTrace *trace) const
     }
 
     p.recomputeSupers();
-    out.distX = graphDistance(p, PauliType::X).distance;
-    out.distZ = graphDistance(p, PauliType::Z).distance;
+    const DistanceResult res_x = graphDistance(p, PauliType::X);
+    const DistanceResult res_z = graphDistance(p, PauliType::Z);
+    out.distX = res_x.distance;
+    out.distZ = res_z.distance;
     out.alive = out.distX > 0 && out.distZ > 0;
     if (out.alive)
-        refreshLogicals(p);
+        refreshLogicals(p, res_x, res_z);
     out.patch = std::move(p);
     return out;
 }

@@ -26,6 +26,10 @@ DeformationUnit::apply(const std::set<Coord> &defects) const
     }
 
     // --- Adaptive Enlargement subroutine (Alg. 2) ---
+    // Each footprint is built once. The trace reports the removals of the
+    // final footprint only (not those of intermediate rebuilds), followed
+    // by the PatchQ_ADD records in growth order.
+    DeformTrace add_records;
     const auto side_index = [](Side s) { return static_cast<size_t>(s); };
     auto grow_axis = [&](Side a, Side b) -> bool {
         // find_layer: among the sides still within the Delta_d budget,
@@ -44,8 +48,8 @@ DeformationUnit::apply(const std::set<Coord> &defects) const
         }
         state.grow(pick);
         out.grown[side_index(pick)] += 1;
-        out.trace.add({std::string("PatchQ_ADD layer ") + sideName(pick),
-                       0, static_cast<int>(state.dz), 0, 0});
+        add_records.add({std::string("PatchQ_ADD layer ") + sideName(pick),
+                         0, static_cast<int>(state.dz), 0, 0});
         return true;
     };
 
@@ -58,19 +62,13 @@ DeformationUnit::apply(const std::set<Coord> &defects) const
             progress |= grow_axis(Side::East, Side::West);
         if (out.result.distZ < target)
             progress |= grow_axis(Side::South, Side::North);
-        if (progress)
-            out.result = state.build(nullptr);
+        if (progress) {
+            out.trace.clear();
+            out.result = state.build(&out.trace);
+        }
     }
-    if (out.totalGrown() > 0) {
-        // Re-derive the instruction trace against the final footprint so
-        // removal records are not duplicated across intermediate rebuilds.
-        const DeformTrace add_records = out.trace;
-        out.trace.clear();
-        out.result = state.build(&out.trace);
-        for (const auto &r : add_records.records())
-            if (r.name.rfind("PatchQ_ADD", 0) == 0)
-                out.trace.add(r);
-    }
+    for (const auto &r : add_records.records())
+        out.trace.add(r);
     out.restored = out.result.distX >= target && out.result.distZ >= target;
     return out;
 }

@@ -176,16 +176,11 @@ toAlgebra(const CodePatch &patch)
             span.addRow(SubsystemCode::symplecticRow(g));
             duals.addRow(dualRow(SubsystemCode::symplecticRow(g)));
         }
-        PauliString found(0);
-        for (const BitVec &v : duals.kernelBasis()) {
-            if (span.inSpan(v))
-                continue;
-            found = pauliFromSymplectic(v, n);
-            break;
-        }
-        SURF_ASSERT(found.numQubits() == n,
+        const std::vector<BitVec> centralizer = duals.kernelBasis();
+        const size_t first = span.firstOutsideSpan(centralizer);
+        SURF_ASSERT(first < centralizer.size(),
                     "missing stabilizer DOF but centralizer exhausted");
-        add_synthesized_pair(found);
+        add_synthesized_pair(pauliFromSymplectic(centralizer[first], n));
     }
     return out;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -13,16 +12,44 @@ namespace surf {
 
 namespace {
 
-/** Dense data-qubit indexing for GF(2) work. */
+/**
+ * Dense data-qubit indexing for GF(2) work: a coordinate maps to its
+ * position in the sorted live-qubit list through a grid over the data
+ * bounding box (data sites are odd-odd, so the grid has half the pitch).
+ */
 struct QubitIndex
 {
     std::vector<Coord> list;
-    std::map<Coord, int> index;
+    int x0 = 0, y0 = 0, width = 0, height = 0;
+    std::vector<int> grid; ///< (y - y0) / 2 * width + (x - x0) / 2, or -1
 
     explicit QubitIndex(const CodePatch &patch) : list(patch.dataList())
     {
+        if (list.empty())
+            return;
+        int x1 = list.front().x, y1 = list.front().y;
+        x0 = x1;
+        y0 = y1;
+        for (const Coord &q : list) {
+            x0 = std::min(x0, q.x);
+            x1 = std::max(x1, q.x);
+            y0 = std::min(y0, q.y);
+            y1 = std::max(y1, q.y);
+        }
+        width = (x1 - x0) / 2 + 1;
+        height = (y1 - y0) / 2 + 1;
+        grid.assign(static_cast<size_t>(width) * static_cast<size_t>(height),
+                    -1);
         for (size_t i = 0; i < list.size(); ++i)
-            index[list[i]] = static_cast<int>(i);
+            grid[cell(list[i])] = static_cast<int>(i);
+    }
+
+    size_t
+    cell(Coord q) const
+    {
+        return static_cast<size_t>((q.y - y0) / 2) *
+                   static_cast<size_t>(width) +
+               static_cast<size_t>((q.x - x0) / 2);
     }
 
     BitVec
@@ -30,9 +57,12 @@ struct QubitIndex
     {
         BitVec v(list.size());
         for (const Coord &q : support) {
-            auto it = index.find(q);
-            SURF_ASSERT(it != index.end(), "dead qubit in support");
-            v.set(static_cast<size_t>(it->second), true);
+            const bool inside = q.isDataSite() && q.x >= x0 && q.y >= y0 &&
+                                (q.x - x0) / 2 < width &&
+                                (q.y - y0) / 2 < height;
+            const int i = inside ? grid[cell(q)] : -1;
+            SURF_ASSERT(i >= 0, "dead qubit in support");
+            v.set(static_cast<size_t>(i), true);
         }
         return v;
     }
@@ -67,15 +97,13 @@ algebraicLogical(const CodePatch &patch, PauliType t)
         if (c.role == CheckRole::Gauge && c.type == t)
             trivial.addRow(qi.bits(c.support));
 
-    for (const BitVec &v : constraints.kernelBasis()) {
-        if (trivial.inSpan(v))
-            continue;
-        std::vector<Coord> out;
-        for (size_t i : v.onesPositions())
-            out.push_back(qi.list[i]);
-        return out;
-    }
-    return {};
+    const std::vector<BitVec> kernel = constraints.kernelBasis();
+    const size_t first = trivial.firstOutsideSpan(kernel);
+    if (first == kernel.size())
+        return {};
+    std::vector<Coord> out;
+    kernel[first].forEachSetBit([&](size_t i) { out.push_back(qi.list[i]); });
+    return out;
 }
 
 DistanceResult
@@ -178,8 +206,6 @@ graphDistance(const CodePatch &patch, PauliType t)
         const auto &edge = edges[static_cast<size_t>(e)];
         result.path.push_back(edge.label);
         const int base = v / 2, parity = v % 2;
-        const int other = (edge.from == base) ? edge.to : edge.from;
-        (void)other;
         const int prev_base = (edge.from == base) ? edge.to : edge.from;
         v = node_id(prev_base, parity ^ (edge.crossing ? 1 : 0));
     }
@@ -197,7 +223,12 @@ codeDistance(const CodePatch &patch)
 std::vector<Coord>
 bareLogicalRep(const CodePatch &patch, PauliType t)
 {
-    DistanceResult res = graphDistance(patch, t);
+    return bareLogicalRep(patch, t, graphDistance(patch, t));
+}
+
+std::vector<Coord>
+bareLogicalRep(const CodePatch &patch, PauliType t, const DistanceResult &res)
+{
     SURF_ASSERT(res.distance > 0, "patch has no type-", typeChar(t),
                 " logical operator");
     std::vector<Coord> rep = res.path;
@@ -245,8 +276,16 @@ bareLogicalRep(const CodePatch &patch, PauliType t)
 void
 refreshLogicals(CodePatch &patch)
 {
-    patch.setLogicalX(bareLogicalRep(patch, PauliType::X));
-    patch.setLogicalZ(bareLogicalRep(patch, PauliType::Z));
+    refreshLogicals(patch, graphDistance(patch, PauliType::X),
+                    graphDistance(patch, PauliType::Z));
+}
+
+void
+refreshLogicals(CodePatch &patch, const DistanceResult &x,
+                const DistanceResult &z)
+{
+    patch.setLogicalX(bareLogicalRep(patch, PauliType::X, x));
+    patch.setLogicalZ(bareLogicalRep(patch, PauliType::Z, z));
 }
 
 } // namespace surf

@@ -14,6 +14,13 @@
  * boundary node absorbs deficient qubits) and crossing between the parity
  * copies exactly on the reference's support. Verified against the exact
  * GF(2) coset oracle in the test suite.
+ *
+ * Cost: each query does one kernel-basis elimination for the constraint
+ * matrix and one echelon reduction of the same-type group, which then
+ * tests every kernel vector (BitMatrix::firstOutsideSpan), plus a BFS
+ * linear in the patch. Callers that need both the distance and the bare
+ * representatives (DeformState::build) pass the DistanceResults on to
+ * refreshLogicals instead of recomputing them.
  */
 
 #ifndef SURF_LATTICE_DISTANCE_HH
@@ -63,12 +70,21 @@ size_t codeDistance(const CodePatch &patch);
  */
 std::vector<Coord> bareLogicalRep(const CodePatch &patch, PauliType t);
 
+/** bareLogicalRep starting from an already computed graphDistance(patch,
+ *  t) of the same patch. */
+std::vector<Coord> bareLogicalRep(const CodePatch &patch, PauliType t,
+                                  const DistanceResult &dist);
+
 /**
  * Refresh the patch's stored logical representatives with bare
  * minimum-weight ones that are guaranteed to anti-commute with each other
  * (called after deformations).
  */
 void refreshLogicals(CodePatch &patch);
+
+/** refreshLogicals reusing graphDistance(patch, X) and (patch, Z). */
+void refreshLogicals(CodePatch &patch, const DistanceResult &x,
+                     const DistanceResult &z);
 
 } // namespace surf
 

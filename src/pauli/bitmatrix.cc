@@ -4,6 +4,37 @@
 
 namespace surf {
 
+namespace {
+
+/**
+ * Gaussian elimination of `work` in place. Returns the pivot column of
+ * each of the leading rank rows; every other row ends up zero. The
+ * pivots are cleared below (row echelon form) or, with `reduced`, also
+ * above (reduced row echelon form).
+ */
+std::vector<size_t>
+eliminate(std::vector<BitVec> &work, size_t cols, bool reduced)
+{
+    std::vector<size_t> pivot_col;
+    for (size_t col = 0; col < cols && pivot_col.size() < work.size();
+         ++col) {
+        const size_t rank = pivot_col.size();
+        size_t pivot = rank;
+        while (pivot < work.size() && !work[pivot].get(col))
+            ++pivot;
+        if (pivot == work.size())
+            continue;
+        std::swap(work[rank], work[pivot]);
+        for (size_t r = reduced ? 0 : rank + 1; r < work.size(); ++r)
+            if (r != rank && work[r].get(col))
+                work[r] ^= work[rank];
+        pivot_col.push_back(col);
+    }
+    return pivot_col;
+}
+
+} // namespace
+
 void
 BitMatrix::addRow(const BitVec &row)
 {
@@ -15,20 +46,7 @@ size_t
 BitMatrix::rank() const
 {
     std::vector<BitVec> work = rows_;
-    size_t rank = 0;
-    for (size_t col = 0; col < cols_ && rank < work.size(); ++col) {
-        size_t pivot = rank;
-        while (pivot < work.size() && !work[pivot].get(col))
-            ++pivot;
-        if (pivot == work.size())
-            continue;
-        std::swap(work[rank], work[pivot]);
-        for (size_t r = 0; r < work.size(); ++r)
-            if (r != rank && work[r].get(col))
-                work[r] ^= work[rank];
-        ++rank;
-    }
-    return rank;
+    return eliminate(work, cols_, false).size();
 }
 
 std::optional<BitVec>
@@ -78,7 +96,27 @@ BitMatrix::solveCombination(const BitVec &target) const
 bool
 BitMatrix::inSpan(const BitVec &target) const
 {
-    return solveCombination(target).has_value();
+    return firstOutsideSpan({target}) != 0;
+}
+
+size_t
+BitMatrix::firstOutsideSpan(const std::vector<BitVec> &candidates) const
+{
+    // Row r of the echelon form is zero left of its pivot, so reducing a
+    // candidate in pivot order clears each pivot column for good.
+    std::vector<BitVec> work = rows_;
+    const std::vector<size_t> pivot_col = eliminate(work, cols_, false);
+    BitVec residual(cols_);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+        SURF_ASSERT(candidates[i].size() == cols_, "target width mismatch");
+        residual = candidates[i];
+        for (size_t r = 0; r < pivot_col.size(); ++r)
+            if (residual.get(pivot_col[r]))
+                residual ^= work[r];
+        if (!residual.isZero())
+            return i;
+    }
+    return candidates.size();
 }
 
 std::optional<BitVec>
@@ -125,23 +163,10 @@ BitMatrix::solveSystem(const BitVec &b) const
 std::vector<BitVec>
 BitMatrix::kernelBasis() const
 {
-    // RREF with pivot bookkeeping, then one basis vector per free column.
+    // RREF, then one basis vector per free column.
     std::vector<BitVec> work = rows_;
-    std::vector<size_t> pivot_col;
-    size_t rank = 0;
-    for (size_t col = 0; col < cols_ && rank < work.size(); ++col) {
-        size_t pivot = rank;
-        while (pivot < work.size() && !work[pivot].get(col))
-            ++pivot;
-        if (pivot == work.size())
-            continue;
-        std::swap(work[rank], work[pivot]);
-        for (size_t r = 0; r < work.size(); ++r)
-            if (r != rank && work[r].get(col))
-                work[r] ^= work[rank];
-        pivot_col.push_back(col);
-        ++rank;
-    }
+    const std::vector<size_t> pivot_col = eliminate(work, cols_, true);
+    const size_t rank = pivot_col.size();
     std::vector<bool> is_pivot(cols_, false);
     for (size_t c : pivot_col)
         is_pivot[c] = true;

@@ -1,9 +1,10 @@
 /**
  * @file
  * Row-major matrix over GF(2) with Gaussian elimination utilities: rank,
- * reduced row echelon form, span membership with certificate, and kernel
- * basis. Used for code-validity checks (independence of generators),
- * detector-continuity solving across deformation epochs, and test oracles.
+ * reduced row echelon form, span membership (batched, or with a
+ * certificate), and kernel basis. Used for code-validity checks
+ * (independence of generators), detector-continuity solving across
+ * deformation epochs, and test oracles.
  */
 
 #ifndef SURF_PAULI_BITMATRIX_HH
@@ -45,6 +46,13 @@ class BitMatrix
 
     /** True if `target` is in the row span. */
     bool inSpan(const BitVec &target) const;
+
+    /**
+     * Index of the first candidate outside the row span, or
+     * candidates.size() when every candidate lies inside it. Reduces the
+     * matrix to echelon form once for all candidates.
+     */
+    size_t firstOutsideSpan(const std::vector<BitVec> &candidates) const;
 
     /** Basis of the null space {v : M v = 0} (column-kernel). */
     std::vector<BitVec> kernelBasis() const;

@@ -26,6 +26,10 @@ planEpochs(const EpochPlannerConfig &cfg,
 
     StrategyMemo local;
     StrategyMemo &outcomes = memo ? *memo : local;
+    // The outcome depends on the planner config as well as the defect set.
+    const std::string config_key = std::string(strategyName(cfg.strategy)) +
+                                   " d=" + std::to_string(cfg.d) +
+                                   " dd=" + std::to_string(cfg.deltaD) + " ";
 
     ActiveDefectSweep sweep(events);
     std::set<Coord> merged; // scratch: permanent ∪ window-active
@@ -40,7 +44,7 @@ planEpochs(const EpochPlannerConfig &cfg,
             active = &merged;
         }
 
-        const std::string active_key = coordSetSignature(*active);
+        const std::string active_key = config_key + coordSetSignature(*active);
         auto it = outcomes.find(active_key);
         if (it == outcomes.end()) {
             StatusOr<StrategyOutcome> out = applyStrategyChecked(

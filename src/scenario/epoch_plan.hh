@@ -68,9 +68,11 @@ struct ScenarioPlan
     size_t numEvents = 0;
 };
 
-/** Memo of strategy outcomes keyed by the serialized active-defect set
- *  (deformation responses are pure functions of the defect set, and quiet
- *  or recurring defect patterns dominate a timeline sweep). */
+/** Memo of strategy outcomes keyed by the planner's strategy, d and
+ *  deltaD followed by the serialized active-defect set (deformation
+ *  responses are pure functions of those, and quiet or recurring defect
+ *  patterns dominate a timeline sweep). One memo may be shared across
+ *  planner configs. */
 using StrategyMemo = std::map<std::string, StrategyOutcome>;
 
 /** Plan the epochs of one timeline. */

@@ -2,11 +2,14 @@
  * @file
  * Tests for the Code Deformation Unit (paper Sec. V): Alg. 1 defect
  * removal with balancing, Alg. 2 adaptive enlargement with the Delta_d
- * cap, shrink-back when defects subside, and randomized property tests
- * that every produced code is structurally and algebraically valid.
+ * cap, shrink-back when defects subside, randomized property tests that
+ * every produced code is structurally and algebraically valid, and that a
+ * grown outcome equals a direct rebuild of its final footprint.
  */
 
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 #include "core/deformation_unit.hh"
 #include "lattice/convert.hh"
@@ -140,6 +143,77 @@ TEST(DeformationUnit, DefectOnProspectiveScaleLayer)
     EXPECT_TRUE(out.restored);
     const auto v = out.result.patch.validate();
     EXPECT_TRUE(v.ok) << v.reason;
+}
+
+TEST(DeformationUnit, GrownOutcomeEqualsRebuildOfFinalFootprint)
+{
+    // For defect sets that trigger enlargement, replay the final footprint
+    // directly: apply() must report that footprint's build, and its trace
+    // must be that build's trace followed by the PatchQ_ADD records.
+    Rng rng(4242);
+    int grown_cases = 0;
+    for (int trial = 0; trial < 80; ++trial) {
+        const int d = 3 + 2 * static_cast<int>(rng.below(3));
+        std::set<Coord> defects;
+        const int count = 1 + static_cast<int>(rng.below(5));
+        for (int k = 0; k < count; ++k)
+            defects.insert({static_cast<int>(rng.below(2 * d + 1)),
+                            static_cast<int>(rng.below(2 * d + 1))});
+        for (const RemovalPolicy policy :
+             {RemovalPolicy::Balanced, RemovalPolicy::MinimalDisable}) {
+            DeformConfig cfg = sdConfig(d, 2);
+            cfg.policy = policy;
+            cfg.syndromeViaDataRemoval =
+                policy == RemovalPolicy::MinimalDisable;
+            const DeformOutcome out = DeformationUnit(cfg).apply(defects);
+            if (out.totalGrown() == 0)
+                continue;
+            ++grown_cases;
+
+            DeformState state;
+            state.origin = cfg.origin;
+            state.dx = d;
+            state.dz = d;
+            state.defects = defects;
+            state.policy = cfg.policy;
+            state.syndromeViaDataRemoval = cfg.syndromeViaDataRemoval;
+            for (const Side s :
+                 {Side::North, Side::South, Side::West, Side::East})
+                for (int i = 0; i < out.grown[static_cast<size_t>(s)]; ++i)
+                    state.grow(s);
+            DeformTrace t;
+            const DeformedPatch rebuilt = state.build(&t);
+
+            EXPECT_EQ(out.result.patch.render(), rebuilt.patch.render());
+            EXPECT_EQ(out.result.distX, rebuilt.distX);
+            EXPECT_EQ(out.result.distZ, rebuilt.distZ);
+            EXPECT_EQ(out.result.alive, rebuilt.alive);
+            EXPECT_EQ(out.result.patch.logicalX(), rebuilt.patch.logicalX());
+            EXPECT_EQ(out.result.patch.logicalZ(), rebuilt.patch.logicalZ());
+
+            const auto &got = out.trace.records();
+            ASSERT_EQ(got.size(),
+                      t.size() + static_cast<size_t>(out.totalGrown()));
+            for (size_t i = 0; i < t.size(); ++i) {
+                const InstructionRecord &a = got[i], &b = t.records()[i];
+                EXPECT_EQ(a.name, b.name) << "record " << i;
+                EXPECT_EQ(std::tie(a.s2g, a.g2s, a.s2s, a.g2g),
+                          std::tie(b.s2g, b.g2s, b.s2s, b.g2g))
+                    << "record " << i;
+            }
+            std::array<int, 4> added{0, 0, 0, 0};
+            for (size_t i = t.size(); i < got.size(); ++i) {
+                ASSERT_EQ(got[i].name.rfind("PatchQ_ADD layer ", 0), 0u)
+                    << got[i].name;
+                for (const Side s :
+                     {Side::North, Side::South, Side::West, Side::East})
+                    if (got[i].name.substr(17) == sideName(s))
+                        ++added[static_cast<size_t>(s)];
+            }
+            EXPECT_EQ(added, out.grown);
+        }
+    }
+    EXPECT_GT(grown_cases, 40);
 }
 
 /** Property test: random defect patterns always yield valid codes. */

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "baselines/strategies.hh"
 #include "decode/memory_experiment.hh"
@@ -450,6 +451,53 @@ TEST(EpochPlanner, ConstantWindowsMergeAndCapsSplit)
     EXPECT_EQ(struck.epochs[2].startRound, 16u);
     EXPECT_NE(struck.epochs[0].structSig, struck.epochs[1].structSig);
     EXPECT_EQ(struck.epochs[0].structSig, struck.epochs[2].structSig);
+}
+
+TEST(EpochPlanner, SharedMemoMatchesFreshMemoAcrossConfigs)
+{
+    // The same defect history planned under several configs through one
+    // memo: every plan must equal the plan made with a fresh memo, even
+    // though the active-defect sets (and so their signatures) coincide.
+    DefectEvent ev;
+    ev.startCycle = 8;
+    ev.endCycle = 16;
+    ev.center = {3, 3};
+    ev.sites = DefectSampler::regionSites({3, 3}, 2);
+    const std::vector<DefectEvent> events{ev};
+
+    std::vector<EpochPlannerConfig> configs;
+    for (const auto &[strategy, d, delta_d] :
+         std::vector<std::tuple<Strategy, int, int>>{
+             {Strategy::SurfDeformer, 5, 2},
+             {Strategy::SurfDeformer, 7, 2},
+             {Strategy::SurfDeformer, 7, 0},
+             {Strategy::Ascs, 7, 2},
+             {Strategy::SurfDeformer, 5, 2}}) {
+        EpochPlannerConfig cfg;
+        cfg.strategy = strategy;
+        cfg.d = d;
+        cfg.deltaD = delta_d;
+        cfg.horizonRounds = 24;
+        cfg.windowRounds = 4;
+        configs.push_back(cfg);
+    }
+
+    StrategyMemo shared;
+    for (size_t c = 0; c < configs.size(); ++c) {
+        const ScenarioPlan fresh = planEpochs(configs[c], events);
+        const ScenarioPlan reused = planEpochs(configs[c], events, &shared);
+        EXPECT_EQ(reused.alive, fresh.alive) << "config " << c;
+        ASSERT_EQ(reused.epochs.size(), fresh.epochs.size()) << "config " << c;
+        for (size_t e = 0; e < fresh.epochs.size(); ++e) {
+            const Epoch &a = reused.epochs[e], &b = fresh.epochs[e];
+            EXPECT_EQ(a.startRound, b.startRound) << "config " << c;
+            EXPECT_EQ(a.rounds, b.rounds) << "config " << c;
+            EXPECT_EQ(a.structSig, b.structSig) << "config " << c;
+            EXPECT_EQ(a.deformed.distX, b.deformed.distX) << "config " << c;
+            EXPECT_EQ(a.deformed.distZ, b.deformed.distZ) << "config " << c;
+            EXPECT_EQ(a.residualDefects, b.residualDefects) << "config " << c;
+        }
+    }
 }
 
 TEST(DefectSweep, MatchesLinearScanReference)
