@@ -2,16 +2,24 @@
  * @file
  * Google-benchmark micro-benchmarks of the performance-critical kernels:
  * frame-simulator sampling, DEM extraction, MWPM decoding, deformation,
- * and graph distance computation.
+ * graph distance computation, and deformed-code cache snapshot save/load.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/deformation_unit.hh"
 #include "decode/memory_experiment.hh"
 #include "decode/mwpm.hh"
 #include "lattice/distance.hh"
 #include "lattice/rotated.hh"
+#include "persist/cache_snapshot.hh"
+#include "scenario/scenario_experiment.hh"
 #include "sim/dem.hh"
 #include "sim/frame.hh"
 #include "sim/syndrome_circuit.hh"
@@ -219,6 +227,104 @@ BM_GraphDistance(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GraphDistance)->Arg(9)->Arg(21)->Arg(35);
+
+/** A deformed-code cache populated by a d=5 cosmic-ray scenario (segments,
+ *  stitched timelines and the Dijkstra rows their decodes memoized), and
+ *  a temp directory for its snapshot; built once per process. */
+struct SnapshotFixture
+{
+    DeformedCodeCache cache;
+    std::string dir;
+    std::string path;
+
+    SnapshotFixture()
+    {
+        ScenarioConfig cfg;
+        cfg.timeline.strategy = Strategy::SurfDeformer;
+        cfg.timeline.d = 5;
+        cfg.timeline.deltaD = 2;
+        cfg.timeline.horizonRounds = 60;
+        cfg.timeline.windowRounds = 10;
+        cfg.timeline.maxEpochRounds = 10;
+        cfg.defectModel.durationSec = 20e-6;
+        cfg.defectModel.regionDiameter = 2;
+        cfg.eventRateScale = 150000.0;
+        cfg.numTimelines = 4;
+        cfg.noise.p = 2e-3;
+        cfg.maxShotsPerTimeline = 128;
+        cfg.batchShots = 64;
+        cfg.seed = 99;
+        cfg.cache = &cache;
+        runScenarioExperiment(cfg);
+        char tmpl[] = "/tmp/surf_bench_snapshot_XXXXXX";
+        const char *d = ::mkdtemp(tmpl);
+        if (!d) {
+            std::perror("mkdtemp");
+            std::exit(1);
+        }
+        dir = d;
+        path = dir + "/cache.snap";
+    }
+    ~SnapshotFixture()
+    {
+        std::remove(path.c_str());
+        ::rmdir(dir.c_str());
+    }
+};
+
+SnapshotFixture &
+snapshotFixture()
+{
+    static SnapshotFixture fixture;
+    return fixture;
+}
+
+void
+BM_SnapshotSave(benchmark::State &state)
+{
+    // CRC-framed encode of every cached record plus the atomic
+    // temp-file write, fsync and rename.
+    SnapshotFixture &fx = snapshotFixture();
+    uint64_t bytes = 0;
+    for (auto _ : state) {
+        const auto saved = saveCacheSnapshot(fx.cache, fx.path);
+        benchmark::DoNotOptimize(saved);
+        if (!saved.ok()) {
+            state.SkipWithError(saved.status().str().c_str());
+            break;
+        }
+        bytes = saved->fileBytes;
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_SnapshotSave)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void
+BM_SnapshotLoad(benchmark::State &state)
+{
+    // File read, per-record CRC check, paranoid decode and the decoder
+    // rebuild each restored segment needs, into a fresh cache.
+    SnapshotFixture &fx = snapshotFixture();
+    if (!saveCacheSnapshot(fx.cache, fx.path).ok()) {
+        state.SkipWithError("snapshot save failed");
+        return;
+    }
+    uint64_t bytes = 0;
+    for (auto _ : state) {
+        DeformedCodeCache fresh;
+        const auto loaded = loadCacheSnapshot(fresh, fx.path);
+        benchmark::DoNotOptimize(loaded);
+        if (!loaded.ok() || loaded->rejectedRecords) {
+            state.SkipWithError("snapshot load rejected records");
+            break;
+        }
+        bytes = loaded->fileBytes;
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 } // namespace
 

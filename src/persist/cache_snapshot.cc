@@ -1,6 +1,7 @@
 #include "persist/cache_snapshot.hh"
 
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,16 @@ constexpr uint8_t kMaxOp = static_cast<uint8_t>(Op::FrameProbe);
 constexpr uint8_t kMaxBackend =
     static_cast<uint8_t>(MatchingBackend::SparseBlossom);
 
+// Smallest encoding of one element of each counted list. A count is
+// checked against remaining() / size before anything is reserved: a
+// CRC-valid record that lies about a count is rejected, instead of
+// asking the allocator for up to ~100x its own size in elements.
+constexpr size_t kMinInstructionBytes = 1 + 8 + 4 + 8; // op arg aux nt
+constexpr size_t kDemEdgeBytes = 8 + 8 + 8 + 1;        // a b p flipsObs
+constexpr size_t kMinEpochBytes = 7 * 8 + 8;           // 7 u64 + segKey
+constexpr size_t kRowHeaderBytes = 8 + 8;              // src len
+constexpr size_t kRowEntryBytes = 4 + 1;               // dist f32 + par
+
 void
 writeCircuit(ByteWriter &w, const Circuit &c)
 {
@@ -32,8 +43,8 @@ writeCircuit(ByteWriter &w, const Circuit &c)
         w.f64(ins.arg);
         w.u32(ins.aux);
         w.u64(ins.targets.size());
-        for (uint32_t t : ins.targets)
-            w.u32(t);
+        // Bulk copy: the in-memory u32s are the little-endian encoding.
+        w.bytes(ins.targets.data(), ins.targets.size() * sizeof(uint32_t));
     }
 }
 
@@ -45,23 +56,24 @@ bool
 readCircuit(ByteReader &r, Circuit &out)
 {
     const uint64_t n = r.u64();
-    // Each instruction occupies >= 21 bytes, so a count beyond the
-    // remaining payload is a lie; checking it first bounds the loop.
-    if (!r.ok() || n > r.remaining())
+    if (!r.ok() || n > r.remaining() / kMinInstructionBytes)
         return false;
+    out.reserve(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n; ++i) {
         Instruction ins;
         const uint8_t op = r.u8();
         ins.arg = r.f64();
         ins.aux = r.u32();
         const uint64_t nt = r.u64();
-        if (!r.ok() || op > kMaxOp || nt * 4 > r.remaining())
+        if (!r.ok() || op > kMaxOp || nt > r.remaining() / sizeof(uint32_t))
             return false;
         ins.op = static_cast<Op>(op);
-        ins.targets.reserve(static_cast<size_t>(nt));
-        for (uint64_t t = 0; t < nt; ++t)
-            ins.targets.push_back(r.u32());
-        if (!r.ok() || !out.appendRaw(std::move(ins)))
+        const size_t target_bytes = static_cast<size_t>(nt) * sizeof(uint32_t);
+        const char *targets = r.bytes(target_bytes);
+        ins.targets.resize(static_cast<size_t>(nt));
+        if (target_bytes)
+            std::memcpy(ins.targets.data(), targets, target_bytes);
+        if (!out.appendRaw(std::move(ins)))
             return false;
     }
     return true;
@@ -107,7 +119,7 @@ readDem(ByteReader &r, DetectorErrorModel &dem)
     }
     for (int t = 0; t < 2; ++t) {
         const uint64_t n_edges = r.u64();
-        if (!r.ok() || n_edges > r.remaining())
+        if (!r.ok() || n_edges > r.remaining() / kDemEdgeBytes)
             return false;
         dem.edges[t].reserve(static_cast<size_t>(n_edges));
         for (uint64_t i = 0; i < n_edges; ++i) {
@@ -175,8 +187,7 @@ writeSegmentRecord(SnapshotWriter &snap, const std::string &key,
     for (const SavedRow &sr : rows) {
         w.u64(static_cast<uint64_t>(sr.src));
         w.u64(sr.row.dist.size());
-        for (float d : sr.row.dist)
-            w.f32(d);
+        w.bytes(sr.row.dist.data(), sr.row.dist.size() * sizeof(float));
         w.bytes(sr.row.par.data(), sr.row.par.size());
     }
     w.f64(cost);
@@ -208,12 +219,13 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
 
     const uint64_t digest = r.u64();
     const uint64_t n_rows = r.u64();
-    if (!r.ok() || n_rows > r.remaining())
-        return false;
     size_t n_tag_nodes = 0;
     for (uint8_t t : cs.dem.detectorTag)
         n_tag_nodes += t == tag;
     const uint64_t row_len = n_tag_nodes + 1;
+    if (!r.ok() ||
+        n_rows > r.remaining() / (kRowHeaderBytes + row_len * kRowEntryBytes))
+        return false;
 
     std::vector<SavedRow> rows;
     rows.reserve(static_cast<size_t>(n_rows));
@@ -221,17 +233,16 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
         const uint64_t src = r.u64();
         const uint64_t len = r.u64();
         if (!r.ok() || len != row_len || src >= n_tag_nodes ||
-            len * 5 > r.remaining())
+            len * kRowEntryBytes > r.remaining())
             return false;
         SavedRow sr;
         sr.src = static_cast<int>(src);
-        sr.row.dist.reserve(static_cast<size_t>(len));
-        for (uint64_t k = 0; k < len; ++k)
-            sr.row.dist.push_back(r.f32());
-        const char *par = r.bytes(static_cast<size_t>(len));
-        if (!par)
-            return false;
-        sr.row.par.assign(par, par + len);
+        const size_t n = static_cast<size_t>(len);
+        sr.row.dist.resize(n);
+        std::memcpy(sr.row.dist.data(), r.bytes(n * sizeof(float)),
+                    n * sizeof(float));
+        const char *par = r.bytes(n);
+        sr.row.par.assign(par, par + n);
         rows.push_back(std::move(sr));
     }
     const double cost = r.f64();
@@ -296,7 +307,7 @@ restoreTimelineRecord(ByteReader &r, DeformedCodeCache &cache,
     if (!readCircuit(r, tl.circuit))
         return false;
     const uint64_t n_epochs = r.u64();
-    if (!r.ok() || n_epochs > r.remaining())
+    if (!r.ok() || n_epochs > r.remaining() / kMinEpochBytes)
         return false;
     if (!tl.alive && n_epochs != 0)
         return false; // dead timelines carry no epochs by construction

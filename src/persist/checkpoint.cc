@@ -124,7 +124,9 @@ readTimelineStats(ByteReader &r, TimelineStats &tl)
     tl.events = static_cast<size_t>(r.u64());
     const uint8_t dead = r.u8();
     const uint64_t n_epochs = r.u64();
-    if (!r.ok() || dead > 1 || n_epochs > r.remaining())
+    // Bound the count by the encoded epoch size (9 u64 + 1 f64) before
+    // reserving, so a lying count is a malformed record, not bad_alloc.
+    if (!r.ok() || dead > 1 || n_epochs > r.remaining() / (10 * 8))
         return false;
     tl.dead = dead != 0;
     tl.epochs.reserve(static_cast<size_t>(n_epochs));

@@ -18,17 +18,25 @@ namespace {
 constexpr char kMagic[8] = {'S', 'U', 'R', 'F', 'S', 'N', 'P', '1'};
 constexpr size_t kHeaderBytes = kSnapshotHeaderBytes;
 
-std::array<uint32_t, 256>
-makeCrcTable()
+/** Slice-by-8 tables: t[0] is the bytewise table; t[k][i] is the CRC
+ *  state after feeding byte i followed by k zero bytes, so eight table
+ *  lookups advance the CRC by eight input bytes at once. */
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables
+makeCrcTables()
 {
-    std::array<uint32_t, 256> table{};
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (size_t k = 1; k < t.size(); ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    return t;
 }
 
 Status
@@ -43,11 +51,23 @@ ioError(const std::string &what, const std::string &path)
 uint32_t
 crc32(const void *data, size_t n, uint32_t seed)
 {
-    static const std::array<uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     uint32_t c = seed ^ 0xFFFFFFFFu;
     const auto *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    // Little-endian loads, like ByteWriter: byte 0 of each word lands in
+    // the low bits, where the reflected CRC consumes it first.
+    for (; n >= 8; p += 8, n -= 8) {
+        uint32_t lo, hi;
+        std::memcpy(&lo, p, sizeof lo);
+        std::memcpy(&hi, p + 4, sizeof hi);
+        lo ^= c;
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+            t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+            t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -110,10 +130,19 @@ readFileBytes(const std::string &path)
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return ioError("snapshot: cannot open", path);
-    std::string out;
-    char buf[1 << 16];
+    // One allocation sized from fstat, plus a spare byte so the read
+    // that sees EOF has room and the buffer never regrows. A file that
+    // grew since the fstat still reads whole: the buffer doubles.
+    struct stat st;
+    const size_t hint = ::fstat(fd, &st) == 0 && st.st_size > 0
+                            ? static_cast<size_t>(st.st_size)
+                            : 0;
+    std::string out(hint + 1, '\0');
+    size_t len = 0;
     for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof buf);
+        if (len == out.size())
+            out.resize(2 * out.size());
+        const ssize_t n = ::read(fd, out.data() + len, out.size() - len);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -122,9 +151,10 @@ readFileBytes(const std::string &path)
         }
         if (n == 0)
             break;
-        out.append(buf, static_cast<size_t>(n));
+        len += static_cast<size_t>(n);
     }
     ::close(fd);
+    out.resize(len);
     return out;
 }
 
@@ -142,9 +172,12 @@ SnapshotWriter::beginRecord(uint8_t type)
 {
     SURF_ASSERT(!in_record_, "beginRecord without endRecord");
     in_record_ = true;
-    type_ = type;
-    payload_.clear();
-    return payload_;
+    record_start_ = buf_.size();
+    // type u8 | length u64 (patched by endRecord) | payload follows.
+    ByteWriter w(buf_);
+    w.u8(type);
+    w.u64(0);
+    return buf_;
 }
 
 void
@@ -152,12 +185,11 @@ SnapshotWriter::endRecord()
 {
     SURF_ASSERT(in_record_, "endRecord without beginRecord");
     in_record_ = false;
-    const size_t start = buf_.size();
-    ByteWriter w(buf_);
-    w.u8(type_);
-    w.u64(payload_.size());
-    w.bytes(payload_.data(), payload_.size());
-    w.u32(crc32(buf_.data() + start, buf_.size() - start));
+    const uint64_t len = buf_.size() - record_start_ - (1 + 8);
+    std::memcpy(&buf_[record_start_ + 1], &len, sizeof len);
+    const uint32_t crc =
+        crc32(buf_.data() + record_start_, buf_.size() - record_start_);
+    ByteWriter(buf_).u32(crc);
 }
 
 Status
@@ -165,9 +197,11 @@ SnapshotWriter::finish(const std::string &path, const FaultInjector *inject,
                        uint64_t faultSalt)
 {
     SURF_ASSERT(!in_record_, "finish with a record still open");
+    if (!inject)
+        return atomicWriteFile(path, buf_);
+    // Injected faults mutate a copy; the writer's own bytes stay sealed.
     std::string bytes = buf_;
-    if (inject)
-        inject->mutateSnapshotBytes(faultSalt, bytes);
+    inject->mutateSnapshotBytes(faultSalt, bytes);
     return atomicWriteFile(path, bytes);
 }
 

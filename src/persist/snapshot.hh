@@ -21,10 +21,18 @@
  * A reader that sees an unknown version rejects the whole file with
  * CORRUPT_SNAPSHOT — version skew degrades to a cold build, by design.
  *
+ * The writer frames each record in place in its one file buffer (type
+ * and a placeholder length go in first, the payload is encoded straight
+ * after them, then the length is patched and the CRC appended), and
+ * finish() writes that buffer as is: a save touches each byte about
+ * once. Loads read the file into one buffer sized from fstat and decode
+ * records as views into it.
+ *
  * Fault injection (faultinject/fault_plan.hh `snap.*` clauses) mutates
- * the finished byte buffer right before it hits the disk: deterministic
- * torn-write truncation, seeded single-bit flips, and a stale version
- * stamp — so every recovery path is replayable bit-for-bit.
+ * a copy of the finished byte buffer right before it hits the disk —
+ * the only case in which finish() copies: deterministic torn-write
+ * truncation, seeded single-bit flips, and a stale version stamp — so
+ * every recovery path is replayable bit-for-bit.
  */
 
 #ifndef SURF_PERSIST_SNAPSHOT_HH
@@ -51,7 +59,9 @@ inline constexpr uint32_t kSnapshotAbiVersion = 3;
 /** Header size: magic (8) | format u32 | abi u32 | header crc32. */
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 4;
 
-/** CRC32 (IEEE 802.3, reflected 0xEDB88320) of a byte range. */
+/** CRC32 (IEEE 802.3, reflected 0xEDB88320) of a byte range, eight
+ *  bytes per step (slice-by-8); chain calls by passing the previous
+ *  result as `seed`. */
 uint32_t crc32(const void *data, size_t n, uint32_t seed = 0);
 
 /**
@@ -62,9 +72,10 @@ uint32_t crc32(const void *data, size_t n, uint32_t seed = 0);
  */
 Status atomicWriteFile(const std::string &path, const std::string &bytes);
 
-/** Read a whole file. A missing file is NOT_FOUND-shaped: callers treat
- *  it as "no snapshot yet", which is kDataLoss here to keep the code
- *  set small — the loader maps it to a silent cold start. */
+/** Read a whole file into a buffer sized once from fstat. A missing
+ *  file is NOT_FOUND-shaped: callers treat it as "no snapshot yet",
+ *  which is kDataLoss here to keep the code set small — the loader maps
+ *  it to a silent cold start. */
 StatusOr<std::string> readFileBytes(const std::string &path);
 
 /** Append little-endian scalars / length-prefixed blobs to a buffer. */
@@ -245,9 +256,12 @@ class ByteReader
 };
 
 /**
- * Buffered snapshot writer: records accumulate in memory, finish()
- * seals the buffer (header CRC, per-record CRCs are already in place)
- * and writes it atomically. An optional FaultInjector mutates the
+ * Buffered snapshot writer: the header and every record are framed in
+ * place in one buffer. beginRecord() appends the record's type and a
+ * placeholder length and hands out the buffer itself, so the payload is
+ * encoded straight into its final position; endRecord() patches the
+ * length and appends the CRC. finish() writes the buffer atomically
+ * without copying it. An optional FaultInjector mutates a copy of the
  * finished buffer first — torn truncation, seeded bit flips, a stale
  * version stamp — which is how the corruption-recovery tests and the
  * corrupted-snapshot CI smoke manufacture their inputs deterministically.
@@ -257,27 +271,27 @@ class SnapshotWriter
   public:
     SnapshotWriter();
 
-    /** Begin a record of `type`; write its payload into the returned
-     *  ByteWriter-backed buffer, then call endRecord(). */
+    /** Begin a record of `type`; append its payload to the returned
+     *  buffer (through a ByteWriter), then call endRecord(). */
     std::string &beginRecord(uint8_t type);
     void endRecord();
 
-    /** Bytes accumulated so far (records sealed so far + header). */
-    size_t bytesBuffered() const { return buf_.size() + payload_.size(); }
+    /** Bytes accumulated so far (header + records, the open one too). */
+    size_t bytesBuffered() const { return buf_.size(); }
 
     /**
      * Seal and atomically write the snapshot. `inject` (nullable)
-     * applies the plan's snap.* faults to the final buffer; `faultSalt`
-     * decorrelates the decision streams of different snapshot files.
+     * applies the plan's snap.* faults to a copy of the final buffer;
+     * `faultSalt` decorrelates the decision streams of different
+     * snapshot files.
      */
     Status finish(const std::string &path,
                   const FaultInjector *inject = nullptr,
                   uint64_t faultSalt = 0);
 
   private:
-    std::string buf_;     ///< sealed bytes (header + finished records)
-    std::string payload_; ///< payload of the in-flight record
-    uint8_t type_ = 0;
+    std::string buf_;         ///< header + records, framed in place
+    size_t record_start_ = 0; ///< offset of the open record's type byte
     bool in_record_ = false;
 };
 

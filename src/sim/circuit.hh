@@ -103,6 +103,10 @@ class Circuit
      */
     bool appendRaw(Instruction ins);
 
+    /** Reserve room for `n` instructions (the restore path knows the
+     *  count up front). */
+    void reserve(size_t n) { instrs_.reserve(n); }
+
     /** Total count of noise-channel instructions. */
     size_t countNoiseInstructions() const;
 

@@ -4,7 +4,8 @@
  * checksummed snapshot container, the DeformedCodeCache snapshot
  * round-trip, the paranoid loader's fuzz matrix (truncation at every
  * record boundary, single-bit flips, stale versions, semantic
- * mismatches — no crash, Status surfaced, results bit-identical), and
+ * mismatches, lying element counts — no crash, Status surfaced,
+ * results bit-identical), byte identity with a checked-in snapshot, and
  * kill/resume checkpointing at several thread counts.
  */
 
@@ -13,12 +14,17 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <stdlib.h>
+#include <sys/resource.h>
 #include <unistd.h>
+
+#include "crc_reference.hh"
 
 #include "decode/memory_experiment.hh"
 #include "decode/mwpm.hh"
@@ -263,9 +269,89 @@ TEST(SnapshotContainer, HeaderValidation)
     EXPECT_TRUE(flipped->truncated());
 }
 
+TEST(SnapshotContainer, Crc32MatchesBytewiseReference)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+    EXPECT_EQ(testref::referenceCrc32("123456789", 9), 0xCBF43926u);
+
+    constexpr size_t kMaxLen = 4097;
+    constexpr size_t kMaxOffset = 15;
+    std::mt19937_64 rng(20240515);
+    std::vector<uint8_t> buf(kMaxLen + kMaxOffset);
+    for (uint8_t &b : buf)
+        b = static_cast<uint8_t>(rng());
+
+    // Every length across the 8-byte steps and the bytewise tail, from
+    // every start alignment.
+    for (size_t off = 0; off <= kMaxOffset; ++off)
+        for (size_t len = 0; len <= kMaxLen; ++len)
+            ASSERT_EQ(crc32(buf.data() + off, len),
+                      testref::referenceCrc32(buf.data() + off, len))
+                << "offset " << off << " length " << len;
+
+    // Chaining: crc32(b, crc32(a)) is the CRC of a followed by b, for any
+    // split and any seed.
+    for (int trial = 0; trial < 2000; ++trial) {
+        const size_t off = rng() % (kMaxOffset + 1);
+        const size_t len = rng() % (kMaxLen + 1);
+        const size_t cut = rng() % (len + 1);
+        const auto seed = static_cast<uint32_t>(rng());
+        const uint8_t *p = buf.data() + off;
+        const uint32_t want = testref::referenceCrc32(p, len, seed);
+        ASSERT_EQ(crc32(p, len, seed), want) << "seed " << seed;
+        ASSERT_EQ(crc32(p + cut, len - cut, crc32(p, cut, seed)), want)
+            << "split " << cut << " of " << len;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cache snapshot round-trip + warm-restart bit-identity.
 // ---------------------------------------------------------------------
+
+TEST(CacheSnapshot, FixtureReSavesByteIdentical)
+{
+    // tests/data/cache_d3.snap was written by saveCacheSnapshot at
+    // format version 1 / ABI version 3, from the cache of this scenario:
+    // SurfDeformer, d=3, deltaD=2, horizon 4 rounds, window and max epoch
+    // 1 round, durationSec 20e-6, regionDiameter 2, eventRateScale
+    // 150000, 1 timeline, p=2e-3, 64 shots, seed 1, threads 1 — four
+    // segments with memoized rows and one timeline. Loading it restores
+    // every record, and saving the restored cache writes the same bytes:
+    // the writer's encoding of every record type is pinned. A deliberate
+    // format or ABI bump regenerates the file the same way.
+    const std::string fixture =
+        std::string(SURF_TEST_DATA_DIR) + "/cache_d3.snap";
+    const std::string original = slurp(fixture);
+    ASSERT_FALSE(original.empty());
+
+    StatusOr<SnapshotReader> reader = SnapshotReader::open(original);
+    ASSERT_TRUE(reader.ok()) << reader.status().str();
+    uint8_t type = 0;
+    ByteReader payload(nullptr, 0);
+    size_t records = 0;
+    while (reader->next(type, payload))
+        ++records;
+    EXPECT_FALSE(reader->truncated());
+
+    DeformedCodeCache cache;
+    StatusOr<SnapshotRestoreStats> loaded = loadCacheSnapshot(cache, fixture);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().str();
+    EXPECT_EQ(loaded->rejectedRecords, 0u);
+    EXPECT_FALSE(loaded->truncated);
+    EXPECT_EQ(loaded->segments + loaded->timelines, records);
+    EXPECT_GT(loaded->timelines, 0u);
+    EXPECT_GT(loaded->rows, 0u);
+
+    TempDir dir;
+    const std::string path = dir.file("resaved.snap");
+    StatusOr<SnapshotSaveStats> saved = saveCacheSnapshot(cache, path);
+    ASSERT_TRUE(saved.ok()) << saved.status().str();
+    EXPECT_EQ(saved->fileBytes, original.size());
+    EXPECT_EQ(saved->rows, loaded->rows);
+    const std::string resaved = slurp(path);
+    ASSERT_EQ(resaved.size(), original.size());
+    EXPECT_TRUE(resaved == original) << "re-saved snapshot differs";
+}
 
 TEST(CacheSnapshot, WarmRestartBitIdenticalToCold)
 {
@@ -492,6 +578,116 @@ TEST(LoaderFuzz, UnknownRecordTypeSkipped)
     StatusOr<SnapshotRestoreStats> loaded = loadCacheSnapshot(fresh, path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().str();
     EXPECT_EQ(loaded->segments, 0u);
+}
+
+/** Bytes the process has mapped now (0 when /proc is unavailable). */
+size_t
+mappedBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    size_t pages = 0;
+    statm >> pages;
+    return pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/** Death-test body: cap the address space at 1 GiB above what is mapped
+ *  already (the file buffer and allocator arenas included), so any
+ *  count-sized reservation fails, then load `path`. Exits 0 iff the load
+ *  succeeds with exactly one record rejected and nothing restored. */
+[[noreturn]] void
+loadOneRejectedUnderCappedMemory(const std::string &path)
+{
+    const rlim_t cap = mappedBytes() + (rlim_t{1} << 30);
+    const struct rlimit lim = {cap, cap};
+    if (::setrlimit(RLIMIT_AS, &lim) != 0)
+        ::_exit(2);
+    DeformedCodeCache fresh;
+    StatusOr<SnapshotRestoreStats> loaded = loadCacheSnapshot(fresh, path);
+    ::_exit(loaded.ok() && loaded->rejectedRecords == 1 &&
+                    loaded->segments == 0 && loaded->timelines == 0
+                ? 0
+                : 1);
+}
+
+TEST(LoaderFuzz, LyingElementCountsRejectedWithoutHugeReservations)
+{
+    // CRC-valid records whose element count fits the payload's *bytes*
+    // but would take many times that in *elements*. The loader must
+    // bound each count by the element's encoded size before reserving:
+    // under a capped address space the load returns OK with the record
+    // rejected, instead of throwing std::bad_alloc.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory needs the address space";
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+    GTEST_SKIP() << "sanitizer shadow memory needs the address space";
+#endif
+#endif
+    constexpr uint64_t kZeros = uint64_t{64} << 20;
+    const std::string zeros(kZeros, '\0');
+    auto emptyCircuit = [](ByteWriter &w) { w.u64(0); };
+    auto segmentHead = [&](ByteWriter &w) {
+        w.str("lying-segment");
+        w.u8(0);  // tag
+        w.u8(0);  // backend
+        w.u64(0); // row budget
+    };
+
+    struct Case
+    {
+        const char *what;
+        uint8_t type; // kRecSegment = 1, kRecTimeline = 2
+        std::function<void(ByteWriter &)> head;
+    };
+    const std::vector<Case> cases = {
+        {"epochs", 2,
+         [&](ByteWriter &w) {
+             w.str("lying-timeline");
+             w.u8(1); // alive
+             emptyCircuit(w);
+             w.u64(kZeros); // epochs (>= 64 B each)
+         }},
+        {"dem edges", 1,
+         [&](ByteWriter &w) {
+             segmentHead(w);
+             emptyCircuit(w);
+             w.u64(0);      // DEM detectors
+             w.u64(kZeros); // X edges (25 B each)
+         }},
+        {"instructions", 1,
+         [&](ByteWriter &w) {
+             segmentHead(w);
+             w.u64(kZeros); // instructions (>= 21 B each)
+         }},
+        {"rows", 1,
+         [&](ByteWriter &w) {
+             segmentHead(w);
+             emptyCircuit(w);
+             w.u64(0);      // DEM detectors
+             w.u64(0);      // X edges
+             w.u64(0);      // Z edges
+             w.f64(0.0);    // undetectable observable probability
+             w.u64(0);      // decomposed components
+             w.u64(0);      // CSR digest
+             w.u64(kZeros); // rows (>= 16 + 5 B each)
+         }},
+    };
+
+    TempDir dir;
+    for (const Case &c : cases) {
+        const std::string path = dir.file("lying.snap");
+        {
+            SnapshotWriter w;
+            ByteWriter bw(w.beginRecord(c.type));
+            c.head(bw);
+            bw.bytes(zeros.data(), zeros.size());
+            w.endRecord();
+            ASSERT_TRUE(w.finish(path).ok());
+        }
+        EXPECT_EXIT(loadOneRejectedUnderCappedMemory(path),
+                    ::testing::ExitedWithCode(0), "")
+            << "lying " << c.what << " count";
+    }
 }
 
 TEST(LoaderFuzz, StaleVersionViaFaultInjection)
