@@ -70,6 +70,28 @@ BM_FrameSimulatorReuse(benchmark::State &state)
 BENCHMARK(BM_FrameSimulatorReuse)->Arg(3)->Arg(5)->Arg(9);
 
 void
+BM_FrameSimulatorSmallBatch(benchmark::State &state)
+{
+    // The scenario engine's shape: a fresh simulator per 160-round d=7
+    // timeline circuit, sampled in small batches (16 shots in
+    // scenario-d7), where per-instruction cost dominates per-shot cost.
+    MemorySpec spec;
+    spec.rounds = 160;
+    NoiseParams noise;
+    noise.p = 2e-3;
+    const auto built = buildMemoryCircuit(squarePatch(7), spec, noise);
+    const size_t shots = static_cast<size_t>(state.range(0));
+    uint64_t seed = 1;
+    for (auto _ : state) {
+        FrameSimulator sim(built.circuit, shots, seed++);
+        benchmark::DoNotOptimize(sim.numDetectors());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(shots));
+}
+BENCHMARK(BM_FrameSimulatorSmallBatch)->Arg(16)->Arg(64);
+
+void
 BM_SyndromeExtractDense(benchmark::State &state)
 {
     // Seed extraction path: one O(numDetectors) bit-scan per shot.

@@ -59,6 +59,7 @@ readCircuit(ByteReader &r, Circuit &out)
     if (!r.ok() || n > r.remaining() / kMinInstructionBytes)
         return false;
     out.reserve(static_cast<size_t>(n));
+    std::vector<uint32_t> targets; // aligned copy of one target list
     for (uint64_t i = 0; i < n; ++i) {
         Instruction ins;
         const uint8_t op = r.u8();
@@ -69,11 +70,12 @@ readCircuit(ByteReader &r, Circuit &out)
             return false;
         ins.op = static_cast<Op>(op);
         const size_t target_bytes = static_cast<size_t>(nt) * sizeof(uint32_t);
-        const char *targets = r.bytes(target_bytes);
-        ins.targets.resize(static_cast<size_t>(nt));
+        const char *bytes = r.bytes(target_bytes);
+        targets.resize(static_cast<size_t>(nt));
         if (target_bytes)
-            std::memcpy(ins.targets.data(), targets, target_bytes);
-        if (!out.appendRaw(std::move(ins)))
+            std::memcpy(targets.data(), bytes, target_bytes);
+        ins.targets = targets;
+        if (!out.appendRaw(ins))
             return false;
     }
     return true;

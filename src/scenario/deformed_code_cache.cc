@@ -11,10 +11,7 @@ namespace surf {
 size_t
 CachedSegment::memoryBytes() const
 {
-    size_t bytes = sizeof(CachedSegment);
-    for (const Instruction &ins : circuit.instructions())
-        bytes += sizeof(Instruction) +
-                 ins.targets.capacity() * sizeof(uint32_t);
+    size_t bytes = sizeof(CachedSegment) + circuit.memoryBytes();
     bytes += dem.detectorTag.capacity();
     bytes += (dem.edges[0].capacity() + dem.edges[1].capacity()) *
              sizeof(DemEdge);
@@ -34,12 +31,9 @@ CachedSegment::dynamicBytes() const
 size_t
 CachedTimeline::memoryBytes() const
 {
-    size_t bytes = sizeof(CachedTimeline) +
-                   epochs.capacity() * sizeof(CachedTimelineEpoch);
-    for (const Instruction &ins : circuit.instructions())
-        bytes += sizeof(Instruction) +
-                 ins.targets.capacity() * sizeof(uint32_t);
-    return bytes;
+    return sizeof(CachedTimeline) +
+           epochs.capacity() * sizeof(CachedTimelineEpoch) +
+           circuit.memoryBytes();
 }
 
 std::shared_ptr<const CachedSegment>

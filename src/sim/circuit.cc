@@ -7,8 +7,35 @@
 
 namespace surf {
 
+namespace {
+
+/** Ops whose multi-target form equals the sequence of single ones. */
+bool
+coalescable(Op op)
+{
+    return op != Op::Detector && op != Op::ObservableInclude &&
+           op != Op::FrameProbe && op != Op::Tick;
+}
+
+bool
+isMeasurement(Op op)
+{
+    return op == Op::MeasureZ || op == Op::MeasureX;
+}
+
+} // namespace
+
+void
+Circuit::push(Op op, std::span<const uint32_t> targets, double arg,
+              uint32_t aux)
+{
+    records_.push_back({op, aux, arg, static_cast<uint32_t>(targets_.size()),
+                        static_cast<uint32_t>(targets.size())});
+    targets_.insert(targets_.end(), targets.begin(), targets.end());
+}
+
 size_t
-Circuit::append(Op op, std::vector<uint32_t> targets, double arg)
+Circuit::append(Op op, std::span<const uint32_t> targets, double arg)
 {
     SURF_ASSERT(op != Op::Detector && op != Op::ObservableInclude &&
                     op != Op::FrameProbe,
@@ -20,60 +47,56 @@ Circuit::append(Op op, std::vector<uint32_t> targets, double arg)
     for (uint32_t t : targets)
         num_qubits_ = std::max(num_qubits_, t + 1);
     const size_t first_meas = num_measurements_;
-    if (op == Op::MeasureZ || op == Op::MeasureX)
+    if (isMeasurement(op))
         num_measurements_ += targets.size();
-    instrs_.push_back({op, std::move(targets), arg, 0});
+    if (!records_.empty() && records_.back().op == op &&
+        records_.back().arg == arg && coalescable(op)) {
+        records_.back().count += static_cast<uint32_t>(targets.size());
+        targets_.insert(targets_.end(), targets.begin(), targets.end());
+    } else {
+        push(op, targets, arg, 0);
+    }
     return first_meas;
 }
 
 void
-Circuit::appendDetector(std::vector<uint32_t> measurement_indices,
+Circuit::appendDetector(std::span<const uint32_t> measurement_indices,
                         PauliType basis_tag)
 {
     for (uint32_t m : measurement_indices)
         SURF_ASSERT(m < num_measurements_, "detector references future "
                                            "measurement ", m);
-    Instruction ins;
-    ins.op = Op::Detector;
-    ins.targets = std::move(measurement_indices);
-    ins.aux = (basis_tag == PauliType::Z) ? 1u : 0u;
-    instrs_.push_back(std::move(ins));
+    push(Op::Detector, measurement_indices, 0.0,
+         basis_tag == PauliType::Z ? 1u : 0u);
     ++num_detectors_;
 }
 
 void
 Circuit::appendObservable(uint32_t observable_index,
-                          std::vector<uint32_t> measurement_indices)
+                          std::span<const uint32_t> measurement_indices)
 {
     for (uint32_t m : measurement_indices)
         SURF_ASSERT(m < num_measurements_, "observable references future "
                                            "measurement ", m);
-    Instruction ins;
-    ins.op = Op::ObservableInclude;
-    ins.targets = std::move(measurement_indices);
-    ins.aux = observable_index;
-    instrs_.push_back(std::move(ins));
+    push(Op::ObservableInclude, measurement_indices, 0.0, observable_index);
     num_observables_ = std::max<size_t>(num_observables_, observable_index + 1);
 }
 
 uint32_t
-Circuit::appendFrameProbe(std::vector<uint32_t> qubits, PauliType basis,
+Circuit::appendFrameProbe(std::span<const uint32_t> qubits, PauliType basis,
                           bool observable_cancel)
 {
     for (uint32_t t : qubits)
         num_qubits_ = std::max(num_qubits_, t + 1);
     const uint32_t index = static_cast<uint32_t>(num_probes_++);
-    Instruction ins;
-    ins.op = Op::FrameProbe;
-    ins.targets = std::move(qubits);
-    ins.aux = (index << 2) | (observable_cancel ? 2u : 0u) |
-              (basis == PauliType::Z ? 1u : 0u);
-    instrs_.push_back(std::move(ins));
+    push(Op::FrameProbe, qubits, 0.0,
+         (index << 2) | (observable_cancel ? 2u : 0u) |
+             (basis == PauliType::Z ? 1u : 0u));
     return index;
 }
 
 bool
-Circuit::appendRaw(Instruction ins)
+Circuit::appendRaw(const Instruction &ins)
 {
     switch (ins.op) {
       case Op::Detector:
@@ -114,24 +137,31 @@ Circuit::appendRaw(Instruction ins)
             return false;
         for (uint32_t t : ins.targets)
             num_qubits_ = std::max(num_qubits_, t + 1);
-        if (ins.op == Op::MeasureZ || ins.op == Op::MeasureX)
+        if (isMeasurement(ins.op))
             num_measurements_ += ins.targets.size();
         break;
       default:
         return false; // unknown opcode byte in a snapshot
     }
-    instrs_.push_back(std::move(ins));
+    push(ins.op, ins.targets, ins.arg, ins.aux);
     return true;
 }
 
 size_t
-Circuit::countNoiseInstructions() const
+Circuit::countNoiseSites() const
 {
     size_t n = 0;
-    for (const auto &ins : instrs_)
-        if (isNoiseOp(ins.op))
-            ++n;
+    for (const Record &r : records_)
+        if (isNoiseOp(r.op))
+            n += r.op == Op::Depolarize2 ? r.count / 2 : r.count;
     return n;
+}
+
+size_t
+Circuit::memoryBytes() const
+{
+    return records_.capacity() * sizeof(Record) +
+           targets_.capacity() * sizeof(uint32_t);
 }
 
 std::string
@@ -142,7 +172,7 @@ Circuit::str() const
                                   "DEPOLARIZE2", "DETECTOR", "OBSERVABLE",
                                   "TICK", "FRAME_PROBE"};
     std::ostringstream oss;
-    for (const auto &ins : instrs_) {
+    for (const auto &ins : instructions()) {
         oss << names[static_cast<int>(ins.op)];
         if (isNoiseOp(ins.op))
             oss << "(" << ins.arg << ")";

@@ -5,12 +5,25 @@
  * integer qubit ids; DETECTOR instructions reference absolute measurement
  * indices and carry a CSS basis tag so the decoder can split the error
  * model into the two matching graphs.
+ *
+ * Layout (Stim's): one array of fixed-size instruction records
+ * {op, arg, aux, first target, target count} plus one flat uint32_t
+ * target array; consumers see an instruction's targets as a span. Every
+ * consumer applies a multi-target instruction target by target (pairs
+ * for CX / DEPOLARIZE2) in order, so `OP a; OP b` and `OP a b` mean the
+ * same thing. `append` therefore coalesces a reset, gate, measurement or
+ * noise channel into the previous instruction when op and arg match;
+ * detectors, observables, probes and ticks are never coalesced. Builders
+ * emit whole layers this way (see sim/segment.cc). `appendRaw` (snapshot
+ * replay) never coalesces, so a restored circuit re-saves verbatim.
  */
 
 #ifndef SURF_SIM_CIRCUIT_HH
 #define SURF_SIM_CIRCUIT_HH
 
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,11 +52,15 @@ enum class Op : uint8_t
                   ///< no physical analog, ignored by the DEM builder)
 };
 
-/** One circuit instruction. */
+/**
+ * One circuit instruction as consumers see it: a view whose `targets`
+ * span points into the owning circuit's flat target array. Valid until
+ * the circuit is next modified.
+ */
 struct Instruction
 {
     Op op;
-    std::vector<uint32_t> targets;
+    std::span<const uint32_t> targets;
     double arg = 0.0;   ///< noise probability for error channels
     uint32_t aux = 0;   ///< Detector: basis tag (0 = X check, 1 = Z check);
                         ///< ObservableInclude: observable index;
@@ -54,26 +71,84 @@ struct Instruction
 /** Growable instruction list with measurement/detector bookkeeping. */
 class Circuit
 {
+    /** Stored form of one instruction: its targets are the slice
+     *  [first, first + count) of the flat target array. */
+    struct Record
+    {
+        Op op;
+        uint32_t aux;
+        double arg;
+        uint32_t first;
+        uint32_t count;
+    };
+
   public:
-    const std::vector<Instruction> &instructions() const { return instrs_; }
+    /** Random-access view of the instructions (yields Instruction by
+     *  value, so `for (const auto &ins : c.instructions())` works). */
+    class Instructions
+    {
+      public:
+        class iterator
+        {
+          public:
+            Instruction operator*() const { return c_->instruction(i_); }
+            iterator &operator++() { ++i_; return *this; }
+            bool operator==(const iterator &o) const { return i_ == o.i_; }
+
+          private:
+            friend class Instructions;
+            iterator(const Circuit *c, size_t i) : c_(c), i_(i) {}
+            const Circuit *c_;
+            size_t i_;
+        };
+
+        size_t size() const { return c_->records_.size(); }
+        Instruction operator[](size_t i) const { return c_->instruction(i); }
+        iterator begin() const { return {c_, 0}; }
+        iterator end() const { return {c_, size()}; }
+
+      private:
+        friend class Circuit;
+        explicit Instructions(const Circuit *c) : c_(c) {}
+        const Circuit *c_;
+    };
+
+    Instructions instructions() const { return Instructions(this); }
     uint32_t numQubits() const { return num_qubits_; }
     size_t numMeasurements() const { return num_measurements_; }
     size_t numDetectors() const { return num_detectors_; }
     size_t numObservables() const { return num_observables_; }
     size_t numProbes() const { return num_probes_; }
 
-    /** Append a gate/reset/measure/noise instruction. Returns the index of
-     *  the first measurement recorded (for M ops), else 0. */
-    size_t append(Op op, std::vector<uint32_t> targets, double arg = 0.0);
+    /**
+     * Append a gate/reset/measure/noise instruction, coalescing it into
+     * the previous instruction when that has the same op and arg.
+     * @return the index of the first measurement recorded (for M ops),
+     *         else 0
+     */
+    size_t append(Op op, std::span<const uint32_t> targets, double arg = 0.0);
+    size_t
+    append(Op op, std::initializer_list<uint32_t> targets, double arg = 0.0)
+    {
+        return append(op, std::span(targets.begin(), targets.size()), arg);
+    }
 
     /** Append a detector over absolute measurement indices.
      *  @param basis_tag the CSS type of the originating check */
-    void appendDetector(std::vector<uint32_t> measurement_indices,
+    void appendDetector(std::span<const uint32_t> measurement_indices,
                         PauliType basis_tag);
+    void
+    appendDetector(std::initializer_list<uint32_t> measurement_indices,
+                   PauliType basis_tag)
+    {
+        appendDetector(std::span(measurement_indices.begin(),
+                                 measurement_indices.size()),
+                       basis_tag);
+    }
 
     /** Append observable contributions (absolute measurement indices). */
     void appendObservable(uint32_t observable_index,
-                          std::vector<uint32_t> measurement_indices);
+                          std::span<const uint32_t> measurement_indices);
 
     /**
      * Append an oracle frame probe: the simulator records the parity of the
@@ -87,34 +162,48 @@ class Circuit
      *        syndrome mechanisms but no logical responsibility)
      * @return the probe index
      */
-    uint32_t appendFrameProbe(std::vector<uint32_t> qubits, PauliType basis,
-                              bool observable_cancel = false);
+    uint32_t appendFrameProbe(std::span<const uint32_t> qubits,
+                              PauliType basis, bool observable_cancel = false);
 
     /**
-     * Replay one instruction verbatim, recomputing the qubit /
-     * measurement / detector / observable / probe bookkeeping — the
-     * snapshot-restore path (persist/). Unlike the append* builders this
-     * never aborts: structural inconsistencies (a detector referencing a
-     * future measurement, an odd pairwise-target list, an out-of-range
-     * noise probability) return false, and the paranoid loader rejects
-     * the whole record instead of trusting it.
+     * Replay one instruction verbatim (never coalesced), recomputing the
+     * qubit / measurement / detector / observable / probe bookkeeping —
+     * the snapshot-restore path (persist/). Unlike the append* builders
+     * this never aborts: structural inconsistencies (a detector
+     * referencing a future measurement, an odd pairwise-target list, an
+     * out-of-range noise probability) return false, and the paranoid
+     * loader rejects the whole record instead of trusting it.
      * @return false when the instruction is inconsistent with the
      *         circuit built so far (the circuit is left unchanged)
      */
-    bool appendRaw(Instruction ins);
+    bool appendRaw(const Instruction &ins);
 
     /** Reserve room for `n` instructions (the restore path knows the
      *  count up front). */
-    void reserve(size_t n) { instrs_.reserve(n); }
+    void reserve(size_t n) { records_.reserve(n); }
 
-    /** Total count of noise-channel instructions. */
-    size_t countNoiseInstructions() const;
+    /** Total number of independent noise sites: one per target of a
+     *  single-qubit channel, one per pair of a DEPOLARIZE2. */
+    size_t countNoiseSites() const;
+
+    /** Heap bytes held (instruction and target arrays, by capacity). */
+    size_t memoryBytes() const;
 
     /** Human-readable dump (debugging). */
     std::string str() const;
 
   private:
-    std::vector<Instruction> instrs_;
+    Instruction
+    instruction(size_t i) const
+    {
+        const Record &r = records_[i];
+        return {r.op, {targets_.data() + r.first, r.count}, r.arg, r.aux};
+    }
+    void push(Op op, std::span<const uint32_t> targets, double arg,
+              uint32_t aux);
+
+    std::vector<Record> records_;
+    std::vector<uint32_t> targets_;
     uint32_t num_qubits_ = 0;
     size_t num_measurements_ = 0;
     size_t num_detectors_ = 0;

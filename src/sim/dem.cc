@@ -21,12 +21,14 @@ struct Component
 };
 
 /**
- * Enumerate the independent components of one noise instruction into a
- * reusable pool (entries keep their heap buffers across calls).
+ * Enumerate the independent components of one noise site (a qubit, or
+ * the `site[0], site[1]` pair of a DEPOLARIZE2) into a reusable pool
+ * (entries keep their heap buffers across calls).
  * @return the number of pool entries filled
  */
 size_t
-enumerateComponents(const Instruction &ins, std::vector<Component> &pool)
+enumerateComponents(Op op, double arg, const uint32_t *site,
+                    std::vector<Component> &pool)
 {
     size_t n = 0;
     auto emit = [&](double p) -> Component & {
@@ -37,35 +39,28 @@ enumerateComponents(const Instruction &ins, std::vector<Component> &pool)
         c.paulis.clear();
         return c;
     };
-    switch (ins.op) {
+    const uint32_t q = site[0];
+    switch (op) {
       case Op::XError:
-        for (uint32_t q : ins.targets)
-            emit(ins.arg).paulis.push_back({q, true, false});
+        emit(arg).paulis.push_back({q, true, false});
         break;
       case Op::ZError:
-        for (uint32_t q : ins.targets)
-            emit(ins.arg).paulis.push_back({q, false, true});
+        emit(arg).paulis.push_back({q, false, true});
         break;
       case Op::Depolarize1:
-        for (uint32_t q : ins.targets) {
-            emit(ins.arg / 3).paulis.push_back({q, true, false});
-            emit(ins.arg / 3).paulis.push_back({q, true, true});
-            emit(ins.arg / 3).paulis.push_back({q, false, true});
-        }
+        emit(arg / 3).paulis.push_back({q, true, false});
+        emit(arg / 3).paulis.push_back({q, true, true});
+        emit(arg / 3).paulis.push_back({q, false, true});
         break;
       case Op::Depolarize2:
-        for (size_t i = 0; i + 1 < ins.targets.size(); i += 2) {
-            const uint32_t a = ins.targets[i], b = ins.targets[i + 1];
-            for (int which = 1; which < 16; ++which) {
-                const int pa = which / 4, pb = which % 4;
-                Component &c = emit(ins.arg / 15);
-                if (pa)
-                    c.paulis.push_back(
-                        {a, pa == 1 || pa == 2, pa == 2 || pa == 3});
-                if (pb)
-                    c.paulis.push_back(
-                        {b, pb == 1 || pb == 2, pb == 2 || pb == 3});
-            }
+        for (int which = 1; which < 16; ++which) {
+            const int pa = which / 4, pb = which % 4;
+            Component &c = emit(arg / 15);
+            if (pa)
+                c.paulis.push_back({q, pa == 1 || pa == 2, pa == 2 || pa == 3});
+            if (pb)
+                c.paulis.push_back(
+                    {site[1], pb == 1 || pb == 2, pb == 2 || pb == 3});
         }
         break;
       default:
@@ -121,10 +116,17 @@ buildDem(const Circuit &circuit, PauliType obs_basis)
     // Accumulate components keyed by flipped detector set, one slot per
     // observable-flip value (hashed: this map sees every component of
     // every noise site, so it is the hottest structure of the build).
+    // Its iteration order fixes the floating-point summation order of
+    // the edges below, so two rules keep a fused circuit's DEM bit-
+    // identical to that of the same circuit with one site per
+    // instruction: (a) the backward pass folds a multi-site noise
+    // instruction's sites in reverse, the order the one-site
+    // instructions were met in, and (b) the table is sized by noise
+    // sites, not instructions, so it gets the same bucket count.
     std::unordered_map<std::vector<uint32_t>, std::array<double, 2>,
                        FlipSetHash>
         merged;
-    merged.reserve(4 * circuit.countNoiseInstructions() + 16);
+    merged.reserve(4 * circuit.countNoiseSites() + 16);
 
     std::vector<size_t> meas_before(instrs.size() + 1, 0);
     for (size_t i = 0; i < instrs.size(); ++i) {
@@ -165,8 +167,8 @@ buildDem(const Circuit &circuit, PauliType obs_basis)
     // per-site snapshot copies. Component buffers are pooled.
     std::vector<Component> comp_pool;
     std::vector<uint32_t> comp_dets;
-    auto foldNoiseSite = [&](const Instruction &ins) {
-        const size_t n_comp = enumerateComponents(ins, comp_pool);
+    auto foldNoiseSite = [&](Op op, double arg, const uint32_t *site) {
+        const size_t n_comp = enumerateComponents(op, arg, site, comp_pool);
         for (size_t c = 0; c < n_comp; ++c) {
             const Component &comp = comp_pool[c];
             comp_dets.clear();
@@ -248,8 +250,15 @@ buildDem(const Circuit &circuit, PauliType obs_basis)
             // generators, so every component's flip set is the
             // symmetric difference of its generators' live sensitivity
             // sets.
-            if (isNoiseOp(ins.op) && ins.arg > 0.0)
-                foldNoiseSite(ins);
+            if (isNoiseOp(ins.op) && ins.arg > 0.0) {
+                // Sites in reverse: a fused layer folds exactly like the
+                // one-site instructions it replaces, walked backward.
+                const size_t width = ins.op == Op::Depolarize2 ? 2 : 1;
+                for (size_t k = ins.targets.size(); k >= width;) {
+                    k -= width;
+                    foldNoiseSite(ins.op, ins.arg, &ins.targets[k]);
+                }
+            }
             break; // detector/observable/tick: no effect on frames
         }
     }

@@ -1,19 +1,48 @@
 #include "sim/frame.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <numeric>
 
 #include "util/logging.hh"
 
 namespace surf {
 
+namespace {
+
+void
+xorRow(uint64_t *dst, const uint64_t *src, size_t words)
+{
+    for (size_t w = 0; w < words; ++w)
+        dst[w] ^= src[w];
+}
+
+void
+flipBit(uint64_t *row, uint64_t s)
+{
+    row[s >> 6] ^= uint64_t{1} << (s & 63);
+}
+
+uint64_t *
+wordsOf(BitVec &bits)
+{
+    return bits.wordCount() ? &bits.word(0) : nullptr;
+}
+
+} // namespace
+
 FrameSimulator::FrameSimulator(const Circuit &circuit, size_t shots,
                                uint64_t seed)
-    : circuit_(&circuit), shots_(shots), rng_(seed)
+    : circuit_(&circuit), shots_(shots), words_((shots + 63) / 64),
+      rng_(seed)
 {
-    xf_.assign(circuit.numQubits(), BitVec(shots));
-    zf_.assign(circuit.numQubits(), BitVec(shots));
-    records_.reserve(circuit.numMeasurements());
-    detectors_.reserve(circuit.numDetectors());
+    xf_.assign(circuit.numQubits() * words_, 0);
+    zf_.assign(circuit.numQubits() * words_, 0);
+    records_.assign(circuit.numMeasurements() * words_, 0);
+    detectors_.assign(circuit.numDetectors() * words_, 0);
+    observables_.assign(circuit.numObservables(), BitVec(shots));
+    probes_.assign(circuit.numProbes(), BitVec(shots));
     run();
 }
 
@@ -21,46 +50,52 @@ void
 FrameSimulator::reset(uint64_t seed)
 {
     rng_.reseed(seed);
-    for (auto &plane : xf_)
-        plane.clear();
-    for (auto &plane : zf_)
-        plane.clear();
+    std::fill(xf_.begin(), xf_.end(), 0);
+    std::fill(zf_.begin(), zf_.end(), 0);
     for (auto &obs : observables_)
         obs.clear();
     for (auto &probe : probes_)
         probe.clear();
-    num_records_ = 0;
     num_detectors_ = 0;
 }
 
-BitVec &
-FrameSimulator::appendRecord(const BitVec &bits)
-{
-    if (num_records_ < records_.size())
-        records_[num_records_] = bits; // copy into the retained buffer
-    else
-        records_.push_back(bits);
-    return records_[num_records_++];
-}
-
-BitVec &
-FrameSimulator::appendDetector()
-{
-    if (num_detectors_ < detectors_.size())
-        detectors_[num_detectors_].clear();
-    else
-        detectors_.emplace_back(shots_);
-    return detectors_[num_detectors_++];
-}
-
 void
-FrameSimulator::flipRandom(BitVec &plane, double p)
+FrameSimulator::setupNoise(double p)
 {
-    // Geometric skip-sampling: cost proportional to the number of events.
-    uint64_t s = rng_.geometricSkip(p);
+    if (p == noise_.p)
+        return;
+    noise_.p = p;
+    if (p <= 0.0 || p >= 1.0)
+        return; // drawSkip never reads the rest
+    noise_.log1m = std::log1p(-p);
+    noise_.quiet = std::exp(static_cast<double>(shots_) * noise_.log1m) *
+                   (1.0 - 1e-9);
+}
+
+uint64_t
+FrameSimulator::drawSkip(bool first)
+{
+    // Rng::geometricSkip with log1p(-p) hoisted.
+    if (noise_.p <= 0.0)
+        return ~0ULL;
+    if (noise_.p >= 1.0)
+        return 0;
+    double u = rng_.uniform();
+    if (u <= 0.0)
+        u = 0x1.0p-53;
+    if (first && u < noise_.quiet)
+        return shots_; // no event: the exact skip is >= shots_ too
+    return Rng::skipFor(u, noise_.log1m);
+}
+
+template <typename Fn>
+void
+FrameSimulator::forEachEvent(Fn &&event)
+{
+    uint64_t s = drawSkip(true);
     while (s < shots_) {
-        plane.flip(s);
-        const uint64_t skip = rng_.geometricSkip(p);
+        event(s);
+        const uint64_t skip = drawSkip(false);
         if (skip >= shots_ - s)
             break;
         s += skip + 1;
@@ -70,102 +105,101 @@ FrameSimulator::flipRandom(BitVec &plane, double p)
 void
 FrameSimulator::run()
 {
+    size_t num_records = 0;
     for (const auto &ins : circuit_->instructions()) {
         switch (ins.op) {
           case Op::ResetZ:
           case Op::ResetX:
             for (uint32_t q : ins.targets) {
-                xf_[q].clear();
-                zf_[q].clear();
+                std::fill_n(row(xf_, q), words_, 0);
+                std::fill_n(row(zf_, q), words_, 0);
             }
             break;
           case Op::MeasureZ:
             for (uint32_t q : ins.targets) {
-                appendRecord(xf_[q]);
-                zf_[q].clear(); // post-collapse phase frame is trivial
+                std::copy_n(row(xf_, q), words_, row(records_, num_records++));
+                // post-collapse phase frame is trivial
+                std::fill_n(row(zf_, q), words_, 0);
             }
             break;
           case Op::MeasureX:
             for (uint32_t q : ins.targets) {
-                appendRecord(zf_[q]);
-                xf_[q].clear();
+                std::copy_n(row(zf_, q), words_, row(records_, num_records++));
+                std::fill_n(row(xf_, q), words_, 0);
             }
             break;
           case Op::H:
             for (uint32_t q : ins.targets)
-                std::swap(xf_[q], zf_[q]);
+                std::swap_ranges(row(xf_, q), row(xf_, q) + words_,
+                                 row(zf_, q));
             break;
           case Op::CX:
             for (size_t i = 0; i + 1 < ins.targets.size(); i += 2) {
                 const uint32_t c = ins.targets[i], t = ins.targets[i + 1];
-                xf_[t] ^= xf_[c];
-                zf_[c] ^= zf_[t];
+                xorRow(row(xf_, t), row(xf_, c), words_);
+                xorRow(row(zf_, c), row(zf_, t), words_);
             }
             break;
           case Op::XError:
-            for (uint32_t q : ins.targets)
-                flipRandom(xf_[q], ins.arg);
-            break;
-          case Op::ZError:
-            for (uint32_t q : ins.targets)
-                flipRandom(zf_[q], ins.arg);
-            break;
-          case Op::Depolarize1:
+          case Op::ZError: {
+            setupNoise(ins.arg);
+            auto &plane = ins.op == Op::XError ? xf_ : zf_;
             for (uint32_t q : ins.targets) {
-                uint64_t s = rng_.geometricSkip(ins.arg);
-                while (s < shots_) {
+                uint64_t *r = row(plane, q);
+                forEachEvent([&](uint64_t s) { flipBit(r, s); });
+            }
+            break;
+          }
+          case Op::Depolarize1:
+            setupNoise(ins.arg);
+            for (uint32_t q : ins.targets) {
+                uint64_t *x = row(xf_, q), *z = row(zf_, q);
+                forEachEvent([&](uint64_t s) {
                     switch (rng_.below(3)) {
-                      case 0: xf_[q].flip(s); break;
-                      case 1: xf_[q].flip(s); zf_[q].flip(s); break;
-                      default: zf_[q].flip(s); break;
+                      case 0: flipBit(x, s); break;
+                      case 1: flipBit(x, s); flipBit(z, s); break;
+                      default: flipBit(z, s); break;
                     }
-                    const uint64_t skip = rng_.geometricSkip(ins.arg);
-                    if (skip >= shots_ - s)
-                        break;
-                    s += skip + 1;
-                }
+                });
             }
             break;
           case Op::Depolarize2:
+            setupNoise(ins.arg);
             for (size_t i = 0; i + 1 < ins.targets.size(); i += 2) {
-                const uint32_t a = ins.targets[i], b = ins.targets[i + 1];
-                uint64_t s = rng_.geometricSkip(ins.arg);
-                while (s < shots_) {
+                uint64_t *xa = row(xf_, ins.targets[i]);
+                uint64_t *za = row(zf_, ins.targets[i]);
+                uint64_t *xb = row(xf_, ins.targets[i + 1]);
+                uint64_t *zb = row(zf_, ins.targets[i + 1]);
+                forEachEvent([&](uint64_t s) {
                     const uint64_t which = 1 + rng_.below(15);
                     const uint64_t pa = which / 4, pb = which % 4;
-                    if (pa == 1 || pa == 2) xf_[a].flip(s);
-                    if (pa == 2 || pa == 3) zf_[a].flip(s);
-                    if (pb == 1 || pb == 2) xf_[b].flip(s);
-                    if (pb == 2 || pb == 3) zf_[b].flip(s);
-                    const uint64_t skip = rng_.geometricSkip(ins.arg);
-                    if (skip >= shots_ - s)
-                        break;
-                    s += skip + 1;
-                }
+                    if (pa == 1 || pa == 2) flipBit(xa, s);
+                    if (pa == 2 || pa == 3) flipBit(za, s);
+                    if (pb == 1 || pb == 2) flipBit(xb, s);
+                    if (pb == 2 || pb == 3) flipBit(zb, s);
+                });
             }
             break;
           case Op::Detector: {
-            BitVec &bits = appendDetector();
+            uint64_t *bits = row(detectors_, num_detectors_++);
+            std::fill_n(bits, words_, 0);
             for (uint32_t m : ins.targets)
-                bits ^= records_[m];
+                xorRow(bits, row(records_, m), words_);
             break;
           }
           case Op::ObservableInclude: {
-            if (observables_.size() <= ins.aux)
-                observables_.resize(ins.aux + 1, BitVec(shots_));
+            BitVec &obs = observables_[ins.aux];
             for (uint32_t m : ins.targets)
-                observables_[ins.aux] ^= records_[m];
+                xorRow(wordsOf(obs), row(records_, m), words_);
             break;
           }
           case Op::FrameProbe: {
             // Oracle instrumentation: parity of the frames that would flip
             // a basis measurement of the targets. No RNG, no state change.
-            const size_t idx = ins.aux >> 2;
             const bool basis_z = (ins.aux & 1u) != 0;
-            if (probes_.size() <= idx)
-                probes_.resize(idx + 1, BitVec(shots_));
+            BitVec &probe = probes_[ins.aux >> 2];
             for (uint32_t q : ins.targets)
-                probes_[idx] ^= basis_z ? xf_[q] : zf_[q];
+                xorRow(wordsOf(probe), row(basis_z ? xf_ : zf_, q), words_);
             break;
           }
           case Op::Tick:
@@ -174,12 +208,20 @@ FrameSimulator::run()
     }
 }
 
+BitVec
+FrameSimulator::detectorBits(size_t det) const
+{
+    BitVec bits(shots_);
+    std::copy_n(row(detectors_, det), words_, wordsOf(bits));
+    return bits;
+}
+
 std::vector<uint32_t>
 FrameSimulator::firedDetectors(size_t shot) const
 {
     std::vector<uint32_t> out;
     for (size_t d = 0; d < num_detectors_; ++d)
-        if (detectors_[d].get(shot))
+        if ((row(detectors_, d)[shot >> 6] >> (shot & 63)) & 1)
             out.push_back(static_cast<uint32_t>(d));
     return out;
 }
@@ -187,12 +229,20 @@ FrameSimulator::firedDetectors(size_t shot) const
 void
 FrameSimulator::sparseFiredDetectors(SparseSyndromes &out) const
 {
-    // Pass 1: per-shot fired counts. Detector planes are extremely sparse
+    // Calls fn(shot) for every set bit of detector d, ascending.
+    auto forEachShot = [&](size_t d, auto &&fn) {
+        const uint64_t *bits = row(detectors_, d);
+        for (size_t w = 0; w < words_; ++w)
+            for (uint64_t word = bits[w]; word; word &= word - 1)
+                fn(w * 64 + static_cast<size_t>(std::countr_zero(word)));
+    };
+
+    // Pass 1: per-shot fired counts. Detector rows are extremely sparse
     // at realistic noise, so almost every 64-shot word is zero and the
     // inner loop never runs.
     out.offsets.assign(shots_ + 1, 0);
     for (size_t d = 0; d < num_detectors_; ++d)
-        detectors_[d].forEachSetBit([&](size_t s) { ++out.offsets[s + 1]; });
+        forEachShot(d, [&](size_t s) { ++out.offsets[s + 1]; });
     std::partial_sum(out.offsets.begin(), out.offsets.end(),
                      out.offsets.begin());
 
@@ -201,7 +251,7 @@ FrameSimulator::sparseFiredDetectors(SparseSyndromes &out) const
     out.flat.resize(out.offsets[shots_]);
     out.cursor_.assign(out.offsets.begin(), out.offsets.end() - 1);
     for (size_t d = 0; d < num_detectors_; ++d)
-        detectors_[d].forEachSetBit([&](size_t s) {
+        forEachShot(d, [&](size_t s) {
             out.flat[out.cursor_[s]++] = static_cast<uint32_t>(d);
         });
 }

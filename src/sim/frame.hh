@@ -53,7 +53,22 @@ struct SparseSyndromes
 /**
  * One batch of frame-simulated shots. Reusable: construct once per
  * circuit/batch-size, then `reset(seed)` + `run()` re-samples into the
- * same frame/record/detector buffers without reallocating.
+ * same tables without reallocating.
+ *
+ * Layout: with words = ceil(shots / 64), the X frame plane of every
+ * qubit, the Z frame plane of every qubit, every measurement record and
+ * every detector are `words`-word rows of four contiguous uint64_t
+ * tables (bit s of a row is shot s), all sized once at construction from
+ * the circuit's counts. Observables and probes stay BitVecs.
+ *
+ * Noise: each noise target draws one uniform u and skips
+ * floor(log u / log(1-p)) shots to its first event, exactly as
+ * Rng::geometricSkip. The setup (log1p(-p) and (1-p)^shots) is paid once
+ * per instruction, and the common "no event in this batch" outcome is
+ * decided without a log: u < (1-p)^shots * (1 - 1e-9) implies a skip of
+ * at least `shots`. Inside that guard band, and after every event, the
+ * exact formula runs, so draws and flips equal the per-target
+ * geometricSkip sequence bit for bit.
  *
  * The referenced circuit must outlive the simulator.
  */
@@ -79,7 +94,7 @@ class FrameSimulator
     size_t numDetectors() const { return num_detectors_; }
 
     /** Detector bits across shots (bit s = detector fired in shot s). */
-    const BitVec &detectorBits(size_t det) const { return detectors_[det]; }
+    BitVec detectorBits(size_t det) const;
     /** Observable flip bits across shots. */
     const BitVec &observableBits(size_t obs) const
     {
@@ -103,21 +118,39 @@ class FrameSimulator
     SparseSyndromes sparseFiredDetectors() const;
 
   private:
-    void flipRandom(BitVec &plane, double p);
-    /** Next reusable record slot (copy-assigned from a frame plane). */
-    BitVec &appendRecord(const BitVec &bits);
-    /** Next reusable detector slot, cleared. */
-    BitVec &appendDetector();
+    /** Per-instruction noise setup (see the class comment). */
+    struct NoiseSetup
+    {
+        double p = -1.0;     ///< the p set up (-1: none yet)
+        double log1m = 0.0;  ///< log1p(-p)
+        double quiet = 0.0;  ///< u below this: no event in the batch
+    };
+    void setupNoise(double p);
+    /** Shots to skip to one target's first event (`first`; a result
+     *  >= shots means none) or to its next one. */
+    uint64_t drawSkip(bool first);
+    /** Call `event(s)` for every shot s in which one target fires. */
+    template <typename Fn> void forEachEvent(Fn &&event);
+
+    uint64_t *row(std::vector<uint64_t> &table, size_t r)
+    {
+        return table.data() + r * words_;
+    }
+    const uint64_t *row(const std::vector<uint64_t> &table, size_t r) const
+    {
+        return table.data() + r * words_;
+    }
 
     const Circuit *circuit_;
     size_t shots_;
+    size_t words_;
     Rng rng_;
-    std::vector<BitVec> xf_, zf_;   // frames per qubit
-    std::vector<BitVec> records_;   // per measurement (slots reused)
-    std::vector<BitVec> detectors_; // per detector (slots reused)
+    NoiseSetup noise_;
+    std::vector<uint64_t> xf_, zf_;   // frame planes, one row per qubit
+    std::vector<uint64_t> records_;   // one row per measurement
+    std::vector<uint64_t> detectors_; // one row per detector
     std::vector<BitVec> observables_;
     std::vector<BitVec> probes_;
-    size_t num_records_ = 0;
     size_t num_detectors_ = 0;
 };
 

@@ -78,6 +78,146 @@ superSignature(const CodePatch &patch, const SuperStab &ss)
     return sig;
 }
 
+/**
+ * Dense view of the coordinate -> qubit id map for one appendSegment
+ * call: a grid over the bounding box of the mapped coordinates, plus
+ * each id's noise rate, so the per-gate lookups are array reads instead
+ * of std::map / std::set searches.
+ */
+class QubitGrid
+{
+  public:
+    QubitGrid(const std::map<Coord, uint32_t> &ids, const NoiseParams &noise)
+    {
+        SURF_ASSERT(!ids.empty(), "segment without qubits");
+        x0_ = x1_ = ids.begin()->first.x;
+        y0_ = y1_ = ids.begin()->first.y;
+        for (const auto &[c, id] : ids) {
+            x0_ = std::min(x0_, c.x);
+            x1_ = std::max(x1_, c.x);
+            y0_ = std::min(y0_, c.y);
+            y1_ = std::max(y1_, c.y);
+        }
+        width_ = static_cast<size_t>(x1_ - x0_) + 1;
+        grid_.assign(width_ * (static_cast<size_t>(y1_ - y0_) + 1), kNone);
+        rate_.resize(ids.size());
+        for (const auto &[c, id] : ids) {
+            SURF_ASSERT(id < ids.size(), "qubit ids must be dense");
+            grid_[cell(c)] = id;
+            rate_[id] = noise.defectiveSites.count(c) ? noise.pDefect
+                                                      : noise.p;
+        }
+    }
+
+    uint32_t
+    id(Coord c) const
+    {
+        const bool inside =
+            c.x >= x0_ && c.x <= x1_ && c.y >= y0_ && c.y <= y1_;
+        const uint32_t i = inside ? grid_[cell(c)] : kNone;
+        SURF_ASSERT(i != kNone, "qubit without an id ", c.str());
+        return i;
+    }
+    /** Noise rate of the qubit with this id. */
+    double rate(uint32_t id) const { return rate_[id]; }
+    size_t size() const { return rate_.size(); }
+
+  private:
+    static constexpr uint32_t kNone = ~0u;
+    size_t
+    cell(Coord c) const
+    {
+        return static_cast<size_t>(c.y - y0_) * width_ +
+               static_cast<size_t>(c.x - x0_);
+    }
+
+    int x0_, x1_, y0_, y1_;
+    size_t width_;
+    std::vector<uint32_t> grid_;
+    std::vector<double> rate_;
+};
+
+/**
+ * Fused-layer emitter. A *unit* is a gate with its trailing noise
+ * (CX + DEPOLARIZE2 [+ the correlated DEPOLARIZE2], H + DEPOLARIZE1,
+ * R/RX + X_ERROR/Z_ERROR) or a noise channel with the measurement it
+ * precedes (X_ERROR + M, Z_ERROR + MX). A unit joins the open layer
+ * while its kind matches and its qubits are disjoint from the layer's;
+ * otherwise the layer is flushed first. A flush emits every unit's lead
+ * part in unit order, then every trailing part in unit order, and
+ * Circuit::append merges same-op, same-arg neighbours into one
+ * instruction.
+ *
+ * Why the samples cannot change: the units of a layer act on disjoint
+ * qubits, so moving unit i's trailing part past the lead parts of units
+ * j > i commutes. Noise instructions keep their relative order, and so
+ * do measurements, so the noise RNG draws one value per site in the
+ * same sequence and every record keeps its index. (Sequential checks
+ * share their ancilla across units; the disjointness test flushes
+ * between them, nothing here assumes a schedule.)
+ */
+class LayerBuffer
+{
+  public:
+    enum class Kind : uint8_t { GateNoise, NoiseMeasure };
+    /** One op on one or two targets. */
+    struct Part
+    {
+        Op op;
+        double arg;
+        uint32_t t[2];
+        uint8_t n;
+    };
+
+    LayerBuffer(Circuit &ckt, size_t num_qubits)
+        : ckt_(ckt), busy_(num_qubits, 0)
+    {
+    }
+
+    /** Queue a unit: `lead` then its trailing parts, on lead's qubits.
+     *  @return the index its measurement will get (NoiseMeasure), else 0 */
+    size_t
+    unit(Kind kind, const Part &lead, std::initializer_list<Part> trail)
+    {
+        bool clash = kind != kind_;
+        for (uint8_t k = 0; k < lead.n; ++k)
+            clash |= busy_[lead.t[k]] == layer_;
+        if (clash) {
+            flush();
+            kind_ = kind;
+        }
+        for (uint8_t k = 0; k < lead.n; ++k)
+            busy_[lead.t[k]] = layer_;
+        lead_.push_back(lead);
+        trail_.insert(trail_.end(), trail.begin(), trail.end());
+        if (kind != Kind::NoiseMeasure)
+            return 0;
+        return ckt_.numMeasurements() + pending_meas_++;
+    }
+
+    /** Emit the open layer; call before anything else touches ckt. */
+    void
+    flush()
+    {
+        for (const Part &part : lead_)
+            ckt_.append(part.op, std::span(part.t, part.n), part.arg);
+        for (const Part &part : trail_)
+            ckt_.append(part.op, std::span(part.t, part.n), part.arg);
+        lead_.clear();
+        trail_.clear();
+        pending_meas_ = 0;
+        ++layer_;
+    }
+
+  private:
+    Circuit &ckt_;
+    std::vector<uint32_t> busy_; ///< per qubit: layer that last used it
+    uint32_t layer_ = 1;
+    Kind kind_ = Kind::GateNoise;
+    std::vector<Part> lead_, trail_;
+    size_t pending_meas_ = 0;
+};
+
 } // namespace
 
 SeamPlan
@@ -429,12 +569,46 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
             ensureId(*c.ancilla);
     for (const Coord &q : seam.removed)
         ensureId(q);
+    // Standalone continuations also replay one round of the previous
+    // patch (see the seam prologue).
+    const bool overlap_replica = !spec.first && phantomSeam;
+    if (overlap_replica) {
+        SURF_ASSERT(prevPatch != nullptr,
+                    "standalone continuation needs the previous patch");
+        for (const Coord &q : prevPatch->dataQubits())
+            ensureId(q);
+        for (const auto &c : prevPatch->checks())
+            if (c.ancilla)
+                ensureId(*c.ancilla);
+    }
 
-    auto qid = [&](Coord c) { return qubitId.at(c); };
-    auto rate = [&](Coord site) {
-        return noise.defectiveSites.count(site) ? noise.pDefect : noise.p;
-    };
+    const QubitGrid grid(qubitId, noise);
+    auto qid = [&](Coord c) { return grid.id(c); };
+    auto rate = [&](Coord site) { return grid.rate(grid.id(site)); };
     auto rate2 = [&](Coord a, Coord b) { return std::max(rate(a), rate(b)); };
+
+    // Everything that is not a fused unit goes through emit(), which
+    // closes the open layer first.
+    using Kind = LayerBuffer::Kind;
+    using Part = LayerBuffer::Part;
+    LayerBuffer layer(ckt, grid.size());
+    auto emit = [&]() -> Circuit & {
+        layer.flush();
+        return ckt;
+    };
+    /** Noise channel + measurement of one qubit; returns its record. */
+    auto noisy_measure = [&](Op noise_op, Op measure_op, Coord q) {
+        const uint32_t id = qid(q);
+        return layer.unit(Kind::NoiseMeasure,
+                          Part{noise_op, rate(q), {id, 0}, 1},
+                          {Part{measure_op, 0.0, {id, 0}, 1}});
+    };
+    /** Single-qubit gate + its noise channel. */
+    auto noisy_gate = [&](Op gate_op, Op noise_op, Coord q) {
+        const uint32_t id = qid(q);
+        layer.unit(Kind::GateNoise, Part{gate_op, 0.0, {id, 0}, 1},
+                   {Part{noise_op, rate(q), {id, 0}, 1}});
+    };
 
     // Effective measurement phase follows the *global* round parity so the
     // alternating gauge schedule continues seamlessly across epochs.
@@ -463,14 +637,16 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
 
     auto emit_cx = [&](const Check &c, Coord dqc) {
         const Coord a = *c.ancilla;
-        if (c.type == PauliType::X)
-            ckt.append(Op::CX, {qid(a), qid(dqc)});
-        else
-            ckt.append(Op::CX, {qid(dqc), qid(a)});
-        ckt.append(Op::Depolarize2, {qid(a), qid(dqc)}, rate2(a, dqc));
+        const uint32_t ia = qid(a), id = qid(dqc);
+        const Part cx = c.type == PauliType::X ? Part{Op::CX, 0.0, {ia, id}, 2}
+                                               : Part{Op::CX, 0.0, {id, ia}, 2};
+        const Part dep{Op::Depolarize2, rate2(a, dqc), {ia, id}, 2};
         if (noise.pCorrelated2q > 0.0)
-            ckt.append(Op::Depolarize2, {qid(a), qid(dqc)},
-                       noise.pCorrelated2q);
+            layer.unit(Kind::GateNoise, cx,
+                       {dep, Part{Op::Depolarize2, noise.pCorrelated2q,
+                                  {ia, id}, 2}});
+        else
+            layer.unit(Kind::GateNoise, cx, {dep});
     };
 
     /**
@@ -483,10 +659,10 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
                           const std::vector<Check> &round_checks,
                           uint64_t gr, std::vector<size_t> &lm,
                           std::vector<size_t> *fm) {
-        ckt.append(Op::Tick, {});
+        emit().append(Op::Tick, {});
         // Data idle noise once per round.
         for (const Coord &q : round_data)
-            ckt.append(Op::Depolarize1, {qid(q)}, rate(q));
+            emit().append(Op::Depolarize1, {qid(q)}, rate(q));
 
         // Checks measured this round, split by measurement style.
         std::vector<int> ancilla_checks, direct_checks;
@@ -498,18 +674,13 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
         }
 
         // Ancilla-based extraction.
-        for (int i : ancilla_checks) {
-            const Coord a = *round_checks[static_cast<size_t>(i)].ancilla;
-            ckt.append(Op::ResetZ, {qid(a)});
-            ckt.append(Op::XError, {qid(a)}, rate(a));
-        }
+        for (int i : ancilla_checks)
+            noisy_gate(Op::ResetZ, Op::XError,
+                       *round_checks[static_cast<size_t>(i)].ancilla);
         for (int i : ancilla_checks) {
             const auto &c = round_checks[static_cast<size_t>(i)];
-            if (c.type == PauliType::X) {
-                ckt.append(Op::H, {qid(*c.ancilla)});
-                ckt.append(Op::Depolarize1, {qid(*c.ancilla)},
-                           rate(*c.ancilla));
-            }
+            if (c.type == PauliType::X)
+                noisy_gate(Op::H, Op::Depolarize1, *c.ancilla);
         }
         // Interleaved canonical layers: each support qubit occupies its
         // canonical slot (gaps where neighbors were removed keep the
@@ -540,16 +711,13 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
         }
         for (int i : ancilla_checks) {
             const auto &c = round_checks[static_cast<size_t>(i)];
-            if (c.type == PauliType::X) {
-                ckt.append(Op::H, {qid(*c.ancilla)});
-                ckt.append(Op::Depolarize1, {qid(*c.ancilla)},
-                           rate(*c.ancilla));
-            }
+            if (c.type == PauliType::X)
+                noisy_gate(Op::H, Op::Depolarize1, *c.ancilla);
         }
         for (int i : ancilla_checks) {
             const Coord a = *round_checks[static_cast<size_t>(i)].ancilla;
-            ckt.append(Op::XError, {qid(a)}, rate(a));
-            lm[static_cast<size_t>(i)] = ckt.append(Op::MeasureZ, {qid(a)});
+            lm[static_cast<size_t>(i)] =
+                noisy_measure(Op::XError, Op::MeasureZ, a);
             if (fm && (*fm)[static_cast<size_t>(i)] == SIZE_MAX)
                 (*fm)[static_cast<size_t>(i)] = lm[static_cast<size_t>(i)];
         }
@@ -560,15 +728,10 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
             SURF_ASSERT(c.support.size() == 1,
                         "direct measurement needs weight-1 support");
             const Coord q = c.support[0];
-            if (c.type == PauliType::X) {
-                ckt.append(Op::ZError, {qid(q)}, rate(q));
-                lm[static_cast<size_t>(i)] =
-                    ckt.append(Op::MeasureX, {qid(q)});
-            } else {
-                ckt.append(Op::XError, {qid(q)}, rate(q));
-                lm[static_cast<size_t>(i)] =
-                    ckt.append(Op::MeasureZ, {qid(q)});
-            }
+            lm[static_cast<size_t>(i)] =
+                c.type == PauliType::X
+                    ? noisy_measure(Op::ZError, Op::MeasureX, q)
+                    : noisy_measure(Op::XError, Op::MeasureZ, q);
             if (fm && (*fm)[static_cast<size_t>(i)] == SIZE_MAX)
                 (*fm)[static_cast<size_t>(i)] = lm[static_cast<size_t>(i)];
         }
@@ -579,9 +742,9 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
         std::vector<uint32_t> dq;
         for (const Coord &q : data)
             dq.push_back(qid(q));
-        ckt.append(basis_reset, dq);
+        emit().append(basis_reset, dq);
         for (const Coord &q : data)
-            ckt.append(basis_init_error, {qid(q)}, rate(q));
+            emit().append(basis_init_error, {qid(q)}, rate(q));
     } else {
         // --- Seam prologue ------------------------------------------------
         // Carried inferences: real references into the previous segment,
@@ -593,14 +756,7 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
         // data errors of the previous epoch), which is what makes
         // windowed per-epoch decoding accurate at seams.
         SeamState overlap_state;
-        if (phantomSeam) {
-            SURF_ASSERT(prevPatch != nullptr,
-                        "standalone continuation needs the previous patch");
-            for (const Coord &q : prevPatch->dataQubits())
-                ensureId(q);
-            for (const auto &c : prevPatch->checks())
-                if (c.ancilla)
-                    ensureId(*c.ancilla);
+        if (overlap_replica) {
             overlap_state.lastMeas.assign(prevPatch->checks().size(),
                                           SIZE_MAX);
             emit_round(prevPatch->dataList(), prevPatch->checks(),
@@ -624,8 +780,8 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
             std::vector<uint32_t> probe_ids;
             for (const Coord &q : seam.trackedLogical)
                 probe_ids.push_back(qid(q));
-            ckt.appendFrameProbe(std::move(probe_ids), spec.basis,
-                                 /*observable_cancel=*/true);
+            emit().appendFrameProbe(probe_ids, spec.basis,
+                                    /*observable_cancel=*/true);
             carried = &overlap_state;
         }
         SURF_ASSERT(carried != nullptr,
@@ -645,19 +801,17 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
                     seam.prevSuper[s])];
         // Measure out the data qubits leaving the patch (memory basis).
         std::map<Coord, uint32_t> removed_meas;
-        for (const Coord &q : seam.removed) {
-            ckt.append(basis_init_error, {qid(q)}, rate(q));
-            removed_meas[q] =
-                static_cast<uint32_t>(ckt.append(basis_measure, {qid(q)}));
-        }
+        for (const Coord &q : seam.removed)
+            removed_meas[q] = static_cast<uint32_t>(
+                noisy_measure(basis_init_error, basis_measure, q));
         // Initialize the data qubits joining the patch.
         if (!seam.added.empty()) {
             std::vector<uint32_t> dq;
             for (const Coord &q : seam.added)
                 dq.push_back(qid(q));
-            ckt.append(basis_reset, dq);
+            emit().append(basis_reset, dq);
             for (const Coord &q : seam.added)
-                ckt.append(basis_init_error, {qid(q)}, rate(q));
+                emit().append(basis_init_error, {qid(q)}, rate(q));
         }
         // Patched seam detectors additionally reference the measure-outs
         // of the support qubits they lost.
@@ -695,11 +849,11 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
             std::vector<uint32_t> probe_ids;
             for (const Coord &q : seam.trackedLogical)
                 probe_ids.push_back(qid(q));
-            ckt.appendFrameProbe(std::move(probe_ids), spec.basis);
+            emit().appendFrameProbe(probe_ids, spec.basis);
         }
     }
 
-    out.detBegin = ckt.numDetectors();
+    out.detBegin = emit().numDetectors();
 
     // A check's first measurement in this segment is individually
     // deterministic when all its support was just initialized in the basis.
@@ -728,19 +882,19 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
             if (c.role == CheckRole::Stabilizer) {
                 if (prev_meas[i] == SIZE_MAX) {
                     if (first_deterministic(i, r))
-                        ckt.appendDetector({m}, c.type);
+                        emit().appendDetector({m}, c.type);
                 } else {
                     std::vector<uint32_t> refs{
                         m, static_cast<uint32_t>(prev_meas[i])};
                     for (uint32_t x : seam_extra[i])
                         refs.push_back(x);
                     seam_extra[i].clear();
-                    ckt.appendDetector(std::move(refs), c.type);
+                    emit().appendDetector(refs, c.type);
                 }
             } else if (prev_meas[i] == SIZE_MAX && first_deterministic(i, r)) {
                 // Basis-type gauge checks are individually deterministic
                 // on a freshly initialized product state.
-                ckt.appendDetector({m}, c.type);
+                emit().appendDetector({m}, c.type);
             }
         }
         // Super-stabilizers available this round: product vs product (the
@@ -758,7 +912,7 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
                 std::vector<uint32_t> both = refs;
                 both.insert(both.end(), super_prev[s].begin(),
                             super_prev[s].end());
-                ckt.appendDetector(std::move(both), ss.type);
+                emit().appendDetector(both, ss.type);
             }
             // First basis-type instance is covered by the individual
             // round-0 gauge detectors; first opposite instance is random.
@@ -777,7 +931,7 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
                         "gauge-fixing record missing for observable carry");
             obs_carry_refs.push_back(static_cast<uint32_t>(ref));
         }
-        ckt.appendObservable(0, std::move(obs_carry_refs));
+        emit().appendObservable(0, obs_carry_refs);
         obs_carry_refs.clear();
     }
 
@@ -786,17 +940,15 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
         std::vector<uint32_t> probe_ids;
         for (const Coord &q : seam.trackedLogical)
             probe_ids.push_back(qid(q));
-        ckt.appendFrameProbe(std::move(probe_ids), spec.basis);
+        emit().appendFrameProbe(probe_ids, spec.basis);
     }
 
     if (spec.last) {
         // --- Final data readout ------------------------------------------
         std::map<Coord, uint32_t> data_meas;
-        for (const Coord &q : data) {
-            ckt.append(basis_init_error, {qid(q)}, rate(q));
-            const size_t m = ckt.append(basis_measure, {qid(q)});
-            data_meas[q] = static_cast<uint32_t>(m);
-        }
+        for (const Coord &q : data)
+            data_meas[q] = static_cast<uint32_t>(
+                noisy_measure(basis_init_error, basis_measure, q));
         // Final detectors: each basis-type generator compared with the
         // parity of the final data measurements over its support.
         for (const auto &g : patch.stabilizerGenerators()) {
@@ -817,14 +969,14 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
                     continue;
                 refs.push_back(static_cast<uint32_t>(m));
             }
-            ckt.appendDetector(std::move(refs), g.type);
+            emit().appendDetector(refs, g.type);
         }
 
         // Logical observable: parity of the tracked bare representative.
         std::vector<uint32_t> obs_refs;
         for (const Coord &q : seam.trackedLogical)
             obs_refs.push_back(data_meas.at(q));
-        ckt.appendObservable(0, std::move(obs_refs));
+        emit().appendObservable(0, obs_refs);
     } else if (phantomSeam) {
         // Standalone decoder view of a non-final segment: a *noiseless*
         // logical readout so the DEM attributes observable flips to the
@@ -832,15 +984,15 @@ appendSegment(Circuit &ckt, std::map<Coord, uint32_t> &qubitId,
         // detector range still mirrors the concatenated segment exactly.
         std::map<Coord, uint32_t> data_meas;
         for (const Coord &q : data)
-            data_meas[q] =
-                static_cast<uint32_t>(ckt.append(basis_measure, {qid(q)}));
+            data_meas[q] = static_cast<uint32_t>(
+                emit().append(basis_measure, {qid(q)}));
         std::vector<uint32_t> obs_refs;
         for (const Coord &q : seam.trackedLogical)
             obs_refs.push_back(data_meas.at(q));
-        ckt.appendObservable(0, std::move(obs_refs));
+        emit().appendObservable(0, obs_refs);
     }
 
-    out.detEnd = ckt.numDetectors();
+    out.detEnd = emit().numDetectors();
     out.carry.lastMeas = std::move(last_meas);
     out.carry.superPrev = std::move(super_prev);
     return out;

@@ -77,7 +77,14 @@ Rng::geometricSkip(double p)
     // Avoid log(0).
     if (u <= 0.0)
         u = 0x1.0p-53;
-    return static_cast<uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
+    return skipFor(u, std::log1p(-p));
+}
+
+uint64_t
+Rng::skipFor(double u, double log1m)
+{
+    const double skip = std::floor(std::log(u) / log1m);
+    return skip >= 0x1.0p64 ? ~0ULL : static_cast<uint64_t>(skip);
 }
 
 uint64_t

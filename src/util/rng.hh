@@ -45,6 +45,14 @@ class Rng
      */
     uint64_t geometricSkip(double p);
 
+    /**
+     * The skip geometricSkip returns for uniform draw u in (0, 1) and
+     * log1m = log1p(-p): floor(log(u) / log1m), saturated to ~0 when the
+     * quotient does not fit in 64 bits (tiny p), so a near-zero channel
+     * never fires instead of wrapping to an event in every shot.
+     */
+    static uint64_t skipFor(double u, double log1m);
+
     /** Poisson draw with mean lambda (Knuth for small, normal approx large). */
     uint64_t poisson(double lambda);
 

@@ -233,6 +233,31 @@ TEST(Dem, ObservableEdgesExistOnObsSide)
     EXPECT_EQ(obs_edges_x, 0); // Z errors never flip a Z observable
 }
 
+TEST(FrameSim, NearZeroAndCertainNoiseChannels)
+{
+    // 10^6 draws of X_ERROR(1e-30) must never fire (the geometric skip
+    // saturates instead of overflowing to 0), and X_ERROR(1) flips every
+    // shot of every target.
+    constexpr uint32_t kQubits = 1000;
+    std::vector<uint32_t> all(kQubits);
+    for (uint32_t q = 0; q < kQubits; ++q)
+        all[q] = q;
+    for (double p : {1e-30, 1.0}) {
+        Circuit ckt;
+        ckt.append(Op::ResetZ, all);
+        for (int rep = 0; rep < (p < 1.0 ? 1000 : 1); ++rep)
+            ckt.append(Op::XError, all, p);
+        const size_t first = ckt.append(Op::MeasureZ, all);
+        for (uint32_t q = 0; q < kQubits; ++q)
+            ckt.appendDetector({static_cast<uint32_t>(first + q)},
+                               PauliType::Z);
+        FrameSimulator sim(ckt, 4096, 11);
+        for (size_t d = 0; d < sim.numDetectors(); ++d)
+            ASSERT_EQ(sim.detectorBits(d).popcount(), p < 1.0 ? 0u : 4096u)
+                << "p " << p << " detector " << d;
+    }
+}
+
 TEST(FrameSim, DetectorRateMatchesNoiseScale)
 {
     // Detector firing frequency grows with the physical rate.

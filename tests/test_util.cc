@@ -6,6 +6,7 @@
  * result type and the deadline/degradation-ledger primitives.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -67,6 +68,31 @@ TEST(Rng, GeometricSkipMeanMatches)
         total += static_cast<double>(rng.geometricSkip(p));
     // Mean of the geometric (number of failures before success) is (1-p)/p.
     EXPECT_NEAR(total / n, (1 - p) / p, 4.0);
+}
+
+TEST(Rng, GeometricSkipSaturatesForTinyP)
+{
+    // floor(log u / log1p(-p)) exceeds 2^64 for p below ~1e-19; the skip
+    // saturates instead of wrapping to an event in every trial.
+    for (double p : {1e-20, 1e-30, 1e-300}) {
+        Rng rng(17);
+        uint64_t min_skip = ~0ULL;
+        for (int i = 0; i < 1000000; ++i)
+            min_skip = std::min(min_skip, rng.geometricSkip(p));
+        EXPECT_GT(min_skip, uint64_t{1} << 40) << "p " << p;
+    }
+    // Defined values are unchanged: the saturated helper is the formula.
+    Rng a(5), b(5);
+    for (double p : {1e-15, 1e-3, 0.25, 0.9}) {
+        for (int i = 0; i < 1000; ++i) {
+            double u = b.uniform();
+            if (u <= 0.0)
+                u = 0x1.0p-53;
+            ASSERT_EQ(a.geometricSkip(p),
+                      static_cast<uint64_t>(
+                          std::floor(std::log(u) / std::log1p(-p))));
+        }
+    }
 }
 
 TEST(Rng, PoissonMeanMatches)
