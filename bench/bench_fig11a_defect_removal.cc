@@ -12,37 +12,10 @@
 #include "bench_util.hh"
 #include "core/deformation_unit.hh"
 #include "decode/memory_experiment.hh"
-#include "defects/defect_sampler.hh"
 #include "lattice/rotated.hh"
 #include "util/rng.hh"
 
 using namespace surf;
-
-namespace {
-
-/** Sample k defective sites as one-or-more burst clusters. */
-std::set<Coord>
-clusteredDefects(const CodePatch &patch, int k, Rng &rng)
-{
-    std::set<Coord> sites;
-    while (static_cast<int>(sites.size()) < k) {
-        const Coord center{
-            patch.xMin() + static_cast<int>(rng.below(static_cast<uint64_t>(
-                               patch.xMax() - patch.xMin() + 1))),
-            patch.yMin() + static_cast<int>(rng.below(static_cast<uint64_t>(
-                               patch.yMax() - patch.yMin() + 1)))};
-        for (const Coord &c : DefectSampler::regionSites(center, 2)) {
-            if (static_cast<int>(sites.size()) >= k)
-                break;
-            if (c.x >= patch.xMin() && c.x <= patch.xMax() &&
-                c.y >= patch.yMin() && c.y <= patch.yMax())
-                sites.insert(c);
-        }
-    }
-    return sites;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -62,7 +35,8 @@ main(int argc, char **argv)
         for (int k : {0, 4, 8, 16, 24}) {
             const CodePatch pristine = squarePatch(d);
             const auto defects =
-                k ? clusteredDefects(pristine, k, rng) : std::set<Coord>{};
+                k ? benchutil::clusteredDefects(pristine, k, rng)
+                  : std::set<Coord>{};
 
             // Untreated: defective sites saturate, decoder unaware.
             MemoryExperimentConfig cfg;

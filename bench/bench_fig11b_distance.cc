@@ -10,37 +10,10 @@
 
 #include "baselines/strategies.hh"
 #include "bench_util.hh"
-#include "defects/defect_sampler.hh"
 #include "lattice/rotated.hh"
 #include "util/rng.hh"
 
 using namespace surf;
-
-namespace {
-
-std::set<Coord>
-clusteredDefects(int d, int k, Rng &rng)
-{
-    const CodePatch p = squarePatch(d);
-    std::set<Coord> sites;
-    while (static_cast<int>(sites.size()) < k) {
-        const Coord center{
-            p.xMin() + static_cast<int>(
-                           rng.below(static_cast<uint64_t>(2 * d - 1))),
-            p.yMin() + static_cast<int>(
-                           rng.below(static_cast<uint64_t>(2 * d - 1)))};
-        for (const Coord &c : DefectSampler::regionSites(center, 2)) {
-            if (static_cast<int>(sites.size()) >= k)
-                break;
-            if (c.x >= p.xMin() && c.x <= p.xMax() && c.y >= p.yMin() &&
-                c.y <= p.yMax())
-                sites.insert(c);
-        }
-    }
-    return sites;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -54,13 +27,15 @@ main(int argc, char **argv)
     std::printf("%4s %6s | %10s %14s\n", "d", "#def", "ASC-S", "Surf-Deformer");
 
     for (int d : {9, 15, 21, 27}) {
+        const CodePatch pristine = squarePatch(d);
         for (int k : {0, 10, 20, 30, 40, 50}) {
             double sum_ascs = 0, sum_sd = 0;
             for (int s = 0; s < samples; ++s) {
                 Rng rng(static_cast<uint64_t>(d) * 1000003 +
                         static_cast<uint64_t>(k) * 101 +
                         static_cast<uint64_t>(s));
-                const auto defects = clusteredDefects(d, k, rng);
+                const auto defects =
+                    benchutil::clusteredDefects(pristine, k, rng);
                 const auto a =
                     applyStrategy(Strategy::Ascs, d, 0, defects);
                 auto sd = applyStrategy(Strategy::SurfDeformer, d, 0,

@@ -11,36 +11,10 @@
 #include "bench_util.hh"
 #include "core/deformation_unit.hh"
 #include "decode/memory_experiment.hh"
-#include "defects/defect_sampler.hh"
 #include "lattice/rotated.hh"
 #include "util/rng.hh"
 
 using namespace surf;
-
-namespace {
-
-std::set<Coord>
-clusteredDefects(const CodePatch &p, int k, Rng &rng)
-{
-    std::set<Coord> sites;
-    while (static_cast<int>(sites.size()) < k) {
-        const Coord center{
-            p.xMin() + static_cast<int>(rng.below(static_cast<uint64_t>(
-                           p.xMax() - p.xMin() + 1))),
-            p.yMin() + static_cast<int>(rng.below(static_cast<uint64_t>(
-                           p.yMax() - p.yMin() + 1)))};
-        for (const Coord &c : DefectSampler::regionSites(center, 2)) {
-            if (static_cast<int>(sites.size()) >= k)
-                break;
-            if (c.x >= p.xMin() && c.x <= p.xMax() && c.y >= p.yMin() &&
-                c.y <= p.yMax())
-                sites.insert(c);
-        }
-    }
-    return sites;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -56,7 +30,7 @@ main(int argc, char **argv)
     for (double pc : {1e-3, 2e-3, 4e-3}) {
         for (int k : {4, 12, 20}) {
             const CodePatch pristine = squarePatch(d);
-            const auto defects = clusteredDefects(pristine, k, rng);
+            const auto defects = benchutil::clusteredDefects(pristine, k, rng);
 
             MemoryExperimentConfig cfg;
             cfg.spec.rounds = d;

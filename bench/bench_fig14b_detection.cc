@@ -11,7 +11,6 @@
 #include "bench_util.hh"
 #include "core/deformation_unit.hh"
 #include "decode/memory_experiment.hh"
-#include "defects/defect_sampler.hh"
 #include "defects/detector_model.hh"
 #include "lattice/rotated.hh"
 #include "util/rng.hh"
@@ -19,27 +18,6 @@
 using namespace surf;
 
 namespace {
-
-std::set<Coord>
-clusteredDefects(const CodePatch &p, int k, Rng &rng)
-{
-    std::set<Coord> sites;
-    while (static_cast<int>(sites.size()) < k) {
-        const Coord center{
-            p.xMin() + static_cast<int>(rng.below(static_cast<uint64_t>(
-                           p.xMax() - p.xMin() + 1))),
-            p.yMin() + static_cast<int>(rng.below(static_cast<uint64_t>(
-                           p.yMax() - p.yMin() + 1)))};
-        for (const Coord &c : DefectSampler::regionSites(center, 2)) {
-            if (static_cast<int>(sites.size()) >= k)
-                break;
-            if (c.x >= p.xMin() && c.x <= p.xMax() && c.y >= p.yMin() &&
-                c.y <= p.yMax())
-                sites.insert(c);
-        }
-    }
-    return sites;
-}
 
 bool
 checkAtSite(const CodePatch &p, Coord c)
@@ -90,7 +68,7 @@ main(int argc, char **argv)
     Rng rng(4242);
     for (int k : {4, 8, 16, 24, 32}) {
         const CodePatch pristine = squarePatch(d);
-        const auto truth = clusteredDefects(pristine, k, rng);
+        const auto truth = benchutil::clusteredDefects(pristine, k, rng);
 
         MemoryExperimentConfig cfg;
         cfg.spec.rounds = d;

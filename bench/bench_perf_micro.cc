@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark micro-benchmarks of the performance-critical kernels:
  * frame-simulator sampling, DEM extraction, MWPM decoding, deformation,
- * graph distance computation, and deformed-code cache snapshot save/load.
+ * graph distance computation, epoch planning, and deformed-code cache
+ * snapshot save/load.
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "core/deformation_unit.hh"
 #include "decode/memory_experiment.hh"
 #include "decode/mwpm.hh"
+#include "defects/defect_sampler.hh"
 #include "lattice/distance.hh"
 #include "lattice/rotated.hh"
 #include "persist/cache_snapshot.hh"
@@ -249,6 +251,52 @@ BM_GraphDistance(benchmark::State &state)
     }
 }
 BENCHMARK(BM_GraphDistance)->Arg(9)->Arg(21)->Arg(35);
+
+/** SplitMix64 finalizer: the scenario benchmark's history sub-seeds. */
+uint64_t
+historySeed(uint64_t seed, uint64_t salt)
+{
+    uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (salt + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+void
+BM_PlanEpochs(benchmark::State &state)
+{
+    // The scenario-d7 workload's planning layer: its twelve cosmic-ray
+    // histories (d=7, delta_d=2, 160 rounds in 20-round windows, history
+    // seed 20240731, event rate x20000) planned through one fresh
+    // strategy memo per iteration, as one scenario pass plans them.
+    EpochPlannerConfig cfg;
+    cfg.strategy = Strategy::SurfDeformer;
+    cfg.d = 7;
+    cfg.deltaD = 2;
+    cfg.horizonRounds = 160;
+    cfg.windowRounds = 20;
+    cfg.maxEpochRounds = 20;
+    DefectModelParams model;
+    model.durationSec = 40e-6;
+    model.regionDiameter = 2;
+    model.eventRatePerQubitSec *= 20000.0;
+    const CodePatch base = squarePatch(cfg.d);
+    std::vector<std::vector<DefectEvent>> history;
+    for (uint64_t t = 0; t < 12; ++t) {
+        DefectSampler sampler(model, historySeed(20240731, t));
+        history.push_back(sampler.sampleEvents(base, cfg.horizonRounds));
+    }
+    for (auto _ : state) {
+        StrategyMemo memo;
+        size_t epochs = 0;
+        for (const auto &events : history)
+            epochs += planEpochs(cfg, events, &memo).epochs.size();
+        benchmark::DoNotOptimize(epochs);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(history.size()));
+}
+BENCHMARK(BM_PlanEpochs)->Unit(benchmark::kMillisecond);
 
 /** A deformed-code cache populated by a d=5 cosmic-ray scenario (segments,
  *  stitched timelines and the Dijkstra rows their decodes memoized), and

@@ -4,7 +4,8 @@
  * parsing (--key=value), a global scale knob so `--scale=10` (or the
  * SURF_BENCH_SCALE environment variable) buys more Monte-Carlo precision,
  * and machine-readable JSON result emission (`BENCH_<name>.json`) so the
- * performance trajectory can be tracked across commits.
+ * performance trajectory can be tracked across commits. Also the
+ * clustered defect sampler the figure harnesses share.
  */
 
 #ifndef SURF_BENCH_BENCH_UTIL_HH
@@ -13,10 +14,38 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "defects/defect_sampler.hh"
+#include "lattice/patch.hh"
+#include "util/rng.hh"
+
 namespace surf::benchutil {
+
+/** Sample k defective sites inside the patch's data bounding box as one
+ *  or more diameter-2 burst clusters with uniform centers. */
+inline std::set<Coord>
+clusteredDefects(const CodePatch &patch, int k, Rng &rng)
+{
+    std::set<Coord> sites;
+    while (static_cast<int>(sites.size()) < k) {
+        const Coord center{
+            patch.xMin() + static_cast<int>(rng.below(static_cast<uint64_t>(
+                               patch.xMax() - patch.xMin() + 1))),
+            patch.yMin() + static_cast<int>(rng.below(static_cast<uint64_t>(
+                               patch.yMax() - patch.yMin() + 1)))};
+        for (const Coord &c : DefectSampler::regionSites(center, 2)) {
+            if (static_cast<int>(sites.size()) >= k)
+                break;
+            if (c.x >= patch.xMin() && c.x <= patch.xMax() &&
+                c.y >= patch.yMin() && c.y <= patch.yMax())
+                sites.insert(c);
+        }
+    }
+    return sites;
+}
 
 /** Parse --key=value (double) from argv, else fall back to `fallback`. */
 inline double

@@ -63,8 +63,9 @@ applyStrategyChecked(Strategy s, int d, int delta_d,
             if (c.x >= p.xMin() - 1 && c.x <= p.xMax() + 1 &&
                 c.y >= p.yMin() - 1 && c.y <= p.yMax() + 1)
                 out.residualDefects.insert(c);
-        out.distX = graphDistance(p, PauliType::X).distance;
-        out.distZ = graphDistance(p, PauliType::Z).distance;
+        const DistanceResults dist = graphDistances(p);
+        out.distX = dist.x.distance;
+        out.distZ = dist.z.distance;
         out.alive = out.distX > 0 && out.distZ > 0;
         out.patch = std::move(p);
         return out;

@@ -11,13 +11,13 @@ namespace surf {
 
 namespace {
 
-/** Distances of a candidate patch (copy; supers recomputed first). */
+/** Distances of a candidate patch (consumed; supers recomputed first). */
 std::pair<size_t, size_t>
-candidateDistances(CodePatch p)
+candidateDistances(CodePatch &&p)
 {
     p.recomputeSupers();
-    return {graphDistance(p, PauliType::X).distance,
-            graphDistance(p, PauliType::Z).distance};
+    const DistanceResults d = graphDistances(p);
+    return {d.x.distance, d.z.distance};
 }
 
 /** Ranking tuple for boundary-removal candidates. */
@@ -174,7 +174,7 @@ DeformState::build(DeformTrace *trace) const
             CodePatch cand = p;
             DeformTrace scratch;
             const auto removed = removeBoundaryCheck(cand, a, pin, &scratch);
-            const auto [dxc, dzc] = candidateDistances(cand);
+            const auto [dxc, dzc] = candidateDistances(std::move(cand));
             const CandidateScore score{
                 std::min(dxc, dzc),
                 dxc > dzc ? dxc - dzc : dzc - dxc,
@@ -203,7 +203,7 @@ DeformState::build(DeformTrace *trace) const
             CodePatch cand = p;
             DeformTrace scratch;
             const auto removed = pinData(cand, q, fix, &scratch);
-            const auto [dxc, dzc] = candidateDistances(cand);
+            const auto [dxc, dzc] = candidateDistances(std::move(cand));
             const CandidateScore score{
                 std::min(dxc, dzc),
                 dxc > dzc ? dxc - dzc : dzc - dxc,
@@ -220,13 +220,12 @@ DeformState::build(DeformTrace *trace) const
     }
 
     p.recomputeSupers();
-    const DistanceResult res_x = graphDistance(p, PauliType::X);
-    const DistanceResult res_z = graphDistance(p, PauliType::Z);
-    out.distX = res_x.distance;
-    out.distZ = res_z.distance;
+    const DistanceResults res = graphDistances(p);
+    out.distX = res.x.distance;
+    out.distZ = res.z.distance;
     out.alive = out.distX > 0 && out.distZ > 0;
     if (out.alive)
-        refreshLogicals(p, res_x, res_z);
+        refreshLogicals(p, res.x, res.z);
     out.patch = std::move(p);
     return out;
 }

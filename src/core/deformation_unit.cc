@@ -48,8 +48,11 @@ DeformationUnit::apply(const std::set<Coord> &defects) const
         }
         state.grow(pick);
         out.grown[side_index(pick)] += 1;
+        // The layer introduces one check per data qubit along its side: a
+        // North/South layer is dx long, an East/West layer dz long.
+        const bool north_south = pick == Side::North || pick == Side::South;
         add_records.add({std::string("PatchQ_ADD layer ") + sideName(pick),
-                         0, static_cast<int>(state.dz), 0, 0});
+                         0, north_south ? state.dx : state.dz, 0, 0});
         return true;
     };
 

@@ -15,12 +15,17 @@
  * copies exactly on the reference's support. Verified against the exact
  * GF(2) coset oracle in the test suite.
  *
- * Cost: each query does one kernel-basis elimination for the constraint
- * matrix and one echelon reduction of the same-type group, which then
- * tests every kernel vector (BitMatrix::firstOutsideSpan), plus a BFS
- * linear in the patch. Callers that need both the distance and the bare
- * representatives (DeformState::build) pass the DistanceResults on to
- * refreshLogicals instead of recomputing them.
+ * Cost: one flat kernel per thread indexes the patch once per call,
+ * writing every generator and gauge check as a row of one uint64_t
+ * table. Each Pauli type's rows are reduced to RREF once per patch; a
+ * reference logical reads the constraint type's RREF, generating kernel
+ * vectors one free column at a time until one falls outside the span of
+ * the other type's RREF. The BFS runs on flat arrays (CSR adjacency,
+ * index queue) linear in the patch. Buffers are reused across calls, so
+ * a warm query allocates only its result. graphDistances answers both
+ * types from one indexing and the same two RREFs; callers that need both
+ * the distances and the bare representatives (DeformState::build) pass
+ * them on to refreshLogicals instead of recomputing them.
  */
 
 #ifndef SURF_LATTICE_DISTANCE_HH
@@ -58,6 +63,16 @@ std::vector<Coord> algebraicLogical(const CodePatch &patch, PauliType t);
 
 /** Minimum weight of a type-t logical operator of the patch. */
 DistanceResult graphDistance(const CodePatch &patch, PauliType t);
+
+/** graphDistance of both logical types. */
+struct DistanceResults
+{
+    DistanceResult x;
+    DistanceResult z;
+};
+
+/** graphDistance(patch, X) and (patch, Z) from one indexing of the patch. */
+DistanceResults graphDistances(const CodePatch &patch);
 
 /** Convenience: min(X-distance, Z-distance). */
 size_t codeDistance(const CodePatch &patch);

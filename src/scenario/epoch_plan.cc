@@ -51,12 +51,16 @@ planEpochs(const EpochPlannerConfig &cfg,
                 cfg.strategy, cfg.d, cfg.deltaD, *active);
             if (!out.ok())
                 throw StatusError(out.status());
-            it = outcomes.emplace(active_key, std::move(out.value())).first;
+            std::string sig = patchSignature(out.value().patch);
+            it = outcomes
+                     .emplace(active_key,
+                              PlannedOutcome{std::move(out.value()),
+                                             std::move(sig)})
+                     .first;
         }
-        const StrategyOutcome &outcome = it->second;
+        const StrategyOutcome &outcome = it->second.outcome;
+        const std::string &sig = it->second.signature;
         plan.alive = plan.alive && outcome.alive;
-
-        std::string sig = patchSignature(outcome.patch);
 
         // The merge identity covers structure *and* the sampling-noise
         // view: equal shapes with different residual defects must not
@@ -80,7 +84,7 @@ planEpochs(const EpochPlannerConfig &cfg,
         e.deformed.alive = outcome.alive;
         e.residualDefects = outcome.residualDefects;
         e.activeSites = *active;
-        e.structSig = std::move(sig);
+        e.structSig = sig;
         plan.epochs.push_back(std::move(e));
     }
 

@@ -68,12 +68,20 @@ struct ScenarioPlan
     size_t numEvents = 0;
 };
 
+/** A memoized strategy outcome with the patchSignature of its patch. */
+struct PlannedOutcome
+{
+    StrategyOutcome outcome;
+    std::string signature;
+};
+
 /** Memo of strategy outcomes keyed by the planner's strategy, d and
  *  deltaD followed by the serialized active-defect set (deformation
  *  responses are pure functions of those, and quiet or recurring defect
- *  patterns dominate a timeline sweep). One memo may be shared across
+ *  patterns dominate a timeline sweep). Each entry's signature is built
+ *  once, however many windows reuse it. One memo may be shared across
  *  planner configs. */
-using StrategyMemo = std::map<std::string, StrategyOutcome>;
+using StrategyMemo = std::map<std::string, PlannedOutcome>;
 
 /** Plan the epochs of one timeline. */
 ScenarioPlan planEpochs(const EpochPlannerConfig &cfg,

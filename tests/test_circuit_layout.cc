@@ -10,11 +10,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 
 #include "baselines/strategies.hh"
 #include "defects/defect_sampler.hh"
+#include "fnv64.hh"
 #include "lattice/rotated.hh"
 #include "scenario/epoch_plan.hh"
 #include "scenario/patch_signature.hh"
@@ -25,27 +25,7 @@
 namespace surf {
 namespace {
 
-/** FNV-1a, 64-bit, fed one 64-bit word at a time. */
-struct Fnv64
-{
-    uint64_t h = 1469598103934665603ULL;
-
-    void
-    add(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xFF;
-            h *= 1099511628211ULL;
-        }
-    }
-    void
-    addDouble(double d)
-    {
-        uint64_t bits;
-        std::memcpy(&bits, &d, sizeof bits);
-        add(bits);
-    }
-};
+using testref::Fnv64;
 
 uint64_t
 demDigest(const Circuit &ckt, PauliType basis)

@@ -3,7 +3,8 @@
  * Tests for the defect models and the baseline strategy layer: region
  * geometry matches the paper's burst model, event sampling follows the
  * configured rates, detector imprecision behaves statistically, and the
- * strategies exhibit their characteristic behaviors (fig. 1).
+ * strategies exhibit their characteristic behaviors (fig. 1). A golden
+ * digest pins every strategy outcome over a seeded defect corpus.
  */
 
 #include <cmath>
@@ -13,7 +14,10 @@
 #include "baselines/strategies.hh"
 #include "defects/defect_sampler.hh"
 #include "defects/detector_model.hh"
+#include "fnv64.hh"
+#include "lattice/distance.hh"
 #include "lattice/rotated.hh"
+#include "scenario/patch_signature.hh"
 
 namespace surf {
 namespace {
@@ -194,6 +198,87 @@ TEST(Strategies, SurfDeformerBeatsAscsOnDistance)
         const auto d = applyStrategy(Strategy::SurfDeformer, 9, 4, faults);
         EXPECT_GE(d.minDist(), a.minDist()) << "seed " << s;
     }
+}
+
+/** A seeded planner input at distance d: 1-5 scattered sites, or bursts
+ *  of diameter-2 regions up to k = d^2/2 sites (dense enough that codes
+ *  die and regions congest). */
+std::set<Coord>
+corpusDefects(int d, Rng &rng)
+{
+    const uint64_t span = static_cast<uint64_t>(2 * d + 1);
+    const auto site = [&] {
+        return Coord{static_cast<int>(rng.below(span)),
+                     static_cast<int>(rng.below(span))};
+    };
+    std::set<Coord> sites;
+    if (rng.below(2) == 0) {
+        const uint64_t count = 1 + rng.below(5);
+        for (uint64_t i = 0; i < count; ++i)
+            sites.insert(site());
+        return sites;
+    }
+    const uint64_t k = 1 + rng.below(static_cast<uint64_t>(d * d / 2));
+    while (sites.size() < k)
+        for (const Coord &c : DefectSampler::regionSites(site(), 2))
+            sites.insert(c);
+    return sites;
+}
+
+void
+addCoords(testref::Fnv64 &f, const std::vector<Coord> &cs)
+{
+    f.add(cs.size());
+    for (const Coord &c : cs) {
+        f.add(static_cast<uint64_t>(static_cast<int64_t>(c.x)));
+        f.add(static_cast<uint64_t>(static_cast<int64_t>(c.y)));
+    }
+}
+
+TEST(StrategyGolden, OutcomesMatchRecordedDigest)
+{
+    // Every strategy over 120 seeded defect sets at d = 3..11: distances,
+    // alive, grown layers, residual defects, the full patch signature and
+    // both types' graphDistance and algebraicLogical of the outcome. The
+    // constant was recorded from the BitVec / hash-map distance code.
+    Rng rng(20261017);
+    testref::Fnv64 f;
+    size_t outcomes = 0, dead = 0, grown = 0;
+    for (int d = 3; d <= 11; d += 2) {
+        for (int set = 0; set < 24; ++set) {
+            const std::set<Coord> defects = corpusDefects(d, rng);
+            for (const Strategy s :
+                 {Strategy::LatticeSurgery, Strategy::Ascs, Strategy::Q3de,
+                  Strategy::Q3deRevised, Strategy::SurfDeformer}) {
+                auto r = applyStrategyChecked(s, d, 2, defects);
+                ASSERT_TRUE(r.ok()) << r.status().str();
+                const StrategyOutcome &out = r.value();
+                ++outcomes;
+                dead += !out.alive;
+                grown += s == Strategy::SurfDeformer && out.grownLayers > 0;
+                f.add(static_cast<uint64_t>(s));
+                f.add(static_cast<uint64_t>(d));
+                f.add(out.distX);
+                f.add(out.distZ);
+                f.add(out.alive);
+                f.add(static_cast<uint64_t>(out.grownLayers));
+                addCoords(f, {out.residualDefects.begin(),
+                              out.residualDefects.end()});
+                f.addString(patchSignature(out.patch));
+                for (const PauliType t : {PauliType::X, PauliType::Z}) {
+                    const DistanceResult g = graphDistance(out.patch, t);
+                    f.add(g.distance);
+                    addCoords(f, g.path);
+                    f.add(g.congestedQubits);
+                    addCoords(f, algebraicLogical(out.patch, t));
+                }
+            }
+        }
+    }
+    EXPECT_EQ(outcomes, 600u);
+    EXPECT_GT(dead, 0u);
+    EXPECT_GT(grown, 20u);
+    EXPECT_EQ(f.h, 4269188377317445318ULL) << "digest " << f.h;
 }
 
 } // namespace

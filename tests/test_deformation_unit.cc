@@ -14,6 +14,7 @@
 #include "core/deformation_unit.hh"
 #include "lattice/convert.hh"
 #include "lattice/distance.hh"
+#include "lattice/rotated.hh"
 #include "util/rng.hh"
 
 namespace surf {
@@ -149,7 +150,8 @@ TEST(DeformationUnit, GrownOutcomeEqualsRebuildOfFinalFootprint)
 {
     // For defect sets that trigger enlargement, replay the final footprint
     // directly: apply() must report that footprint's build, and its trace
-    // must be that build's trace followed by the PatchQ_ADD records.
+    // must be that build's trace followed by the PatchQ_ADD records, each
+    // counting the checks its layer adds.
     Rng rng(4242);
     int grown_cases = 0;
     for (int trial = 0; trial < 80; ++trial) {
@@ -201,14 +203,23 @@ TEST(DeformationUnit, GrownOutcomeEqualsRebuildOfFinalFootprint)
                           std::tie(b.s2g, b.g2s, b.s2s, b.g2g))
                     << "record " << i;
             }
+            // Replay the growth: each PatchQ_ADD record's G2S count is
+            // the number of checks its layer adds to the rectangle.
             std::array<int, 4> added{0, 0, 0, 0};
+            int dx = d, dz = d;
             for (size_t i = t.size(); i < got.size(); ++i) {
                 ASSERT_EQ(got[i].name.rfind("PatchQ_ADD layer ", 0), 0u)
                     << got[i].name;
+                const size_t before = rectangularPatch(dx, dz).checks().size();
                 for (const Side s :
                      {Side::North, Side::South, Side::West, Side::East})
-                    if (got[i].name.substr(17) == sideName(s))
+                    if (got[i].name.substr(17) == sideName(s)) {
                         ++added[static_cast<size_t>(s)];
+                        (s == Side::North || s == Side::South ? dz : dx) += 1;
+                    }
+                const size_t after = rectangularPatch(dx, dz).checks().size();
+                EXPECT_EQ(static_cast<size_t>(got[i].g2s), after - before)
+                    << got[i].name << " at " << dx << "x" << dz;
             }
             EXPECT_EQ(added, out.grown);
         }

@@ -5,7 +5,8 @@
  * (tableau oracle: every detector of a noiseless deformation timeline is
  * deterministic), bit-identical results across thread counts and with the
  * DeformedCodeCache on or off, epoch-planner merging, and the sorted
- * interval sweep of the defect sampler.
+ * interval sweep of the defect sampler. A golden digest pins the plans
+ * of the d=7 cosmic-ray benchmark histories.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "decode/memory_experiment.hh"
 #include "defects/defect_sampler.hh"
 #include "endtoend/retry_risk.hh"
+#include "fnv64.hh"
 #include "lattice/rotated.hh"
 #include "scenario/patch_signature.hh"
 #include "scenario/scenario_experiment.hh"
@@ -742,6 +744,74 @@ TEST(ScenarioValidation, PlannerErrorsSurfaceThroughCheckedEntry)
     } catch (const StatusError &e) {
         EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
     }
+}
+
+/** SplitMix64 finalizer (the benchmark's history sub-seeds). */
+uint64_t
+historySeed(uint64_t seed, uint64_t salt)
+{
+    uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (salt + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+void
+addCoordSet(testref::Fnv64 &f, const std::set<Coord> &cs)
+{
+    f.add(cs.size());
+    for (const Coord &c : cs) {
+        f.add(static_cast<uint64_t>(static_cast<int64_t>(c.x)));
+        f.add(static_cast<uint64_t>(static_cast<int64_t>(c.y)));
+    }
+}
+
+TEST(PlannerGolden, ScenarioD7PlansMatchRecordedDigest)
+{
+    // The twelve cosmic-ray histories of the scenario-d7 benchmark
+    // (d=7, delta_d=2, 160 rounds in 20-round windows, history seed
+    // 20240731, event rate x20000), planned through one shared memo as
+    // a scenario pass does. The constant was recorded from the BitVec /
+    // hash-map distance code with a per-window patchSignature.
+    EpochPlannerConfig cfg;
+    cfg.strategy = Strategy::SurfDeformer;
+    cfg.d = 7;
+    cfg.deltaD = 2;
+    cfg.horizonRounds = 160;
+    cfg.windowRounds = 20;
+    cfg.maxEpochRounds = 20;
+    DefectModelParams model;
+    model.durationSec = 40e-6;
+    model.regionDiameter = 2;
+    model.eventRatePerQubitSec *= 20000.0;
+    const CodePatch base = squarePatch(cfg.d);
+
+    StrategyMemo memo;
+    testref::Fnv64 f;
+    size_t epochs = 0;
+    for (uint64_t t = 0; t < 12; ++t) {
+        DefectSampler sampler(model, historySeed(20240731, t));
+        const std::vector<DefectEvent> events =
+            sampler.sampleEvents(base, cfg.horizonRounds);
+        const ScenarioPlan plan = planEpochs(cfg, events, &memo);
+        f.add(plan.alive);
+        f.add(plan.numEvents);
+        f.add(plan.epochs.size());
+        for (const Epoch &e : plan.epochs) {
+            f.add(e.startRound);
+            f.add(e.rounds);
+            f.add(e.deformed.distX);
+            f.add(e.deformed.distZ);
+            f.add(e.deformed.alive);
+            f.addString(e.structSig);
+            f.addString(patchSignature(e.deformed.patch));
+            addCoordSet(f, e.residualDefects);
+            addCoordSet(f, e.activeSites);
+        }
+        epochs += plan.epochs.size();
+    }
+    EXPECT_EQ(epochs, 96u);
+    EXPECT_EQ(f.h, 13389418292793504719ULL) << "digest " << f.h;
 }
 
 } // namespace
