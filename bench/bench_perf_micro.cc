@@ -31,12 +31,12 @@ using namespace surf;
 namespace {
 
 BuiltCircuit
-standardCircuit(int d)
+standardCircuit(int d, double p = 1e-3)
 {
     MemorySpec spec;
     spec.rounds = d;
     NoiseParams noise;
-    noise.p = 1e-3;
+    noise.p = p;
     return buildMemoryCircuit(squarePatch(d), spec, noise);
 }
 
@@ -164,6 +164,34 @@ BENCHMARK(BM_MwpmDecode)
     ->Args({3, 1})
     ->Args({5, 1})
     ->Args({9, 1});
+
+void
+BM_RowsDecode(benchmark::State &state)
+{
+    // Warm memoized-rows decode (arg: distance): Z memory at p = 5e-3 on
+    // the Sparse backend with the burst dispatch off. An untimed pass
+    // over the 256 shots builds every row first, so the loop times the
+    // per-shot instance assembly plus the blossom solve.
+    const int d = static_cast<int>(state.range(0));
+    const auto built = standardCircuit(d, 5e-3);
+    const auto dem = buildDem(built.circuit, PauliType::Z);
+    MwpmDecoder decoder(dem, 1, nullptr, MatchingBackend::Sparse);
+    decoder.setBlossomThreshold(SIZE_MAX);
+    FrameSimulator sim(built.circuit, 256, 7);
+    const SparseSyndromes syndromes = sim.sparseFiredDetectors();
+    MwpmScratch scratch;
+    for (size_t s = 0; s < 256; ++s)
+        (void)decoder.decode(syndromes.data(s), syndromes.count(s), scratch);
+    size_t shot = 0;
+    for (auto _ : state) {
+        const size_t s = shot % 256;
+        benchmark::DoNotOptimize(decoder.decode(
+            syndromes.data(s), syndromes.count(s), scratch));
+        ++shot;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RowsDecode)->Arg(7)->Arg(9);
 
 void
 BM_DecodingGraphBuild(benchmark::State &state)

@@ -44,12 +44,13 @@ namespace surf {
 /** Floor of the automatic sparse-blossom dispatch threshold: the Sparse
  *  backend hands a shot to the matrix-free matcher when its defect
  *  count reaches max(kDefaultBlossomDefects, numNodes() / 12). Both
- *  paths are exact; the floor is where the matcher, whose balls stay a
- *  few edges wide on contiguous burst clusters (cosmic-ray events),
- *  overtakes the memoized-rows path: at k ~ 56 for d = 7..11, while the
- *  rows path wins at every k <= 48 (README, "Selection"). The density
- *  guard only raises the threshold on large graphs (d >= 13). Override
- *  with setBlossomThreshold(). */
+ *  paths are exact, so the rule only picks which one runs. On
+ *  contiguous burst clusters warm rows win at every measured k up to
+ *  160 for d = 7..11 and the matcher only from k ~ 190 (README,
+ *  "Selection"), so bursts dispatched at this floor take the slower
+ *  exact path. The value is kept until the dispatch itself is
+ *  revisited. The density guard only raises the threshold on large
+ *  graphs (d >= 13). Override with setBlossomThreshold(). */
 inline constexpr size_t kDefaultBlossomDefects = 56;
 
 /** Process-wide default for the sparse-blossom dispatch: automatic

@@ -31,9 +31,16 @@ quantize(float w)
  * multiple-tree formulation (Galil's survey; the well-known reference
  * implementation is van Rantwijk's): vertices 0..n-1, contracted
  * blossoms n..2n-1, labels S/T per top-level blossom, one shared scan
- * queue, and dual updates computed by a direct scan over the edge list
- * (matrix-free: every per-edge quantity is recomputed from the duals on
- * demand; nothing is ever stored per vertex pair).
+ * queue, and least-slack edge tracking for the dual updates (nothing is
+ * ever stored per vertex pair):
+ *
+ *  - scanning an S-vertex records, for every vertex outside the trees,
+ *    its least-slack edge from an S-vertex, and for every top-level
+ *    S-blossom its least-slack edge to a different S-blossom; a new
+ *    blossom merges its children's per-neighbour lists. A dual update
+ *    reads those O(n) entries instead of scanning every edge.
+ *  - allow flags hold the stage stamp that allowed the edge, so a new
+ *    stage resets them by bumping the stamp.
  *
  * Weights are pre-transformed by the caller so that maximization solves
  * the minimum-weight perfect-matching instance. Called with integer
@@ -42,42 +49,109 @@ quantize(float w)
 class SparseMatcher
 {
   public:
-    SparseMatcher(int n, size_t n_edges, SparseMatcherScratch &sc)
-        : n_(n), m_(static_cast<int>(n_edges)), sc_(sc)
+    SparseMatcher(int n, SparseMatcherScratch &sc) : n_(n), sc_(sc)
     {
-        sc_.endpoint.resize(2 * n_edges);
-        sc_.edgeW.resize(n_edges);
-        sc_.label.assign(2 * static_cast<size_t>(n), 0);
-        sc_.labelEnd.assign(2 * static_cast<size_t>(n), -1);
-        sc_.inBlossom.resize(n);
-        sc_.blossomParent.assign(2 * static_cast<size_t>(n), -1);
-        sc_.blossomBase.resize(2 * static_cast<size_t>(n));
-        if (sc_.blossomChilds.size() < 2 * static_cast<size_t>(n)) {
-            sc_.blossomChilds.resize(2 * static_cast<size_t>(n));
-            sc_.blossomEndps.resize(2 * static_cast<size_t>(n));
+        const auto n2 = 2 * static_cast<size_t>(n);
+        sc_.label.assign(n2, 0);
+        sc_.labelEnd.assign(n2, -1);
+        sc_.inBlossom.resize(static_cast<size_t>(n));
+        sc_.blossomParent.assign(n2, -1);
+        sc_.blossomBase.resize(n2);
+        if (sc_.blossomChilds.size() < n2) {
+            sc_.blossomChilds.resize(n2);
+            sc_.blossomEndps.resize(n2);
+            sc_.blossomBestEdges.resize(n2);
         }
-        sc_.dual.assign(2 * static_cast<size_t>(n), 0);
-        sc_.allowEdge.assign(n_edges, 0);
+        sc_.hasBestEdges.resize(n2); // both reset per stage
+        sc_.bestEdge.resize(n2);
+        sc_.bestEdgeTo.assign(n2, -1);
+        sc_.bestSlackTo.resize(n2);
+        sc_.dual.assign(n2, 0);
         sc_.unusedBlossoms.clear();
         for (int b = 2 * n - 1; b >= n; --b)
             sc_.unusedBlossoms.push_back(b);
         sc_.queue.clear();
-        sc_.mate.assign(n, -1);
+        sc_.mate.assign(static_cast<size_t>(n), -1);
         for (int v = 0; v < n; ++v) {
-            sc_.inBlossom[v] = v;
-            sc_.blossomBase[v] = v;
+            sc_.inBlossom[static_cast<size_t>(v)] = v;
+            sc_.blossomBase[static_cast<size_t>(v)] = v;
         }
         for (int b = n; b < 2 * n; ++b)
-            sc_.blossomBase[b] = -1;
+            sc_.blossomBase[static_cast<size_t>(b)] = -1;
     }
 
-    /** Load edge e = (i, j, w); weights must be pre-transformed. */
-    void
-    setEdge(int e, int i, int j, int64_t w)
+    /**
+     * Load the edge list and warm-start the matching; returns the offset
+     * of the min->max weight transform. Two passes over the edges: the
+     * first counts degrees and finds the maximum weight and each
+     * vertex's minimum weight, the second writes endpoints, transformed
+     * weights and the CSR incidence and pre-matches mutual-best edges.
+     *
+     * Transform: w' = 2 * (offset - w), with an offset large enough that
+     * higher-cardinality matchings always win; doubled so every dual
+     * quantity stays integral. Greedy start (Blossom-V style): each dual
+     * starts at its vertex's maximum transformed incident weight (its
+     * minimum original weight) — feasible under the slack convention
+     * y_u + y_v >= 2 w'_uv, and tight exactly when an edge's weight is
+     * both endpoints' minimum — and such tight edges are matched in edge
+     * order while both ends are free.
+     */
+    int64_t
+    load(const std::vector<SparseMatchEdge> &edges)
     {
-        sc_.endpoint[2 * static_cast<size_t>(e)] = i;
-        sc_.endpoint[2 * static_cast<size_t>(e) + 1] = j;
-        sc_.edgeW[static_cast<size_t>(e)] = w;
+        const size_t m = edges.size();
+        auto &off = sc_.neighOff;
+        auto &min_w = sc_.minWeight;
+        off.assign(static_cast<size_t>(n_) + 1, 0);
+        min_w.assign(static_cast<size_t>(n_),
+                     std::numeric_limits<int64_t>::max());
+        int64_t max_w = 1;
+        for (const SparseMatchEdge &e : edges) {
+            SURF_ASSERT(e.a != e.b && e.a >= 0 && e.b >= 0 && e.a < n_ &&
+                            e.b < n_ && e.w >= 0,
+                        "malformed sparse matching edge");
+            max_w = std::max(max_w, e.w);
+            ++off[static_cast<size_t>(e.a) + 1];
+            ++off[static_cast<size_t>(e.b) + 1];
+            min_w[static_cast<size_t>(e.a)] =
+                std::min(min_w[static_cast<size_t>(e.a)], e.w);
+            min_w[static_cast<size_t>(e.b)] =
+                std::min(min_w[static_cast<size_t>(e.b)], e.w);
+        }
+        const int64_t offset = max_w * (n_ / 2 + 1) + 1;
+        for (int v = 0; v < n_; ++v) {
+            const auto vi = static_cast<size_t>(v);
+            if (off[vi + 1] != 0)
+                sc_.dual[vi] = 2 * (offset - min_w[vi]);
+            off[vi + 1] += off[vi];
+        }
+
+        sc_.endpoint.resize(2 * m);
+        sc_.edgeW.resize(m);
+        sc_.neigh.resize(2 * m);
+        if (sc_.allowEdge.size() < m)
+            sc_.allowEdge.resize(m, 0);
+        auto &fill = sc_.fill;
+        fill.assign(off.begin(), off.end() - 1);
+        for (size_t e = 0; e < m; ++e) {
+            const int i = edges[e].a, j = edges[e].b;
+            const int64_t w = edges[e].w;
+            sc_.endpoint[2 * e] = i;
+            sc_.endpoint[2 * e + 1] = j;
+            sc_.edgeW[e] = 2 * (offset - w);
+            // The neighbour list of i holds the *remote* endpoint index.
+            const int p = 2 * static_cast<int>(e);
+            sc_.neigh[fill[static_cast<size_t>(i)]++] = p + 1;
+            sc_.neigh[fill[static_cast<size_t>(j)]++] = p;
+            if (w == min_w[static_cast<size_t>(i)] &&
+                w == min_w[static_cast<size_t>(j)] &&
+                sc_.mate[static_cast<size_t>(i)] == -1 &&
+                sc_.mate[static_cast<size_t>(j)] == -1) {
+                sc_.mate[static_cast<size_t>(i)] = p + 1;
+                sc_.mate[static_cast<size_t>(j)] = p;
+            }
+        }
+        return offset;
     }
 
     /**
@@ -87,39 +161,18 @@ class SparseMatcher
     void
     solve()
     {
-        buildIncidence();
-        // Greedy initialization (Blossom-V style): start each dual at
-        // its vertex's maximum incident weight — feasible under the
-        // slack convention y_u + y_v >= 2 w_uv, and tight exactly on
-        // mutual-best edges — then pre-match those tight edges
-        // outright. On burst clusters this matches most defects to an
-        // immediate neighbour before the first alternating tree grows.
-        for (int v = 0; v < n_; ++v)
-            sc_.dual[static_cast<size_t>(v)] = 0;
-        for (int e = 0; e < m_; ++e) {
-            const int i = sc_.endpoint[2 * static_cast<size_t>(e)];
-            const int j = sc_.endpoint[2 * static_cast<size_t>(e) + 1];
-            const int64_t we = sc_.edgeW[static_cast<size_t>(e)];
-            sc_.dual[static_cast<size_t>(i)] =
-                std::max(sc_.dual[static_cast<size_t>(i)], we);
-            sc_.dual[static_cast<size_t>(j)] =
-                std::max(sc_.dual[static_cast<size_t>(j)], we);
-        }
-        for (int e = 0; e < m_; ++e) {
-            const int i = sc_.endpoint[2 * static_cast<size_t>(e)];
-            const int j = sc_.endpoint[2 * static_cast<size_t>(e) + 1];
-            if (sc_.mate[static_cast<size_t>(i)] == -1 &&
-                sc_.mate[static_cast<size_t>(j)] == -1 && slack(e) == 0) {
-                sc_.mate[static_cast<size_t>(i)] = 2 * e + 1;
-                sc_.mate[static_cast<size_t>(j)] = 2 * e;
-            }
-        }
-
+        matchExposedGreedily();
         for (int stage = 0; stage < n_; ++stage) {
-            std::fill(sc_.label.begin(),
-                      sc_.label.begin() + 2 * static_cast<size_t>(n_), 0);
-            std::fill(sc_.allowEdge.begin(),
-                      sc_.allowEdge.begin() + static_cast<size_t>(m_), 0);
+            if (++sc_.stamp == 0) {
+                // Stamp wrapped: stale stamps could alias the new ones.
+                std::fill(sc_.allowEdge.begin(), sc_.allowEdge.end(), 0);
+                sc_.stamp = 1;
+            }
+            const auto n2 = 2 * static_cast<size_t>(n_);
+            std::fill(sc_.label.begin(), sc_.label.begin() + n2, 0);
+            std::fill(sc_.bestEdge.begin(), sc_.bestEdge.begin() + n2, -1);
+            std::fill(sc_.hasBestEdges.begin(),
+                      sc_.hasBestEdges.begin() + n2, 0);
             sc_.queue.clear();
             for (int v = 0; v < n_; ++v)
                 if (sc_.mate[static_cast<size_t>(v)] == -1 &&
@@ -138,29 +191,39 @@ class SparseMatcher
                         const int p = sc_.neigh[pi];
                         const int e = p >> 1;
                         const int w = sc_.endpoint[static_cast<size_t>(p)];
-                        if (inBlossom(v) == inBlossom(w))
+                        const int bv = inBlossom(v), bw = inBlossom(w);
+                        if (bv == bw)
                             continue;
-                        if (!sc_.allowEdge[static_cast<size_t>(e)] &&
-                            slack(e) <= 0)
-                            sc_.allowEdge[static_cast<size_t>(e)] = 1;
-                        if (!sc_.allowEdge[static_cast<size_t>(e)])
-                            continue;
-                        const int bw = inBlossom(w);
-                        if (label(bw) == 0) {
-                            assignLabel(w, 2, p ^ 1);
-                        } else if (label(bw) == 1) {
-                            const int base = scanBlossom(v, w);
-                            if (base >= 0) {
-                                addBlossom(base, e);
-                            } else {
-                                augmentMatching(e);
-                                augmented = true;
-                                break;
+                        int64_t ks = 0;
+                        if (!allowed(e)) {
+                            ks = slack(e);
+                            if (ks <= 0)
+                                allow(e);
+                        }
+                        if (allowed(e)) {
+                            if (label(bw) == 0) {
+                                assignLabel(w, 2, p ^ 1);
+                            } else if (label(bw) == 1) {
+                                const int base = scanBlossom(v, w);
+                                if (base >= 0) {
+                                    addBlossom(base, e);
+                                } else {
+                                    augmentMatching(e);
+                                    augmented = true;
+                                    break;
+                                }
+                            } else if (label(w) == 0) {
+                                SURF_ASSERT(label(bw) == 2);
+                                setLabel(w, 2);
+                                sc_.labelEnd[static_cast<size_t>(w)] = p ^ 1;
                             }
+                        } else if (label(bw) == 1) {
+                            // Least-slack edge to a different S-blossom.
+                            keepLeastSlack(bv, e, ks);
                         } else if (label(w) == 0) {
-                            SURF_ASSERT(label(bw) == 2);
-                            setLabel(w, 2);
-                            sc_.labelEnd[static_cast<size_t>(w)] = p ^ 1;
+                            // w is free (or unreached inside a T-blossom):
+                            // least-slack edge reaching it from an S-vertex.
+                            keepLeastSlack(w, e, ks);
                         }
                     }
                 }
@@ -169,31 +232,31 @@ class SparseMatcher
 
                 // Dual update: the minimum over (2) slack of S-to-free
                 // edges, (3) half-slack of S-to-S edges across blossoms
-                // and (4) duals of top-level T-blossoms, found by a
-                // direct edge scan. No min-dual stop rule: the weights
+                // and (4) duals of top-level T-blossoms, read from the
+                // least-slack entries. No min-dual stop rule: the weights
                 // are offset-transformed so maximum weight coincides
                 // with maximum cardinality, and the stage simply ends
                 // when no tree can grow any further (which also makes
-                // the greedy non-uniform dual start valid).
+                // the non-uniform greedy dual start valid).
                 int deltatype = -1;
                 int64_t delta = 0;
                 int deltaedge = -1, deltablossom = -1;
-                for (int e = 0; e < m_; ++e) {
-                    const int i = sc_.endpoint[2 * static_cast<size_t>(e)];
-                    const int j =
-                        sc_.endpoint[2 * static_cast<size_t>(e) + 1];
-                    const int bi = inBlossom(i), bj = inBlossom(j);
-                    if (bi == bj)
-                        continue;
-                    const int li = label(bi), lj = label(bj);
-                    if ((li == 1 && lj == 0) || (li == 0 && lj == 1)) {
+                for (int v = 0; v < n_; ++v) {
+                    const int e = sc_.bestEdge[static_cast<size_t>(v)];
+                    if (e != -1 && label(inBlossom(v)) == 0) {
                         const int64_t d = slack(e);
                         if (deltatype == -1 || d < delta) {
                             delta = d;
                             deltatype = 2;
                             deltaedge = e;
                         }
-                    } else if (li == 1 && lj == 1) {
+                    }
+                }
+                for (int b = 0; b < 2 * n_; ++b) {
+                    const int e = sc_.bestEdge[static_cast<size_t>(b)];
+                    if (e != -1 &&
+                        sc_.blossomParent[static_cast<size_t>(b)] == -1 &&
+                        label(b) == 1) {
                         const int64_t d = slack(e) / 2;
                         if (deltatype == -1 || d < delta) {
                             delta = d;
@@ -234,7 +297,7 @@ class SparseMatcher
                 }
 
                 if (deltatype == 2) {
-                    sc_.allowEdge[static_cast<size_t>(deltaedge)] = 1;
+                    allow(deltaedge);
                     int i = sc_.endpoint[2 * static_cast<size_t>(deltaedge)];
                     if (label(inBlossom(i)) == 0)
                         i = sc_.endpoint[2 * static_cast<size_t>(deltaedge) +
@@ -242,7 +305,7 @@ class SparseMatcher
                     SURF_ASSERT(label(inBlossom(i)) == 1);
                     sc_.queue.push_back(i);
                 } else if (deltatype == 3) {
-                    sc_.allowEdge[static_cast<size_t>(deltaedge)] = 1;
+                    allow(deltaedge);
                     const int i =
                         sc_.endpoint[2 * static_cast<size_t>(deltaedge)];
                     SURF_ASSERT(label(inBlossom(i)) == 1);
@@ -263,7 +326,7 @@ class SparseMatcher
     }
 
   private:
-    int n_, m_;
+    int n_;
     SparseMatcherScratch &sc_;
 
     int label(int b) const { return sc_.label[static_cast<size_t>(b)]; }
@@ -272,6 +335,11 @@ class SparseMatcher
     {
         return sc_.inBlossom[static_cast<size_t>(v)];
     }
+    bool allowed(int e) const
+    {
+        return sc_.allowEdge[static_cast<size_t>(e)] == sc_.stamp;
+    }
+    void allow(int e) { sc_.allowEdge[static_cast<size_t>(e)] = sc_.stamp; }
 
     /** slack of edge e under the current duals (>= 0 on unmatched
      *  tight-tree edges; 0 = tight). */
@@ -285,30 +353,55 @@ class SparseMatcher
                2 * sc_.edgeW[static_cast<size_t>(e)];
     }
 
+    /** Replace x's least-slack edge by e when e's slack `ks` is lower. */
     void
-    buildIncidence()
+    keepLeastSlack(int x, int e, int64_t ks)
     {
-        sc_.neighOff.assign(static_cast<size_t>(n_) + 1, 0);
-        for (int e = 0; e < m_; ++e) {
-            ++sc_.neighOff[static_cast<size_t>(
-                               sc_.endpoint[2 * static_cast<size_t>(e)]) +
-                           1];
-            ++sc_.neighOff[static_cast<size_t>(
-                               sc_.endpoint[2 * static_cast<size_t>(e) + 1]) +
-                           1];
-        }
-        for (int v = 0; v < n_; ++v)
-            sc_.neighOff[static_cast<size_t>(v) + 1] +=
-                sc_.neighOff[static_cast<size_t>(v)];
-        sc_.neigh.resize(2 * static_cast<size_t>(m_));
-        auto &fill = sc_.fill;
-        fill.assign(sc_.neighOff.begin(), sc_.neighOff.end() - 1);
-        for (int e = 0; e < m_; ++e) {
-            const int i = sc_.endpoint[2 * static_cast<size_t>(e)];
-            const int j = sc_.endpoint[2 * static_cast<size_t>(e) + 1];
-            // The neighbour list of i holds the *remote* endpoint index.
-            sc_.neigh[fill[static_cast<size_t>(i)]++] = 2 * e + 1;
-            sc_.neigh[fill[static_cast<size_t>(j)]++] = 2 * e;
+        int &best = sc_.bestEdge[static_cast<size_t>(x)];
+        if (best == -1 || ks < slack(best))
+            best = e;
+    }
+
+    /**
+     * Second, dual-adjusting greedy pass: each still-exposed vertex, in
+     * ascending order, lowers its dual by its least incident slack
+     * (every slack stays >= 0; vertex duals are free in sign since there
+     * is no min-dual stop rule) and is matched along the edge that
+     * became tight when it leads to another exposed vertex. Among
+     * equal-slack edges one to an exposed vertex wins.
+     */
+    void
+    matchExposedGreedily()
+    {
+        for (int v = 0; v < n_; ++v) {
+            if (sc_.mate[static_cast<size_t>(v)] != -1)
+                continue;
+            int64_t least = 0;
+            int best = -1;
+            bool best_free = false;
+            const uint32_t b0 = sc_.neighOff[static_cast<size_t>(v)];
+            const uint32_t b1 = sc_.neighOff[static_cast<size_t>(v) + 1];
+            for (uint32_t pi = b0; pi < b1; ++pi) {
+                const int p = sc_.neigh[pi];
+                const int64_t s = slack(p >> 1);
+                const bool free =
+                    sc_.mate[static_cast<size_t>(
+                        sc_.endpoint[static_cast<size_t>(p)])] == -1;
+                if (best == -1 || s < least ||
+                    (s == least && free && !best_free)) {
+                    least = s;
+                    best = p;
+                    best_free = free;
+                }
+            }
+            if (best == -1)
+                continue;
+            sc_.dual[static_cast<size_t>(v)] -= least;
+            if (best_free) {
+                sc_.mate[static_cast<size_t>(v)] = best;
+                sc_.mate[static_cast<size_t>(
+                    sc_.endpoint[static_cast<size_t>(best)])] = best ^ 1;
+            }
         }
     }
 
@@ -360,6 +453,8 @@ class SparseMatcher
         setLabel(b, t);
         sc_.labelEnd[static_cast<size_t>(w)] = p;
         sc_.labelEnd[static_cast<size_t>(b)] = p;
+        sc_.bestEdge[static_cast<size_t>(w)] = -1;
+        sc_.bestEdge[static_cast<size_t>(b)] = -1;
         if (t == 1) {
             queueLeaves(b);
         } else {
@@ -463,6 +558,68 @@ class SparseMatcher
                 sc_.queue.push_back(x);
             sc_.inBlossom[static_cast<size_t>(x)] = b;
         });
+
+        // Least-slack edges from b to each neighbouring S-blossom, merged
+        // from the children's lists (a child without one — a vertex, or
+        // a blossom formed in an earlier stage — supplies its vertices'
+        // adjacency instead); b's best edge is the least of them.
+        auto &to = sc_.bestEdgeTo;
+        auto &to_slack = sc_.bestSlackTo;
+        auto &touched = sc_.touched;
+        auto consider = [&](int e, int j) {
+            const int bj = inBlossom(j);
+            if (bj == b || label(bj) != 1)
+                return;
+            const int64_t s = slack(e);
+            int &best = to[static_cast<size_t>(bj)];
+            if (best == -1) {
+                touched.push_back(bj);
+            } else if (s >= to_slack[static_cast<size_t>(bj)]) {
+                return;
+            }
+            best = e;
+            to_slack[static_cast<size_t>(bj)] = s;
+        };
+        for (int bv : childs) {
+            const auto bvi = static_cast<size_t>(bv);
+            if (sc_.hasBestEdges[bvi]) {
+                for (int e : sc_.blossomBestEdges[bvi]) {
+                    int j = sc_.endpoint[2 * static_cast<size_t>(e) + 1];
+                    if (inBlossom(j) == b)
+                        j = sc_.endpoint[2 * static_cast<size_t>(e)];
+                    consider(e, j);
+                }
+                sc_.hasBestEdges[bvi] = 0;
+            } else {
+                forLeaves(bv, [&](int x) {
+                    const uint32_t b0 = sc_.neighOff[static_cast<size_t>(x)];
+                    const uint32_t b1 =
+                        sc_.neighOff[static_cast<size_t>(x) + 1];
+                    for (uint32_t pi = b0; pi < b1; ++pi) {
+                        const int p = sc_.neigh[pi];
+                        consider(p >> 1,
+                                 sc_.endpoint[static_cast<size_t>(p)]);
+                    }
+                });
+            }
+            sc_.bestEdge[bvi] = -1;
+        }
+        auto &list = sc_.blossomBestEdges[static_cast<size_t>(b)];
+        list.clear();
+        int best = -1;
+        int64_t best_slack = 0;
+        for (int bj : touched) {
+            const auto bji = static_cast<size_t>(bj);
+            list.push_back(to[bji]);
+            if (best == -1 || to_slack[bji] < best_slack) {
+                best = to[bji];
+                best_slack = to_slack[bji];
+            }
+            to[bji] = -1;
+        }
+        touched.clear();
+        sc_.hasBestEdges[static_cast<size_t>(b)] = 1;
+        sc_.bestEdge[static_cast<size_t>(b)] = best;
     }
 
     /** Python-style cyclic indexing into a blossom's child list. */
@@ -516,10 +673,10 @@ class SparseMatcher
                 setLabel(sc_.endpoint[static_cast<size_t>(p ^ 1)], 0);
                 setLabel(sc_.endpoint[static_cast<size_t>(q ^ 1)], 0);
                 assignLabel(sc_.endpoint[static_cast<size_t>(p ^ 1)], 2, p);
-                sc_.allowEdge[static_cast<size_t>(q >> 1)] = 1;
+                allow(q >> 1);
                 j += jstep;
                 p = cyc(endps, j - endptrick) ^ endptrick;
-                sc_.allowEdge[static_cast<size_t>(p >> 1)] = 1;
+                allow(p >> 1);
                 j += jstep;
             }
             // Relabel the base T-sub-blossom without stepping through to
@@ -564,6 +721,8 @@ class SparseMatcher
         setLabel(b, -1);
         sc_.labelEnd[static_cast<size_t>(b)] = -1;
         sc_.blossomBase[static_cast<size_t>(b)] = -1;
+        sc_.bestEdge[static_cast<size_t>(b)] = -1;
+        sc_.hasBestEdges[static_cast<size_t>(b)] = 0;
         childs.clear();
         endps.clear();
         sc_.unusedBlossoms.push_back(b);
@@ -675,23 +834,8 @@ sparseMinWeightPerfectMatching(int n,
     if (n % 2 != 0)
         return false;
 
-    // Transform minimization into maximization: w' = offset - w with an
-    // offset large enough that higher-cardinality matchings always win,
-    // then doubled so every dual quantity stays integral.
-    int64_t max_w = 1;
-    for (const SparseMatchEdge &e : edges)
-        max_w = std::max(max_w, e.w);
-    const int64_t offset = max_w * (n / 2 + 1) + 1;
-    scratch.lastOffset = offset;
-    SparseMatcher matcher(n, edges.size(), scratch);
-    for (size_t e = 0; e < edges.size(); ++e) {
-        SURF_ASSERT(edges[e].a != edges[e].b && edges[e].a >= 0 &&
-                        edges[e].b >= 0 && edges[e].a < n &&
-                        edges[e].b < n && edges[e].w >= 0,
-                    "malformed sparse matching edge");
-        matcher.setEdge(static_cast<int>(e), edges[e].a, edges[e].b,
-                        2 * (offset - edges[e].w));
-    }
+    SparseMatcher matcher(n, scratch);
+    scratch.lastOffset = matcher.load(edges);
     matcher.solve();
 
     int64_t total = 0;

@@ -16,8 +16,12 @@
  *     discovered at its exact shortest-path value.
  *  2. Matching: an adjacency-list blossom solver (alternating-tree
  *     growth with dual variables, region merging via blossom
- *     contraction, greedy mutual-best initialization) runs on the
- *     discovered defect graph. Boundary matching uses the mirror
+ *     contraction, least-slack edges per vertex and per blossom so a
+ *     dual update costs O(n)) runs on the discovered defect graph. Two
+ *     greedy passes warm-start it: mutual-best edges are matched
+ *     outright, then each still-exposed vertex lowers its dual onto its
+ *     least-slack edge and takes it when that edge leads to another
+ *     exposed vertex. Boundary matching uses the mirror
  *     reduction — a second copy of the defect graph with each defect
  *     joined to its mirror at twice its boundary cost — whose minimum
  *     perfect matching restricted to the first copy is exactly an
@@ -65,9 +69,9 @@ struct SparseMatchEdge
 
 /**
  * Reusable arena of the sparse blossom solver: alternating-tree labels,
- * blossom structure (children / cyclic edges), dual variables and the
- * scan queue. Buffers only ever grow; one arena may serve graphs of any
- * size.
+ * blossom structure (children / cyclic edges), least-slack edges, dual
+ * variables and the scan queue. Buffers only ever grow; one arena may
+ * serve graphs of any size.
  */
 struct SparseMatcherScratch
 {
@@ -84,8 +88,18 @@ struct SparseMatcherScratch
     std::vector<int> blossomBase;
     std::vector<std::vector<int>> blossomChilds;
     std::vector<std::vector<int>> blossomEndps;
+    /** Vertex outside the trees: least-slack edge from an S-vertex;
+     *  top-level S-blossom: least-slack edge to another S-blossom. */
+    std::vector<int> bestEdge;
+    /** Per S-blossom: least-slack edge to each neighbouring S-blossom,
+     *  valid while hasBestEdges is set. */
+    std::vector<std::vector<int>> blossomBestEdges;
+    std::vector<uint8_t> hasBestEdges;
     std::vector<int64_t> dual;
-    std::vector<uint8_t> allowEdge;
+    /** Stage stamp that allowed each edge; an edge is allowed in the
+     *  current stage iff its entry equals `stamp`. */
+    std::vector<uint32_t> allowEdge;
+    uint32_t stamp = 0;
     std::vector<int> unusedBlossoms;
     std::vector<int> queue;
     std::vector<int> mate; ///< remote endpoint index or -1
@@ -97,6 +111,10 @@ struct SparseMatcherScratch
     std::vector<int> path;        ///< scanBlossom trail
     std::vector<int> leafStack;   ///< blossomLeaves traversal
     std::vector<uint32_t> fill;   ///< CSR incidence fill cursor
+    std::vector<int64_t> minWeight; ///< per-vertex minimum edge weight
+    std::vector<int> bestEdgeTo;  ///< addBlossom: per neighbour blossom
+    std::vector<int64_t> bestSlackTo;
+    std::vector<int> touched;     ///< addBlossom: neighbours seen
 };
 
 /**

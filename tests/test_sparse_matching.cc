@@ -9,7 +9,11 @@
  * a via-boundary shortest-path tie. Also: the no-perfect-matching
  * fallback, scratch sharing across decoders and the deadline ladder,
  * union-find invariance, and the d=13 smoke test only the sparse
- * backend can afford per-epoch.
+ * backend can afford per-epoch. The blossom solver itself is checked
+ * against the reference solver (tests/sparse_matcher_reference.hh) on
+ * random and rows-path mirror instances, against brute force on small
+ * graphs and across scratch reuse, and a golden digest pins the rows
+ * path's and the burst matcher's per-shot output.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +21,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "baselines/strategies.hh"
 #include "burst_syndromes.hh"
@@ -28,11 +35,13 @@
 #include "decode/mwpm.hh"
 #include "decode/sparse_blossom.hh"
 #include "decode/union_find.hh"
+#include "fnv64.hh"
 #include "lattice/rotated.hh"
 #include "scenario/scenario_experiment.hh"
 #include "sim/dem.hh"
 #include "sim/frame.hh"
 #include "sim/syndrome_circuit.hh"
+#include "sparse_matcher_reference.hh"
 #include "util/rng.hh"
 
 namespace surf {
@@ -211,6 +220,371 @@ memoryDem(int d, double p)
     return buildDem(
         buildMemoryCircuit(squarePatch(d), spec, noise).circuit,
         PauliType::Z);
+}
+
+// ---- Solver oracle, brute force, golden digest and scratch reuse ------
+
+/** Random mirror instance over k defects (nodes 0..2k-1), built like
+ *  the rows path builds its own: perturbed weights from a small set of
+ *  quantized distances, so many matchings tie before the tie-break.
+ *  Some defects lack a boundary edge, and some have no edge at all,
+ *  which leaves no perfect matching. */
+std::vector<SparseMatchEdge>
+randomMirrorInstance(Rng &rng, int k)
+{
+    constexpr int kBoundaryNode = 1 << 20;
+    std::vector<int> node(static_cast<size_t>(k));
+    for (int i = 0; i < k; ++i)
+        node[static_cast<size_t>(i)] =
+            static_cast<int>(rng.below(1 << 16)) * 8 + i % 8;
+    const uint64_t pair_pct = 10 + rng.below(60);
+    const uint64_t isolated_pct = rng.below(4) == 0 ? 5 : 0;
+    std::vector<SparseMatchEdge> edges;
+    for (int i = 0; i < k; ++i) {
+        if (rng.below(100) < isolated_pct)
+            continue;
+        for (int j = i + 1; j < k; ++j)
+            if (rng.below(100) < pair_pct)
+                addMirrorPair(edges, k, i, j,
+                              perturbedMatchWeight(
+                                  0.5 * static_cast<double>(1 + rng.below(6)),
+                                  node[static_cast<size_t>(i)],
+                                  node[static_cast<size_t>(j)]));
+        if (rng.below(4) != 0)
+            addMirrorBoundary(edges, k, i,
+                              perturbedMatchWeight(
+                                  0.5 * static_cast<double>(1 + rng.below(6)),
+                                  node[static_cast<size_t>(i)],
+                                  kBoundaryNode));
+    }
+    return edges;
+}
+
+/** Cheapest edge weight per vertex pair, kMatchForbidden where absent. */
+std::vector<int64_t>
+pairWeights(int n, const std::vector<SparseMatchEdge> &edges)
+{
+    std::vector<int64_t> w(static_cast<size_t>(n) * n, kMatchForbidden);
+    for (const SparseMatchEdge &e : edges) {
+        auto &ab = w[static_cast<size_t>(e.a) * n + e.b];
+        ab = std::min(ab, e.w);
+        w[static_cast<size_t>(e.b) * n + e.a] = ab;
+    }
+    return w;
+}
+
+/** Weight of a mate vector under the cheapest pair weights. */
+int64_t
+matchingWeight(int n, const std::vector<int64_t> &w,
+               const std::vector<int> &mate)
+{
+    int64_t total = 0;
+    for (int v = 0; v < n; ++v)
+        if (mate[static_cast<size_t>(v)] > v)
+            total += w[static_cast<size_t>(v) * n +
+                       mate[static_cast<size_t>(v)]];
+    return total;
+}
+
+/** Outcome of one solve, for exact comparison. */
+struct SolveResult
+{
+    bool ok = false;
+    std::vector<int> mate;
+    int64_t total = -1;
+};
+
+/** Instances compared against the reference, by outcome. */
+struct OracleStats
+{
+    size_t perfect = 0;
+    size_t infeasible = 0;
+    size_t ties = 0;
+};
+
+/**
+ * Compare the solver with the reference on one instance. Equal mates
+ * pass; different mates pass only as an exact tie (both perfect, equal
+ * total weight, each total equal to its own mate vector's weight) and
+ * are counted in `stats.ties`.
+ */
+void
+expectSameAsReference(int n, const std::vector<SparseMatchEdge> &edges,
+                      SparseMatcherScratch &scratch, OracleStats &stats,
+                      const std::string &what)
+{
+    SolveResult got, ref;
+    got.ok = sparseMinWeightPerfectMatching(n, edges, scratch, got.mate,
+                                            &got.total);
+    ref.ok = testref::referenceSparseMatching(n, edges, ref.mate,
+                                              &ref.total);
+    ASSERT_EQ(got.ok, ref.ok) << what;
+    ASSERT_EQ(got.total, ref.total) << what;
+    ++(got.ok ? stats.perfect : stats.infeasible);
+    if (got.mate == ref.mate)
+        return;
+    ASSERT_TRUE(got.ok) << what;
+    const auto w = pairWeights(n, edges);
+    ASSERT_EQ(matchingWeight(n, w, got.mate), got.total) << what;
+    ASSERT_EQ(matchingWeight(n, w, ref.mate), ref.total) << what;
+    ++stats.ties;
+}
+
+TEST(SparseBlossom, MatchesReferenceOnRandomMirrorInstances)
+{
+    Rng rng(0x0ac1e);
+    SparseMatcherScratch scratch;
+    OracleStats stats;
+    constexpr int kTrials = 2400;
+    for (int trial = 0; trial < kTrials; ++trial) {
+        const int k = 2 + static_cast<int>(rng.below(63)); // 2..64
+        expectSameAsReference(2 * k, randomMirrorInstance(rng, k), scratch,
+                              stats,
+                              "trial " + std::to_string(trial) + " k " +
+                                  std::to_string(k));
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(stats.perfect, kTrials / 2u);
+    EXPECT_GT(stats.infeasible, 50u)
+        << "too few instances without a matching";
+    EXPECT_LE(stats.ties, kTrials / 100u)
+        << "more mismatches than exact perturbed-weight ties explain";
+}
+
+/** Memory-experiment shots of one basis (tag 1 = Z, 0 = X). */
+struct MemoryShots
+{
+    DetectorErrorModel dem;
+    uint8_t tag = 1;
+    std::vector<std::vector<uint32_t>> shots;
+};
+
+MemoryShots
+memoryShots(PauliType basis, int d, double p, size_t n_shots)
+{
+    MemorySpec spec;
+    spec.rounds = d;
+    spec.basis = basis;
+    NoiseParams noise;
+    noise.p = p;
+    const BuiltCircuit built = buildMemoryCircuit(squarePatch(d), spec, noise);
+    MemoryShots out;
+    out.dem = buildDem(built.circuit, basis);
+    out.tag = basis == PauliType::Z ? 1 : 0;
+    FrameSimulator sim(built.circuit, n_shots, 0x60d + d);
+    const SparseSyndromes syndromes = sim.sparseFiredDetectors();
+    for (size_t s = 0; s < sim.shots(); ++s)
+        out.shots.emplace_back(syndromes.data(s),
+                               syndromes.data(s) + syndromes.count(s));
+    return out;
+}
+
+/** The memory shots the rows-path oracle and golden tests share. */
+std::vector<MemoryShots>
+rowsPathShots()
+{
+    std::vector<MemoryShots> out;
+    for (PauliType basis : {PauliType::Z, PauliType::X})
+        for (int d : {5, 7, 9})
+            for (double p : {1e-3, 5e-3})
+                out.push_back(memoryShots(basis, d, p, 256));
+    return out;
+}
+
+TEST(SparseBlossom, MatchesReferenceOnRowsPathInstances)
+{
+    // Every mirror instance the rows path solves on memory shots, read
+    // back from the scratch after each decode.
+    OracleStats stats;
+    SparseMatcherScratch scratch;
+    for (const MemoryShots &c : rowsPathShots()) {
+        MwpmDecoder rows(c.dem, c.tag, nullptr, MatchingBackend::Sparse);
+        rows.setBlossomThreshold(SIZE_MAX);
+        MwpmScratch sc;
+        for (size_t s = 0; s < c.shots.size(); ++s) {
+            (void)rows.decode(c.shots[s].data(), c.shots[s].size(), sc);
+            const int k = static_cast<int>(sc.defects.size());
+            if (k < 3)
+                continue; // closed forms: no instance is built
+            expectSameAsReference(2 * k, sc.blossom.edges, scratch, stats,
+                                  "shot " + std::to_string(s) + " k " +
+                                      std::to_string(k));
+            if (HasFatalFailure())
+                return;
+        }
+    }
+    const size_t instances = stats.perfect + stats.infeasible;
+    EXPECT_GT(instances, 2000u);
+    EXPECT_LE(stats.ties, instances / 100);
+}
+
+/** Minimum-weight perfect matching by exhaustive search (n <= 10):
+ *  returns the optimum, or kMatchForbidden when none exists, and counts
+ *  the optimal matchings in `n_opt`. */
+int64_t
+bruteForceMatching(int n, const std::vector<int64_t> &w,
+                   std::vector<int> &mate, size_t &n_opt)
+{
+    std::vector<int> cur(static_cast<size_t>(n), -1);
+    int64_t best = kMatchForbidden;
+    n_opt = 0;
+    auto rec = [&](auto &&self, int64_t acc) -> void {
+        int v = 0;
+        while (v < n && cur[static_cast<size_t>(v)] != -1)
+            ++v;
+        if (v == n) {
+            if (acc < best) {
+                best = acc;
+                mate = cur;
+                n_opt = 1;
+            } else if (acc == best) {
+                ++n_opt;
+            }
+            return;
+        }
+        for (int u = v + 1; u < n; ++u) {
+            const int64_t wu = w[static_cast<size_t>(v) * n + u];
+            if (cur[static_cast<size_t>(u)] != -1 || wu == kMatchForbidden)
+                continue;
+            cur[static_cast<size_t>(v)] = u;
+            cur[static_cast<size_t>(u)] = v;
+            self(self, acc + wu);
+            cur[static_cast<size_t>(v)] = -1;
+            cur[static_cast<size_t>(u)] = -1;
+        }
+    };
+    rec(rec, 0);
+    return best;
+}
+
+TEST(SparseBlossom, MatchesBruteForceOnSmallGraphs)
+{
+    // Random graphs of up to 10 vertices, parallel edges included, with
+    // perturbed weights from a small set: the optimum must equal the
+    // exhaustive minimum, and the mate vector the unique optimum's.
+    Rng rng(0xb7f0);
+    SparseMatcherScratch scratch;
+    size_t unique = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        const int n = 2 * static_cast<int>(1 + rng.below(5)); // 2..10
+        std::vector<SparseMatchEdge> edges;
+        const size_t m = rng.below(static_cast<uint64_t>(n * (n - 1)) + 1);
+        for (size_t e = 0; e < m; ++e) {
+            const int a = static_cast<int>(rng.below(n));
+            const int b = static_cast<int>(rng.below(n));
+            if (a != b)
+                edges.push_back(
+                    {a, b,
+                     perturbedMatchWeight(
+                         0.25 * static_cast<double>(rng.below(5)),
+                         static_cast<int>(rng.below(64)),
+                         static_cast<int>(rng.below(64)))});
+        }
+        const auto w = pairWeights(n, edges);
+        std::vector<int> bmate;
+        size_t n_opt = 0;
+        const int64_t best = bruteForceMatching(n, w, bmate, n_opt);
+        std::vector<int> mate;
+        int64_t total = -1;
+        const bool ok =
+            sparseMinWeightPerfectMatching(n, edges, scratch, mate, &total);
+        ASSERT_EQ(ok, best != kMatchForbidden) << "trial " << trial;
+        if (!ok)
+            continue;
+        ASSERT_EQ(total, best) << "trial " << trial << " n " << n;
+        ASSERT_EQ(matchingWeight(n, w, mate), best) << "trial " << trial;
+        if (n_opt == 1) {
+            ++unique;
+            ASSERT_EQ(mate, bmate) << "trial " << trial << " n " << n;
+        }
+    }
+    EXPECT_GT(unique, 1000u);
+}
+
+TEST(SparseBlossom, ScratchReuseMatchesFreshScratch)
+{
+    // One arena serves instances that grow and shrink (n = 4, 120, 6,
+    // 60, then 120 straight after 60), then the same sequence again with
+    // the stage stamp at its last value before each instance, so every
+    // solve wraps at its first stage; the stale allow entries are set to
+    // 1, the first stamp after the wrap, as entries allowed in an
+    // earlier post-wrap stage would read. Every result, dual vector
+    // included, must equal a fresh arena's, with or without a perfect
+    // matching.
+    Rng rng(0x5c2a7c);
+    std::vector<std::pair<int, std::vector<SparseMatchEdge>>> instances;
+    for (int n : {4, 120, 6, 60, 120})
+        instances.emplace_back(n, randomMirrorInstance(rng, n / 2));
+    SparseMatcherScratch shared;
+    for (int round = 0; round < 2; ++round)
+        for (const auto &[n, edges] : instances) {
+            if (round == 1) {
+                shared.stamp = UINT32_MAX;
+                std::fill(shared.allowEdge.begin(), shared.allowEdge.end(),
+                          1u);
+            }
+            SparseMatcherScratch fresh;
+            SolveResult a, b;
+            a.ok = sparseMinWeightPerfectMatching(n, edges, shared, a.mate,
+                                                  &a.total);
+            b.ok = sparseMinWeightPerfectMatching(n, edges, fresh, b.mate,
+                                                  &b.total);
+            const std::string what =
+                "round " + std::to_string(round) + " n " + std::to_string(n);
+            EXPECT_EQ(a.ok, b.ok) << what;
+            EXPECT_EQ(a.mate, b.mate) << what;
+            EXPECT_EQ(a.total, b.total) << what;
+            EXPECT_EQ(shared.lastOffset, fresh.lastOffset) << what;
+            EXPECT_TRUE(std::equal(fresh.dual.begin(),
+                                   fresh.dual.begin() + 2 * n,
+                                   shared.dual.begin()))
+                << what;
+            if (round == 1) {
+                EXPECT_LT(shared.stamp, 1000u) << "no wrap at " << what;
+            }
+        }
+}
+
+TEST(SparseMatching, GoldenRowsAndBurstDigest)
+{
+    // FNV-64 of (prediction, matched weight) per shot: the rows path
+    // (dispatch off) on Z and X memory shots at d = 5, 7, 9 and
+    // p = 1e-3, 5e-3, then burst clusters at k = 32, 64, 96 on d = 9
+    // through the rows path and the matrix-free matcher. Recorded from
+    // the solver that scanned every edge per dual update; any solver
+    // change must keep it.
+    testref::Fnv64 h;
+    size_t n_shots = 0;
+    for (const MemoryShots &c : rowsPathShots()) {
+        MwpmDecoder rows(c.dem, c.tag, nullptr, MatchingBackend::Sparse);
+        rows.setBlossomThreshold(SIZE_MAX);
+        MwpmScratch sc;
+        for (const auto &shot : c.shots) {
+            h.add(rows.decode(shot.data(), shot.size(), sc));
+            h.add(static_cast<uint64_t>(sc.lastWeight));
+            ++n_shots;
+        }
+    }
+    const auto dem = memoryDem(9, 2e-3);
+    MwpmDecoder rows(dem, 1, nullptr, MatchingBackend::Sparse);
+    rows.setBlossomThreshold(SIZE_MAX);
+    const MwpmDecoder matcher(dem, 1, nullptr,
+                              MatchingBackend::SparseBlossom);
+    Rng rng(0x60d5eed);
+    MwpmScratch sr, sm;
+    for (size_t k : {32u, 64u, 96u})
+        for (int rep = 0; rep < 16; ++rep) {
+            const auto b =
+                benchutil::burstCluster(dem, rows.graph(), k, rng);
+            h.add(rows.decode(b.data(), b.size(), sr));
+            h.add(static_cast<uint64_t>(sr.lastWeight));
+            h.add(matcher.decode(b.data(), b.size(), sm));
+            h.add(static_cast<uint64_t>(sm.lastWeight));
+            ++n_shots;
+        }
+    EXPECT_EQ(n_shots, 12u * 256u + 48u);
+    EXPECT_EQ(h.h, 0xf05e0f5180f3ff33ULL) << std::hex << "digest 0x" << h.h;
 }
 
 TEST(SparseMatching, DefaultEqualsDenseOnD9MemoryShots)
