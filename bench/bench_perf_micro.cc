@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark micro-benchmarks of the performance-critical kernels:
  * frame-simulator sampling, DEM extraction, MWPM decoding, deformation,
- * graph distance computation, epoch planning, and deformed-code cache
- * snapshot save/load.
+ * graph distance computation, epoch planning, a warm scenario pass, and
+ * deformed-code cache snapshot save/load.
  */
 
 #include <benchmark/benchmark.h>
@@ -126,15 +126,17 @@ BM_SyndromeExtractSparse(benchmark::State &state)
 BENCHMARK(BM_SyndromeExtractSparse)->Arg(3)->Arg(5)->Arg(9);
 
 void
-BM_DemExtraction(benchmark::State &state)
+BM_BuildDem(benchmark::State &state)
 {
+    // DEM build of a d-round memory segment (DEPOLARIZE1/2 sites fold
+    // with one symmetric difference per component).
     const auto built = standardCircuit(static_cast<int>(state.range(0)));
     for (auto _ : state) {
         auto dem = buildDem(built.circuit, PauliType::Z);
         benchmark::DoNotOptimize(dem.numDetectors);
     }
 }
-BENCHMARK(BM_DemExtraction)->Arg(3)->Arg(5)->Arg(9);
+BENCHMARK(BM_BuildDem)->Arg(7)->Arg(9)->Arg(13)->Unit(benchmark::kMillisecond);
 
 void
 BM_MwpmDecode(benchmark::State &state)
@@ -290,41 +292,84 @@ historySeed(uint64_t seed, uint64_t salt)
     return z ^ (z >> 31);
 }
 
+/** The scenario-d7 workload's planner config and its twelve cosmic-ray
+ *  histories (d=7, delta_d=2, 160 rounds in 20-round windows, history
+ *  seed 20240731, event rate x20000). */
+struct ScenarioD7
+{
+    ScenarioConfig cfg;
+    std::vector<std::vector<DefectEvent>> history;
+
+    ScenarioD7()
+    {
+        cfg.timeline.strategy = Strategy::SurfDeformer;
+        cfg.timeline.d = 7;
+        cfg.timeline.deltaD = 2;
+        cfg.timeline.horizonRounds = 160;
+        cfg.timeline.windowRounds = 20;
+        cfg.timeline.maxEpochRounds = 20;
+        cfg.defectModel.durationSec = 40e-6;
+        cfg.defectModel.regionDiameter = 2;
+        cfg.eventRateScale = 20000.0;
+        cfg.noise.p = 2e-3;
+        cfg.maxShotsPerTimeline = 16;
+        cfg.batchShots = 16;
+        cfg.threads = 2;
+        DefectModelParams model = cfg.defectModel;
+        model.eventRatePerQubitSec *= cfg.eventRateScale;
+        const CodePatch base = squarePatch(cfg.timeline.d);
+        for (uint64_t t = 0; t < 12; ++t) {
+            DefectSampler sampler(model, historySeed(20240731, t));
+            history.push_back(
+                sampler.sampleEvents(base, cfg.timeline.horizonRounds));
+        }
+    }
+};
+
 void
 BM_PlanEpochs(benchmark::State &state)
 {
-    // The scenario-d7 workload's planning layer: its twelve cosmic-ray
-    // histories (d=7, delta_d=2, 160 rounds in 20-round windows, history
-    // seed 20240731, event rate x20000) planned through one fresh
-    // strategy memo per iteration, as one scenario pass plans them.
-    EpochPlannerConfig cfg;
-    cfg.strategy = Strategy::SurfDeformer;
-    cfg.d = 7;
-    cfg.deltaD = 2;
-    cfg.horizonRounds = 160;
-    cfg.windowRounds = 20;
-    cfg.maxEpochRounds = 20;
-    DefectModelParams model;
-    model.durationSec = 40e-6;
-    model.regionDiameter = 2;
-    model.eventRatePerQubitSec *= 20000.0;
-    const CodePatch base = squarePatch(cfg.d);
-    std::vector<std::vector<DefectEvent>> history;
-    for (uint64_t t = 0; t < 12; ++t) {
-        DefectSampler sampler(model, historySeed(20240731, t));
-        history.push_back(sampler.sampleEvents(base, cfg.horizonRounds));
-    }
+    // The scenario-d7 workload's planning layer: its twelve histories
+    // planned through one fresh strategy memo per iteration, as one
+    // scenario pass plans them.
+    const ScenarioD7 sc;
     for (auto _ : state) {
         StrategyMemo memo;
         size_t epochs = 0;
-        for (const auto &events : history)
-            epochs += planEpochs(cfg, events, &memo).epochs.size();
+        for (const auto &events : sc.history)
+            epochs += planEpochs(sc.cfg.timeline, events, &memo).epochs.size();
         benchmark::DoNotOptimize(epochs);
     }
     state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(history.size()));
+                            static_cast<int64_t>(sc.history.size()));
 }
 BENCHMARK(BM_PlanEpochs)->Unit(benchmark::kMillisecond);
+
+void
+BM_ScenarioWarmPass(benchmark::State &state)
+{
+    // One warm scenario-d7 pass: plan the twelve histories with a fresh
+    // memo, then sample and decode 16 shots of each on 2 threads against
+    // a cache that already holds every segment and timeline.
+    const ScenarioD7 sc;
+    DeformedCodeCache cache;
+    auto pass = [&] {
+        StrategyMemo memo;
+        uint64_t failures = 0;
+        for (size_t t = 0; t < sc.history.size(); ++t)
+            failures += runPlannedTimeline(
+                            planEpochs(sc.cfg.timeline, sc.history[t], &memo),
+                            sc.cfg, cache, historySeed(1, 0xba7c + t), 0)
+                            .failures;
+        return failures;
+    };
+    pass(); // warm the cache
+    for (auto _ : state)
+        benchmark::DoNotOptimize(pass());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(sc.history.size()));
+}
+BENCHMARK(BM_ScenarioWarmPass)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /** A deformed-code cache populated by a d=5 cosmic-ray scenario (segments,
  *  stitched timelines and the Dijkstra rows their decodes memoized), and

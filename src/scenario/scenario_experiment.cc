@@ -355,25 +355,127 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         st.undetectableObsProb = ce.seg->dem.undetectableObsProb;
     }
 
-    // --- Batched sampling + sharded per-epoch decode ---------------------
-    // Same pipeline discipline as runMemoryExperiment: sampling is serial
-    // per batch, shots decode independently, per-worker tallies merge in a
-    // fixed order — the result is bit-identical for any thread count.
+    // --- Sampling streamed into the sharded per-epoch decode -------------
+    // One pool job per batch. Its task 0 samples: it advances the frame
+    // simulator epoch by epoch and publishes each epoch's syndromes, and
+    // the (epoch, shard) decode tasks after it start as soon as their
+    // epoch is out. When another batch follows, task 0 then samples it
+    // into the spare buffer while this one decodes. Every batch draws its
+    // own seed in batch order and shots decode independently, so the
+    // result is bit-identical for any thread count; a batch sampled ahead
+    // and then cut by early stop leaves no trace.
+    struct SampledBatch
+    {
+        size_t shots = 0;                    ///< 0: not sampled yet
+        std::vector<SparseSyndromes> epochs; ///< ids relative to detBegin
+        BitVec obs;
+        std::vector<BitVec> probes;
+    };
+    SampledBatch batches[2];
+    size_t cur = 0; ///< batches[cur] is the batch being decoded
+    std::unique_ptr<FrameSimulator> sim;
+    JobProgress sampled; ///< epochs of batches[cur] ready to decode
+    const auto sampleBatch = [&](SampledBatch &out, size_t shots,
+                                 uint64_t seed, bool publish) {
+        if (!sim || sim->shots() != shots)
+            sim = std::make_unique<FrameSimulator>(ckt, shots);
+        sim->reset(seed);
+        out.epochs.resize(n_epochs);
+        for (size_t e = 0; e < n_epochs; ++e) {
+            const CachedTimelineEpoch &ce = tlc->epochs[e];
+            sim->runUntil(ce.detEnd);
+            sim->sparseFiredDetectors(out.epochs[e], ce.detBegin, ce.detEnd);
+            if (publish)
+                sampled.publish(static_cast<uint32_t>(e + 1));
+        }
+        sim->run(); // the rest: final readout, observable, closing probe
+        out.obs = sim->observableBits(0);
+        out.probes.resize(sim->numProbes());
+        for (size_t p = 0; p < out.probes.size(); ++p)
+            out.probes[p] = sim->probeBits(p);
+        out.shots = shots;
+    };
+
     std::vector<MwpmScratch> mwpm_scratch(pool.size());
     std::vector<UfScratch> uf_scratch(pool.size());
-    std::vector<uint64_t> worker_failures(pool.size());
     std::vector<std::vector<uint32_t>> local_ids(pool.size());
-    std::vector<std::vector<uint64_t>> worker_mism(
-        pool.size(), std::vector<uint64_t>(n_epochs));
     std::vector<DecodeDeadline> worker_deadline(pool.size());
     std::vector<DegradationLedger> worker_ledger(pool.size());
     if (ladder_on)
         for (auto &dl : worker_deadline)
             dl.configure(deadline_ns, inject.virtualClockNeeded());
-    SparseSyndromes syndromes;
-    std::unique_ptr<FrameSimulator> sim;
+    std::vector<uint8_t> predicted_at; ///< [epoch * batch + shot]
 
-    uint64_t batch_seed = batchSeedBase;
+    // MWPM decode of one epoch's fired list, under the fallback ladder
+    // when a deadline is armed: blossom → rows inside the decoder,
+    // union-find floor here when both stages overran. Every ladder trip
+    // lands in the worker's ledger (merged in fixed worker order after
+    // the sweep).
+    const auto mwpmDecode = [&](const CachedTimelineEpoch &ce,
+                                const uint32_t *ids, size_t n_ids,
+                                uint64_t shot, size_t e,
+                                size_t worker) -> bool {
+        MwpmScratch &msc = mwpm_scratch[worker];
+        if (!ladder_on)
+            return ce.seg->mwpm->decode(ids, n_ids, msc);
+        DecodeDeadline &dl = worker_deadline[worker];
+        DegradationLedger &led = worker_ledger[worker];
+        msc.deadline = &dl;
+        msc.stallNs = {};
+        if (inject.enabled()) {
+            msc.stallNs[kStageBlossom] =
+                inject.stallNs(salt, shot, e, kStageBlossom);
+            msc.stallNs[kStageRows] = inject.stallNs(salt, shot, e, kStageRows);
+        }
+        bool predicted = ce.seg->mwpm->decode(ids, n_ids, msc);
+        msc.deadline = nullptr;
+        for (uint8_t st = 0; st < kNumDecodeStages; ++st)
+            if ((msc.ladder.attempted >> st) & 1 && msc.stallNs[st])
+                ++led.injectedStalls;
+        if (msc.timedOut) {
+            // Both MWPM stages overran: the union-find floor always
+            // completes, so the shot degrades but never blocks.
+            dl.beginStage(0);
+            predicted = ce.seg->uf->decode(ids, n_ids, uf_scratch[worker]);
+            msc.ladder.note(kStageUnionFind, dl.stageElapsedNs(), false);
+            msc.ladder.answer = kStageUnionFind;
+        }
+        if (msc.ladder.attempted)
+            led.record(msc.ladder);
+        return predicted;
+    };
+    // One (epoch, shot) decode; fault bursts land on a private copy.
+    const auto decodeShot = [&](const CachedTimelineEpoch &ce,
+                                const SparseSyndromes &syn, size_t s,
+                                uint64_t shot, size_t e,
+                                size_t worker) -> bool {
+        const uint32_t *ids = syn.data(s);
+        size_t n_ids = syn.count(s);
+        if (inject.enabled()) {
+            auto &local = local_ids[worker];
+            local.assign(ids, ids + n_ids);
+            const size_t added = inject.injectBurst(
+                salt, shot, e, ce.detEnd - ce.detBegin, local);
+            if (added) {
+                ++worker_ledger[worker].injectedBursts;
+                worker_ledger[worker].injectedBurstDetectors += added;
+            }
+            ids = local.data();
+            n_ids = local.size();
+        }
+        switch (cfg.decoder) {
+          case DecoderKind::Mwpm:
+            return mwpmDecode(ce, ids, n_ids, shot, e, worker);
+          case DecoderKind::UnionFind:
+            return ce.seg->uf->decode(ids, n_ids, uf_scratch[worker]);
+          case DecoderKind::Auto:
+          default:
+            return n_ids <= cfg.mwpmDefectCap
+                       ? mwpmDecode(ce, ids, n_ids, shot, e, worker)
+                       : ce.seg->uf->decode(ids, n_ids, uf_scratch[worker]);
+        }
+    };
+
     uint64_t batch_index = 0;
     while (tl.shots < cfg.maxShotsPerTimeline &&
            failuresSoFar + tl.failures < cfg.targetFailures) {
@@ -384,140 +486,87 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
             cache.evictAll();
             ++tl.ledger.cacheStorms;
         }
+        const uint64_t batch_seed = batchSeedBase + batch_index;
         ++batch_index;
         const uint64_t shots_before = tl.shots;
         const size_t batch = static_cast<size_t>(std::min<uint64_t>(
             cfg.batchShots, cfg.maxShotsPerTimeline - tl.shots));
-        if (!sim || sim->shots() != batch) {
-            sim = std::make_unique<FrameSimulator>(ckt, batch, batch_seed++);
-        } else {
-            sim->reset(batch_seed++);
-            sim->run();
-        }
-        sim->sparseFiredDetectors(syndromes);
-        const BitVec &obs_bits = sim->observableBits(0);
+        const uint64_t shots_after = shots_before + batch;
+        const size_t next_batch = static_cast<size_t>(std::min<uint64_t>(
+            cfg.batchShots, cfg.maxShotsPerTimeline - shots_after));
+        SampledBatch &now = batches[cur];
+        SampledBatch &ahead = batches[cur ^ 1];
+        SURF_ASSERT(!now.shots || now.shots == batch,
+                    "batch sampled ahead with the wrong size");
 
-        std::fill(worker_failures.begin(), worker_failures.end(), 0);
-        for (auto &m : worker_mism)
-            std::fill(m.begin(), m.end(), 0);
-        // MWPM decode of one epoch's fired list, under the fallback
-        // ladder when a deadline is armed: blossom → rows inside the
-        // decoder, union-find floor here when both stages overran. Every
-        // ladder trip lands in the worker's ledger (merged in fixed
-        // worker order after the sweep).
-        const auto mwpmDecode = [&](const CachedTimelineEpoch &ce,
-                                    std::vector<uint32_t> &ids,
-                                    uint64_t shot, size_t e,
-                                    size_t worker) -> bool {
-            MwpmScratch &msc = mwpm_scratch[worker];
-            if (!ladder_on)
-                return ce.seg->mwpm->decode(ids.data(), ids.size(), msc);
-            DecodeDeadline &dl = worker_deadline[worker];
-            DegradationLedger &led = worker_ledger[worker];
-            msc.deadline = &dl;
-            msc.stallNs = {};
-            if (inject.enabled()) {
-                msc.stallNs[kStageBlossom] =
-                    inject.stallNs(salt, shot, e, kStageBlossom);
-                msc.stallNs[kStageRows] =
-                    inject.stallNs(salt, shot, e, kStageRows);
-            }
-            bool predicted =
-                ce.seg->mwpm->decode(ids.data(), ids.size(), msc);
-            msc.deadline = nullptr;
-            for (uint8_t st = 0; st < kNumDecodeStages; ++st)
-                if ((msc.ladder.attempted >> st) & 1 && msc.stallNs[st])
-                    ++led.injectedStalls;
-            if (msc.timedOut) {
-                // Both MWPM stages overran: the union-find floor always
-                // completes, so the shot degrades but never blocks.
-                dl.beginStage(0);
-                predicted = ce.seg->uf->decode(ids.data(), ids.size(),
-                                               uf_scratch[worker]);
-                msc.ladder.note(kStageUnionFind, dl.stageElapsedNs(),
-                                false);
-                msc.ladder.answer = kStageUnionFind;
-            }
-            if (msc.ladder.attempted)
-                led.record(msc.ladder);
-            return predicted;
-        };
+        // Task 0 samples whenever there is something to overlap with: a
+        // later epoch of this batch or the next batch. A one-epoch batch
+        // with no batch after it, and every batch of a one-worker pool,
+        // is sampled here before its job (no handoff to another worker).
+        const bool presampled = now.shots != 0;
+        const bool sampler = pool.size() > 1 &&
+                             ((!presampled && n_epochs > 1) || next_batch != 0);
+        if (!presampled && !sampler)
+            sampleBatch(now, batch, batch_seed, false);
+        const bool stream = sampler && !presampled;
+        sampled.reset(stream ? 0 : static_cast<uint32_t>(n_epochs));
+
         const size_t n_shards = std::min(batch, pool.size() * 4);
-        pool.parallelFor(n_shards, [&](size_t shard, size_t worker) {
-            const size_t begin = batch * shard / n_shards;
-            const size_t end = batch * (shard + 1) / n_shards;
-            uint64_t failures = 0;
-            for (size_t s = begin; s < end; ++s) {
-                const uint32_t *fired = syndromes.data(s);
-                const size_t n_fired = syndromes.count(s);
-                const uint64_t shot = shots_before + s;
-                size_t idx = 0;
-                bool total = false;
-                for (size_t e = 0; e < n_epochs; ++e) {
-                    const CachedTimelineEpoch &ce = tlc->epochs[e];
-                    // Detector ranges are contiguous and ascending, so one
-                    // sweep slices the sorted fired list per epoch.
-                    auto &ids = local_ids[worker];
-                    ids.clear();
-                    while (idx < n_fired && fired[idx] < ce.detEnd) {
-                        ids.push_back(static_cast<uint32_t>(fired[idx] -
-                                                            ce.detBegin));
-                        ++idx;
+        predicted_at.resize(n_epochs * batch);
+        pool.parallelFor(
+            (sampler ? 1 : 0) + n_epochs * n_shards,
+            [&](size_t task, size_t worker) {
+                if (sampler && task == 0) {
+                    try {
+                        if (stream)
+                            sampleBatch(now, batch, batch_seed, true);
+                        if (next_batch)
+                            sampleBatch(ahead, next_batch, batch_seed + 1,
+                                        false);
+                    } catch (...) {
+                        sampled.fail();
+                        throw;
                     }
-                    if (inject.enabled()) {
-                        const size_t added = inject.injectBurst(
-                            salt, shot, e, ce.detEnd - ce.detBegin, ids);
-                        if (added) {
-                            ++worker_ledger[worker].injectedBursts;
-                            worker_ledger[worker].injectedBurstDetectors +=
-                                added;
-                        }
-                    }
-                    bool predicted;
-                    switch (cfg.decoder) {
-                      case DecoderKind::Mwpm:
-                        predicted = mwpmDecode(ce, ids, shot, e, worker);
-                        break;
-                      case DecoderKind::UnionFind:
-                        predicted = ce.seg->uf->decode(
-                            ids.data(), ids.size(), uf_scratch[worker]);
-                        break;
-                      case DecoderKind::Auto:
-                      default:
-                        predicted =
-                            (ids.size() <= cfg.mwpmDefectCap)
-                                ? mwpmDecode(ce, ids, shot, e, worker)
-                                : ce.seg->uf->decode(ids.data(), ids.size(),
-                                                     uf_scratch[worker]);
-                        break;
-                    }
-                    // Oracle truth of this epoch: frame accumulated on its
-                    // own tracked representative between the opening probe
-                    // (index 2e-1; zero for the first epoch) and the
-                    // closing probe (index 2e) — the same accounting its
-                    // decoder uses. Seam frame updates and readout noise
-                    // live in the observable, not the probes, so per-epoch
-                    // truths are diagnostics; the failure check below
-                    // always uses the true observable.
-                    const bool open_frame =
-                        e ? sim->probeBits(2 * e - 1).get(s) : false;
-                    const bool close_frame = sim->probeBits(2 * e).get(s);
-                    worker_mism[worker][e] +=
-                        predicted != (open_frame ^ close_frame);
-                    total ^= predicted;
+                    return;
                 }
-                failures += total != obs_bits.get(s);
+                const size_t job = task - (sampler ? 1 : 0);
+                const size_t e = job / n_shards, shard = job % n_shards;
+                if (!sampled.waitFor(static_cast<uint32_t>(e + 1)))
+                    return; // the sampler threw; parallelFor rethrows it
+                const CachedTimelineEpoch &ce = tlc->epochs[e];
+                const SparseSyndromes &syn = now.epochs[e];
+                const size_t begin = batch * shard / n_shards;
+                const size_t end = batch * (shard + 1) / n_shards;
+                for (size_t s = begin; s < end; ++s)
+                    predicted_at[e * batch + s] = decodeShot(
+                        ce, syn, s, shots_before + s, e, worker);
+            });
+
+        // Tally in shot order. Oracle truth of epoch e: frame accumulated
+        // on its own tracked representative between the opening probe
+        // (index 2e-1; zero for the first epoch) and the closing probe
+        // (index 2e) — the same accounting its decoder uses. Seam frame
+        // updates and readout noise live in the observable, not the
+        // probes, so per-epoch truths are diagnostics; the failure check
+        // always uses the true observable.
+        for (size_t s = 0; s < batch; ++s) {
+            bool total = false;
+            for (size_t e = 0; e < n_epochs; ++e) {
+                const bool predicted = predicted_at[e * batch + s];
+                const bool open_frame =
+                    e ? now.probes[2 * e - 1].get(s) : false;
+                const bool close_frame = now.probes[2 * e].get(s);
+                tl.epochs[e].mismatches +=
+                    predicted != (open_frame ^ close_frame);
+                total ^= predicted;
             }
-            worker_failures[worker] += failures;
-        });
-        for (uint64_t f : worker_failures)
-            tl.failures += f;
-        for (const auto &m : worker_mism)
-            for (size_t e = 0; e < n_epochs; ++e)
-                tl.epochs[e].mismatches += m[e];
+            tl.failures += total != now.obs.get(s);
+        }
         for (size_t e = 0; e < n_epochs; ++e)
             tl.epochs[e].shots += batch;
-        tl.shots += batch;
+        tl.shots = shots_after;
+        now.shots = 0;
+        cur ^= 1;
     }
     // Fixed worker order keeps the merged ledger deterministic whenever
     // the per-shot traces are (virtual clock / no real deadline).

@@ -12,63 +12,6 @@ namespace surf {
 
 namespace {
 
-/** A noise component: which qubits get which single-qubit Pauli. */
-struct Component
-{
-    double p;
-    // (qubit, has_x, has_z) entries
-    std::vector<std::tuple<uint32_t, bool, bool>> paulis;
-};
-
-/**
- * Enumerate the independent components of one noise site (a qubit, or
- * the `site[0], site[1]` pair of a DEPOLARIZE2) into a reusable pool
- * (entries keep their heap buffers across calls).
- * @return the number of pool entries filled
- */
-size_t
-enumerateComponents(Op op, double arg, const uint32_t *site,
-                    std::vector<Component> &pool)
-{
-    size_t n = 0;
-    auto emit = [&](double p) -> Component & {
-        if (pool.size() <= n)
-            pool.emplace_back();
-        Component &c = pool[n++];
-        c.p = p;
-        c.paulis.clear();
-        return c;
-    };
-    const uint32_t q = site[0];
-    switch (op) {
-      case Op::XError:
-        emit(arg).paulis.push_back({q, true, false});
-        break;
-      case Op::ZError:
-        emit(arg).paulis.push_back({q, false, true});
-        break;
-      case Op::Depolarize1:
-        emit(arg / 3).paulis.push_back({q, true, false});
-        emit(arg / 3).paulis.push_back({q, true, true});
-        emit(arg / 3).paulis.push_back({q, false, true});
-        break;
-      case Op::Depolarize2:
-        for (int which = 1; which < 16; ++which) {
-            const int pa = which / 4, pb = which % 4;
-            Component &c = emit(arg / 15);
-            if (pa)
-                c.paulis.push_back({q, pa == 1 || pa == 2, pa == 2 || pa == 3});
-            if (pb)
-                c.paulis.push_back(
-                    {site[1], pb == 1 || pb == 2, pb == 2 || pb == 3});
-        }
-        break;
-      default:
-        break;
-    }
-    return n;
-}
-
 /** FNV-1a over the detector-id words of a flip set. */
 struct FlipSetHash
 {
@@ -164,29 +107,78 @@ buildDem(const Circuit &circuit, PauliType obs_basis)
     }
     // Noise sites are folded into `merged` inline, right where the
     // backward pass has their sensitivity sets live in sx/sz — no
-    // per-site snapshot copies. Component buffers are pooled.
-    std::vector<Component> comp_pool;
+    // per-site snapshot copies. A component's flip set is built in
+    // comp_dets with at most one symmetric difference: each site qubit's
+    // X, Y = X xor Z and Z sets are formed once, and the components are
+    // folded in the fixed X, Y, Z (DEPOLARIZE1) or (pa, pb) = 1..15
+    // (DEPOLARIZE2) order, so `merged` sees the same insertion sequence.
     std::vector<uint32_t> comp_dets;
+    auto foldComponent = [&](double p) {
+        bool obs_flip = false;
+        if (!comp_dets.empty() && comp_dets.back() == obs_id) {
+            obs_flip = true;
+            comp_dets.pop_back();
+        }
+        if (comp_dets.empty() && !obs_flip)
+            return;
+        double &slot = merged[comp_dets][obs_flip ? 1 : 0];
+        slot = slot + p - 2 * slot * p;
+    };
+    auto setTo = [&](const std::vector<uint32_t> &a) {
+        comp_dets.assign(a.begin(), a.end());
+    };
+    auto setToXor = [&](std::vector<uint32_t> &out,
+                        const std::vector<uint32_t> &a,
+                        const std::vector<uint32_t> &b) {
+        out.clear();
+        std::set_symmetric_difference(a.begin(), a.end(), b.begin(), b.end(),
+                                      std::back_inserter(out));
+    };
+    std::array<std::vector<uint32_t>, 2> y_sets; // Y sets of a site's qubits
     auto foldNoiseSite = [&](Op op, double arg, const uint32_t *site) {
-        const size_t n_comp = enumerateComponents(op, arg, site, comp_pool);
-        for (size_t c = 0; c < n_comp; ++c) {
-            const Component &comp = comp_pool[c];
-            comp_dets.clear();
-            for (const auto &[q, fx, fz] : comp.paulis) {
-                if (fx)
-                    xorMerge(comp_dets, sx[q]);
-                if (fz)
-                    xorMerge(comp_dets, sz[q]);
+        const uint32_t q = site[0];
+        switch (op) {
+          case Op::XError:
+            setTo(sx[q]);
+            foldComponent(arg);
+            break;
+          case Op::ZError:
+            setTo(sz[q]);
+            foldComponent(arg);
+            break;
+          case Op::Depolarize1:
+            setTo(sx[q]);
+            foldComponent(arg / 3);
+            setToXor(comp_dets, sx[q], sz[q]);
+            foldComponent(arg / 3);
+            setTo(sz[q]);
+            foldComponent(arg / 3);
+            break;
+          case Op::Depolarize2: {
+            // gen[k][P]: flip set of Pauli P (1 = X, 2 = Y, 3 = Z) on
+            // site qubit k.
+            const std::vector<uint32_t> *gen[2][4];
+            for (int k = 0; k < 2; ++k) {
+                const uint32_t qk = site[k];
+                setToXor(y_sets[k], sx[qk], sz[qk]);
+                gen[k][1] = &sx[qk];
+                gen[k][2] = &y_sets[k];
+                gen[k][3] = &sz[qk];
             }
-            bool obs_flip = false;
-            if (!comp_dets.empty() && comp_dets.back() == obs_id) {
-                obs_flip = true;
-                comp_dets.pop_back();
+            for (int which = 1; which < 16; ++which) {
+                const int pa = which / 4, pb = which % 4;
+                if (!pa)
+                    setTo(*gen[1][pb]);
+                else if (!pb)
+                    setTo(*gen[0][pa]);
+                else
+                    setToXor(comp_dets, *gen[0][pa], *gen[1][pb]);
+                foldComponent(arg / 15);
             }
-            if (comp_dets.empty() && !obs_flip)
-                continue;
-            double &slot = merged[comp_dets][obs_flip ? 1 : 0];
-            slot = slot + comp.p - 2 * slot * comp.p;
+            break;
+          }
+          default:
+            break;
         }
     };
 

@@ -32,10 +32,8 @@ wordsOf(BitVec &bits)
 
 } // namespace
 
-FrameSimulator::FrameSimulator(const Circuit &circuit, size_t shots,
-                               uint64_t seed)
-    : circuit_(&circuit), shots_(shots), words_((shots + 63) / 64),
-      rng_(seed)
+FrameSimulator::FrameSimulator(const Circuit &circuit, size_t shots)
+    : circuit_(&circuit), shots_(shots), words_((shots + 63) / 64)
 {
     xf_.assign(circuit.numQubits() * words_, 0);
     zf_.assign(circuit.numQubits() * words_, 0);
@@ -43,6 +41,13 @@ FrameSimulator::FrameSimulator(const Circuit &circuit, size_t shots,
     detectors_.assign(circuit.numDetectors() * words_, 0);
     observables_.assign(circuit.numObservables(), BitVec(shots));
     probes_.assign(circuit.numProbes(), BitVec(shots));
+}
+
+FrameSimulator::FrameSimulator(const Circuit &circuit, size_t shots,
+                               uint64_t seed)
+    : FrameSimulator(circuit, shots)
+{
+    rng_.reseed(seed);
     run();
 }
 
@@ -56,6 +61,8 @@ FrameSimulator::reset(uint64_t seed)
         obs.clear();
     for (auto &probe : probes_)
         probe.clear();
+    pc_ = 0;
+    num_records_ = 0;
     num_detectors_ = 0;
 }
 
@@ -105,8 +112,19 @@ FrameSimulator::forEachEvent(Fn &&event)
 void
 FrameSimulator::run()
 {
-    size_t num_records = 0;
-    for (const auto &ins : circuit_->instructions()) {
+    runUntil(SIZE_MAX);
+}
+
+void
+FrameSimulator::runUntil(size_t detectors)
+{
+    // Cursors live in locals for the loop: the frame tables are uint64_t
+    // rows, so stores through them could otherwise alias the members.
+    const auto program = circuit_->instructions();
+    size_t pc = pc_, num_records = num_records_;
+    size_t num_detectors = num_detectors_;
+    while (pc < program.size() && num_detectors < detectors) {
+        const Instruction ins = program[pc++];
         switch (ins.op) {
           case Op::ResetZ:
           case Op::ResetX:
@@ -181,7 +199,7 @@ FrameSimulator::run()
             }
             break;
           case Op::Detector: {
-            uint64_t *bits = row(detectors_, num_detectors_++);
+            uint64_t *bits = row(detectors_, num_detectors++);
             std::fill_n(bits, words_, 0);
             for (uint32_t m : ins.targets)
                 xorRow(bits, row(records_, m), words_);
@@ -206,6 +224,9 @@ FrameSimulator::run()
             break;
         }
     }
+    pc_ = pc;
+    num_records_ = num_records;
+    num_detectors_ = num_detectors;
 }
 
 BitVec
@@ -229,6 +250,15 @@ FrameSimulator::firedDetectors(size_t shot) const
 void
 FrameSimulator::sparseFiredDetectors(SparseSyndromes &out) const
 {
+    sparseFiredDetectors(out, 0, num_detectors_);
+}
+
+void
+FrameSimulator::sparseFiredDetectors(SparseSyndromes &out, size_t begin,
+                                     size_t end) const
+{
+    SURF_ASSERT(begin <= end && end <= num_detectors_,
+                "detector range not sampled yet");
     // Calls fn(shot) for every set bit of detector d, ascending.
     auto forEachShot = [&](size_t d, auto &&fn) {
         const uint64_t *bits = row(detectors_, d);
@@ -241,7 +271,7 @@ FrameSimulator::sparseFiredDetectors(SparseSyndromes &out) const
     // at realistic noise, so almost every 64-shot word is zero and the
     // inner loop never runs.
     out.offsets.assign(shots_ + 1, 0);
-    for (size_t d = 0; d < num_detectors_; ++d)
+    for (size_t d = begin; d < end; ++d)
         forEachShot(d, [&](size_t s) { ++out.offsets[s + 1]; });
     std::partial_sum(out.offsets.begin(), out.offsets.end(),
                      out.offsets.begin());
@@ -250,9 +280,9 @@ FrameSimulator::sparseFiredDetectors(SparseSyndromes &out) const
     // shot's slice comes out sorted — same order firedDetectors() yields.
     out.flat.resize(out.offsets[shots_]);
     out.cursor_.assign(out.offsets.begin(), out.offsets.end() - 1);
-    for (size_t d = 0; d < num_detectors_; ++d)
+    for (size_t d = begin; d < end; ++d)
         forEachShot(d, [&](size_t s) {
-            out.flat[out.cursor_[s]++] = static_cast<uint32_t>(d);
+            out.flat[out.cursor_[s]++] = static_cast<uint32_t>(d - begin);
         });
 }
 

@@ -55,6 +55,14 @@ struct SparseSyndromes
  * circuit/batch-size, then `reset(seed)` + `run()` re-samples into the
  * same tables without reallocating.
  *
+ * Streaming: the two-argument constructor defers sampling, and
+ * `runUntil(n)` advances the instruction cursor only until n detectors
+ * exist, so a consumer can take detectors [begin, end) with the ranged
+ * `sparseFiredDetectors(out, begin, end)` while the rest of the circuit
+ * is still unsampled. Instructions run in the same order and draw the
+ * same random numbers however the run is split, so every sample equals
+ * the one-call `run()`. `reset(seed)` rewinds the cursor from any point.
+ *
  * Layout: with words = ceil(shots / 64), the X frame plane of every
  * qubit, the Z frame plane of every qubit, every measurement record and
  * every detector are `words`-word rows of four contiguous uint64_t
@@ -82,15 +90,30 @@ class FrameSimulator
     FrameSimulator(const Circuit &circuit, size_t shots, uint64_t seed);
 
     /**
-     * Rewind to a freshly-seeded state, keeping every buffer allocation.
-     * Follow with `run()` to sample the next batch.
+     * Size the tables for `shots` samples without sampling: follow with
+     * `reset(seed)` and `run()` or `runUntil()`.
+     */
+    FrameSimulator(const Circuit &circuit, size_t shots);
+
+    /**
+     * Rewind to a freshly-seeded state at the start of the circuit,
+     * keeping every buffer allocation. Follow with `run()` or
+     * `runUntil()` to sample the next batch.
      */
     void reset(uint64_t seed);
 
-    /** Propagate the circuit, filling detector/observable samples. */
+    /** Propagate the rest of the circuit, filling detector/observable
+     *  samples. */
     void run();
 
+    /**
+     * Propagate until at least `detectors` detectors are sampled (or the
+     * circuit ends); detector bits below that count are final.
+     */
+    void runUntil(size_t detectors);
+
     size_t shots() const { return shots_; }
+    /** Detectors sampled so far (all of them after `run()`). */
     size_t numDetectors() const { return num_detectors_; }
 
     /** Detector bits across shots (bit s = detector fired in shot s). */
@@ -108,7 +131,7 @@ class FrameSimulator
     std::vector<uint32_t> firedDetectors(size_t shot) const;
 
     /**
-     * Transpose the whole batch's detector bits into per-shot sparse
+     * Transpose the sampled detectors' bits into per-shot sparse
      * syndrome lists. Scans 64-shot words and skips zero words, so the
      * cost is O(detectors * words + fired) instead of the per-shot
      * firedDetectors() total of O(detectors * shots). `out` buffers are
@@ -116,6 +139,12 @@ class FrameSimulator
      */
     void sparseFiredDetectors(SparseSyndromes &out) const;
     SparseSyndromes sparseFiredDetectors() const;
+    /**
+     * The same transpose over detectors [begin, end) only, with ids
+     * relative to `begin`; `end` must not exceed numDetectors().
+     */
+    void sparseFiredDetectors(SparseSyndromes &out, size_t begin,
+                              size_t end) const;
 
   private:
     /** Per-instruction noise setup (see the class comment). */
@@ -151,7 +180,9 @@ class FrameSimulator
     std::vector<uint64_t> detectors_; // one row per detector
     std::vector<BitVec> observables_;
     std::vector<BitVec> probes_;
-    size_t num_detectors_ = 0;
+    size_t pc_ = 0;            ///< next instruction to propagate
+    size_t num_records_ = 0;   ///< measurements recorded so far
+    size_t num_detectors_ = 0; ///< detectors sampled so far
 };
 
 } // namespace surf

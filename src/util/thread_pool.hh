@@ -23,6 +23,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -30,6 +31,51 @@
 #include <vector>
 
 namespace surf {
+
+/**
+ * Progress of a producer task that other tasks of the same parallelFor()
+ * job consume step by step (e.g. a sampler publishing epochs to decode
+ * tasks). Publishing is a release store and waiting an acquire load, so
+ * whatever the producer wrote before publish(n) is visible to a task
+ * whose waitFor(n) returned true.
+ *
+ * A producer that throws must call fail() before rethrowing: the pool's
+ * abort only stops new claims, so a consumer already waiting would
+ * otherwise hold parallelFor()'s completion wait forever. The pool claims
+ * tasks in index order, so a producer at a lower task index than its
+ * consumers is always running (or inline-first) while they wait.
+ */
+class JobProgress
+{
+  public:
+    /** Before the job starts: `done` steps are already available. */
+    void reset(uint32_t done) { done_.store(done, std::memory_order_relaxed); }
+    /** Steps [0, done) are ready; wakes every waiter. */
+    void
+    publish(uint32_t done)
+    {
+        done_.store(done, std::memory_order_release);
+        done_.notify_all();
+    }
+    /** The producer failed: every waiter returns false. */
+    void fail() { publish(kFailed); }
+    /** Block until `steps` steps are ready; false once the producer
+     *  failed. */
+    bool
+    waitFor(uint32_t steps) const
+    {
+        uint32_t seen = done_.load(std::memory_order_acquire);
+        while (seen < steps) {
+            done_.wait(seen, std::memory_order_acquire);
+            seen = done_.load(std::memory_order_acquire);
+        }
+        return seen != kFailed;
+    }
+
+  private:
+    static constexpr uint32_t kFailed = UINT32_MAX;
+    std::atomic<uint32_t> done_{0};
+};
 
 /** Persistent thread pool with indexed workers. */
 class ThreadPool

@@ -3,8 +3,9 @@
  * Tests for the batched sampling + parallel decoding pipeline: thread-pool
  * correctness, thread-count invariance of runMemoryExperiment, agreement
  * of the batched sparse syndrome transpose with the per-shot scan, frame
- * simulator buffer-reuse determinism, and MWPM/union-find agreement on
- * low-weight syndromes.
+ * simulator buffer-reuse determinism, MWPM/union-find agreement on
+ * low-weight syndromes, and timeline digests (shots, failures, per-epoch
+ * mismatches, ledgers) pinned across the batch loop's history.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,12 @@
 #include "decode/memory_experiment.hh"
 #include "decode/mwpm.hh"
 #include "decode/union_find.hh"
+#include "defects/defect_sampler.hh"
+#include "faultinject/fault_plan.hh"
+#include "fnv64.hh"
 #include "lattice/rotated.hh"
+#include "scenario/epoch_plan.hh"
+#include "scenario/scenario_experiment.hh"
 #include "sim/dem.hh"
 #include "sim/frame.hh"
 #include "util/rng.hh"
@@ -247,6 +253,207 @@ TEST(Decoders, ScratchReuseMatchesFreshScratch)
                   mwpm.decode(fired.data(), fired.size(), fresh_ms));
         EXPECT_EQ(uf.decode(fired.data(), fired.size(), us),
                   uf.decode(fired.data(), fired.size(), fresh_us));
+    }
+}
+
+// ----------------------------------------------------- timeline digests
+
+uint64_t
+mix(uint64_t seed, uint64_t salt)
+{
+    uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (salt + 1);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
+void
+addLedger(testref::Fnv64 &f, const DegradationLedger &l)
+{
+    f.add(l.ladderDecodes);
+    f.add(l.degradedDecodes);
+    for (size_t s = 0; s < kNumDecodeStages; ++s) {
+        f.add(l.stageAttempts[s]);
+        f.add(l.stageTimeouts[s]);
+        f.add(l.stageCompleted[s]);
+        const LatencyHistogram &h = l.stageLatency[s];
+        for (uint64_t b : h.buckets)
+            f.add(b);
+        f.add(h.samples);
+        f.add(h.totalNs);
+        f.add(h.maxNs);
+    }
+    f.add(l.injectedStalls);
+    f.add(l.injectedBursts);
+    f.add(l.injectedBurstDetectors);
+    f.add(l.cacheStorms);
+    f.add(l.snapRestoredEntries);
+    f.add(l.snapRejectedRecords);
+    f.add(l.snapRecoveries);
+    f.add(l.fabDeadPatches);
+    f.add(l.fabAdaptedPatches);
+    f.add(l.fabDistanceLoss);
+}
+
+void
+addTimeline(testref::Fnv64 &f, const TimelineStats &tl)
+{
+    f.add(tl.shots);
+    f.add(tl.failures);
+    f.add(tl.events);
+    f.add(tl.dead);
+    f.add(tl.epochs.size());
+    for (const EpochStats &e : tl.epochs) {
+        f.add(e.shots);
+        f.add(e.mismatches);
+    }
+    addLedger(f, tl.ledger);
+}
+
+/** The scenario-d7 benchmark workload: d=7 cosmic-ray histories (seed
+ *  20240731, event rate x20000) in 20-round windows, 16 shots each. */
+ScenarioConfig
+scenarioD7Config(size_t threads)
+{
+    ScenarioConfig cfg;
+    cfg.timeline.strategy = Strategy::SurfDeformer;
+    cfg.timeline.d = 7;
+    cfg.timeline.deltaD = 2;
+    cfg.timeline.horizonRounds = 160;
+    cfg.timeline.windowRounds = 20;
+    cfg.timeline.maxEpochRounds = 20;
+    cfg.defectModel.durationSec = 40e-6;
+    cfg.defectModel.regionDiameter = 2;
+    cfg.eventRateScale = 20000.0;
+    cfg.noise.p = 2e-3;
+    cfg.maxShotsPerTimeline = 16;
+    cfg.batchShots = 16;
+    cfg.threads = threads;
+    return cfg;
+}
+
+/** Every scenario-d7 timeline, planned through one memo, run twice
+ *  against one cache (cold, then warm). */
+void
+addScenarioD7(testref::Fnv64 &f, size_t threads)
+{
+    const ScenarioConfig cfg = scenarioD7Config(threads);
+    DefectModelParams model = cfg.defectModel;
+    model.eventRatePerQubitSec *= cfg.eventRateScale;
+    const CodePatch base = squarePatch(cfg.timeline.d);
+    StrategyMemo memo;
+    std::vector<ScenarioPlan> plans;
+    for (uint64_t t = 0; t < 12; ++t) {
+        DefectSampler sampler(model, mix(20240731, t));
+        const auto events =
+            sampler.sampleEvents(base, cfg.timeline.horizonRounds);
+        plans.push_back(planEpochs(cfg.timeline, events, &memo));
+    }
+    DeformedCodeCache cache;
+    for (int pass = 0; pass < 2; ++pass)
+        for (size_t t = 0; t < plans.size(); ++t)
+            addTimeline(f, runPlannedTimeline(plans[t], cfg, cache,
+                                              mix(1, 0xba7c + t), 0));
+}
+
+/** A multi-epoch d=5 scenario of three batches (the last one short). */
+ScenarioConfig
+multiBatchScenario(size_t threads)
+{
+    ScenarioConfig sc;
+    sc.timeline.strategy = Strategy::SurfDeformer;
+    sc.timeline.d = 5;
+    sc.timeline.deltaD = 2;
+    sc.timeline.horizonRounds = 60;
+    sc.timeline.windowRounds = 10;
+    sc.timeline.maxEpochRounds = 10;
+    sc.defectModel.durationSec = 20e-6;
+    sc.defectModel.regionDiameter = 2;
+    sc.eventRateScale = 150000.0;
+    sc.numTimelines = 3;
+    sc.noise.p = 2e-3;
+    sc.maxShotsPerTimeline = 120;
+    sc.batchShots = 48;
+    sc.seed = 99;
+    sc.threads = threads;
+    return sc;
+}
+
+ScenarioResult
+addScenario(testref::Fnv64 &f, const ScenarioConfig &sc)
+{
+    auto res = runScenarioExperimentChecked(sc);
+    EXPECT_TRUE(res.ok()) << res.status().str();
+    if (!res.ok())
+        return {};
+    f.add(res.value().timelines.size());
+    for (const TimelineStats &tl : res.value().timelines)
+        addTimeline(f, tl);
+    addLedger(f, res.value().ledger);
+    return std::move(res.value());
+}
+
+uint64_t
+addMemory(testref::Fnv64 &f, const MemoryExperimentConfig &cfg)
+{
+    const auto r = runMemoryExperiment(squarePatch(3), cfg);
+    f.add(r.shots);
+    f.add(r.failures);
+    return r.shots;
+}
+
+TEST(Pipeline, TimelineDigestsMatchParent)
+{
+    // Recorded from the serial sample-then-decode batch loop: streaming
+    // sampling into the decode job, and sampling the next batch ahead,
+    // must not move a single shot, failure, mismatch or ledger count.
+    constexpr uint64_t kD7 = 9734418507501511299ULL;
+    constexpr uint64_t kFaults = 7903904456240761911ULL;
+    constexpr uint64_t kMemory = 14025444473483315227ULL;
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+        testref::Fnv64 d7;
+        addScenarioD7(d7, threads);
+
+        // Bursts, stalls under the virtual clock, and eviction storms at
+        // every batch and epoch build; then the same scenario stopped
+        // early after a few failures, with a batch sampled ahead.
+        testref::Fnv64 faults;
+        ScenarioConfig sc = multiBatchScenario(threads);
+        auto plan = parseFaultPlan("seed=9;stall.p=0.4;burst.p=0.1;"
+                                   "burst.size=8;storm.batches=1;"
+                                   "storm.epochs=2");
+        ASSERT_TRUE(plan.ok());
+        sc.faults = plan.value();
+        const ScenarioResult faulted = addScenario(faults, sc);
+        EXPECT_GT(faulted.ledger.degradedDecodes, 0u);
+        EXPECT_GT(faulted.ledger.injectedBursts, 0u);
+        EXPECT_GT(faulted.ledger.cacheStorms, 0u);
+        EXPECT_GT(faulted.totalEpochs, faulted.timelines.size());
+        ScenarioConfig early = multiBatchScenario(threads);
+        early.batchShots = 16;
+        early.targetFailures = 3;
+        EXPECT_LT(addScenario(faults, early).shots,
+                  early.numTimelines * early.maxShotsPerTimeline);
+
+        // Memory runs: early stop mid-run, and a short last batch.
+        testref::Fnv64 memory;
+        MemoryExperimentConfig cfg;
+        cfg.spec.rounds = 3;
+        cfg.noise.p = 1e-2;
+        cfg.maxShots = 20000;
+        cfg.batchShots = 256;
+        cfg.targetFailures = 40;
+        cfg.seed = 31;
+        cfg.threads = threads;
+        EXPECT_LT(addMemory(memory, cfg), cfg.maxShots);
+        cfg.maxShots = 1000;
+        cfg.batchShots = 384;
+        cfg.targetFailures = UINT64_MAX;
+        addMemory(memory, cfg);
+
+        EXPECT_EQ(d7.h, kD7) << "scenario-d7, " << threads << " threads";
+        EXPECT_EQ(faults.h, kFaults) << "faults, " << threads << " threads";
+        EXPECT_EQ(memory.h, kMemory) << "memory, " << threads << " threads";
     }
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Tests for RNG determinism/statistics, the stats helpers (including the
  * Poisson block-probability math behind the layout generator example in
- * paper Sec. VI), the thread pool's exception contract, the Status
+ * paper Sec. VI), the thread pool's exception contract (including a
+ * producer task failing under waiting consumers), the Status
  * result type and the deadline/degradation-ledger primitives.
  */
 
@@ -10,6 +11,8 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -208,6 +211,61 @@ TEST(ThreadPool, UsableAfterTaskException)
         ran.fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_EQ(ran.load(), 32);
+}
+
+TEST(ThreadPool, ProducerFailureReleasesWaitingConsumers)
+{
+    // Consumer tasks blocked on a producer task's progress: when the
+    // producer throws, its fail() must wake them, so parallelFor rethrows
+    // instead of waiting forever, and the pool runs the next job cleanly.
+    for (size_t workers : {1u, 4u}) {
+        ThreadPool pool(workers);
+        JobProgress progress;
+        std::atomic<size_t> waiting{0}, released{0};
+        progress.reset(0);
+        try {
+            pool.parallelFor(16, [&](size_t t, size_t) {
+                if (t == 0) {
+                    try {
+                        progress.publish(1);
+                        // Hold until every other worker is blocked on a
+                        // step that never comes.
+                        while (waiting.load() < pool.size() - 1)
+                            std::this_thread::yield();
+                        throw std::runtime_error("producer failed");
+                    } catch (...) {
+                        progress.fail();
+                        throw;
+                    }
+                }
+                ++waiting;
+                if (!progress.waitFor(2))
+                    ++released;
+            });
+            FAIL() << "parallelFor swallowed the producer exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_STREQ(e.what(), "producer failed");
+        }
+        EXPECT_EQ(released.load(), waiting.load()) << workers << " workers";
+
+        // Same pool, same progress: every consumer sees every step the
+        // producer wrote before publishing it.
+        std::vector<int> data(8, 0);
+        std::atomic<int> sum{0};
+        progress.reset(0);
+        pool.parallelFor(1 + data.size(), [&](size_t t, size_t) {
+            if (t == 0) {
+                for (size_t i = 0; i < data.size(); ++i) {
+                    data[i] = static_cast<int>(i) + 1;
+                    progress.publish(static_cast<uint32_t>(i + 1));
+                }
+                return;
+            }
+            ASSERT_TRUE(progress.waitFor(static_cast<uint32_t>(t)));
+            sum += data[t - 1];
+        });
+        EXPECT_EQ(sum.load(), 36) << workers << " workers";
+    }
 }
 
 TEST(ThreadPool, InlineExecutionPropagatesException)
