@@ -239,42 +239,15 @@ main(int argc, char **argv)
                           static_cast<double>(default_disagree));
         }
 
-        // ---- Row budget: resident row memory with and without a cap.
-        // The rows decoder above memoized full-graph rows for every
-        // defect the bursts touched; a budgeted decoder replays the
-        // same load under an LRU cap.
-        MwpmDecoder budgeted(dem, 1, nullptr, MatchingBackend::Sparse);
-        budgeted.setBlossomThreshold(SIZE_MAX);
-        budgeted.setRowBudget(64);
-        {
-            Rng rng2(0xbadbeef);
-            MwpmScratch sq;
-            for (const size_t kk : {8u, 16u, 32u, 48u, 64u, 96u, 128u}) {
-                const size_t reps = std::max<size_t>(
-                    4, static_cast<size_t>(s * 4096 / kk));
-                for (size_t r = 0; r < reps; ++r) {
-                    const auto b =
-                        burstCluster(dem, dense.graph(), kk, rng2);
-                    (void)budgeted.decode(b.data(), b.size(), sq);
-                }
-            }
-        }
-        const double unbudgeted_mib =
+        // ---- Row pool: the rows decoder above memoized full-graph rows
+        // for every defect the bursts touched.
+        const double row_mib =
             static_cast<double>(rows.memoryBytes()) / (1 << 20);
-        const double budgeted_mib =
-            static_cast<double>(budgeted.memoryBytes()) / (1 << 20);
-        std::printf("\nrow pool after the burst load: unbudgeted %zu rows "
-                    "(%.1f MiB), budget=64 -> %zu resident (%.1f MiB, "
-                    "%zu built)\n",
-                    rows.graph().rowsResident(), unbudgeted_mib,
-                    budgeted.graph().rowsResident(), budgeted_mib,
-                    budgeted.graph().rowsBuilt());
-        report.metric("rows_resident_unbudgeted",
+        std::printf("\nrow pool after the burst load: %zu rows (%.1f MiB)\n",
+                    rows.graph().rowsResident(), row_mib);
+        report.metric("rows_resident",
                       static_cast<double>(rows.graph().rowsResident()));
-        report.metric("rows_resident_budget64",
-                      static_cast<double>(budgeted.graph().rowsResident()));
-        report.metric("row_mem_mib_unbudgeted", unbudgeted_mib);
-        report.metric("row_mem_mib_budget64", budgeted_mib);
+        report.metric("row_mem_mib", row_mib);
     }
 
     const bool ok = all_agree && burst_weights_equal;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -25,21 +24,7 @@ edgeWeight(double p)
 MatchingBackend
 defaultMatchingBackend()
 {
-    static const MatchingBackend def = [] {
-        const char *env = std::getenv("SURF_MATCHING_BACKEND");
-        if (env && std::strcmp(env, "dense") == 0)
-            return MatchingBackend::Dense;
-        if (env && (std::strcmp(env, "sparse_blossom") == 0 ||
-                    std::strcmp(env, "blossom") == 0))
-            return MatchingBackend::SparseBlossom;
-        if (env && *env && std::strcmp(env, "sparse") != 0 &&
-            std::strcmp(env, "rows") != 0)
-            warn(std::string("SURF_MATCHING_BACKEND='") + env +
-                 "' is not a known backend (dense, sparse, rows, "
-                 "sparse_blossom); using the sparse default");
-        return MatchingBackend::Sparse;
-    }();
-    return def;
+    return MatchingBackend::Sparse;
 }
 
 DecodingGraph::DecodingGraph(const DetectorErrorModel &dem, uint8_t tag,
@@ -93,17 +78,17 @@ DecodingGraph::DecodingGraph(const DetectorErrorModel &dem, uint8_t tag,
     }
     csr_off_[numNodes() + 1] = off;
 
-    if (backend_ == MatchingBackend::Dense) {
+    if (backend_ == MatchingBackend::Dense)
         buildApsp(pool);
-    } else {
-        rows_ =
-            std::vector<std::atomic<std::shared_ptr<const Row>>>(numNodes());
-        fast_rows_ = std::vector<std::atomic<const Row *>>(numNodes());
-        row_stamp_ = std::vector<std::atomic<uint64_t>>(numNodes());
-    }
+    else
+        rows_ = std::vector<std::atomic<const Row *>>(numNodes());
 }
 
-DecodingGraph::~DecodingGraph() = default;
+DecodingGraph::~DecodingGraph()
+{
+    for (auto &slot : rows_)
+        delete slot.load(std::memory_order_relaxed);
+}
 
 int
 DecodingGraph::localOf(uint32_t global_det) const
@@ -123,54 +108,8 @@ DecodingGraph::memoryBytes() const
            csr_to_.capacity() * sizeof(int) +
            csr_w_.capacity() * sizeof(double) + csr_obs_.capacity() +
            dist_.capacity() * sizeof(float) + obs_.capacity() +
-           rows_.size() * (sizeof(rows_[0]) + sizeof(fast_rows_[0]) +
-                           sizeof(row_stamp_[0])) +
+           rows_.size() * sizeof(rows_[0]) +
            rows_resident_.load(std::memory_order_relaxed) * row_bytes;
-}
-
-void
-DecodingGraph::setRowBudget(size_t max_rows)
-{
-    {
-        std::lock_guard<std::mutex> lock(evict_mutex_);
-        if (max_rows)
-            // Sticky: readers must hold owned handles from here on
-            // (eviction may free rows), so the raw fast path closes
-            // for good. Must happen before any decode worker races.
-            row_budget_ever_.store(true, std::memory_order_release);
-        row_budget_ = max_rows;
-    }
-    enforceRowBudget();
-}
-
-void
-DecodingGraph::enforceRowBudget() const
-{
-    std::lock_guard<std::mutex> lock(evict_mutex_);
-    if (!row_budget_ ||
-        rows_resident_.load(std::memory_order_relaxed) <= row_budget_)
-        return;
-    // Collect resident slots oldest-first and drop until within budget.
-    // Readers holding shared_ptrs keep their rows alive; a dropped row
-    // is rebuilt (identically) on its next use.
-    std::vector<std::pair<uint64_t, int>> by_age;
-    by_age.reserve(rows_.size());
-    for (size_t i = 0; i < rows_.size(); ++i)
-        if (rows_[i].load(std::memory_order_acquire))
-            by_age.push_back(
-                {row_stamp_[i].load(std::memory_order_relaxed),
-                 static_cast<int>(i)});
-    std::sort(by_age.begin(), by_age.end());
-    for (const auto &[stamp, idx] : by_age) {
-        if (rows_resident_.load(std::memory_order_relaxed) <= row_budget_)
-            break;
-        if (rows_[static_cast<size_t>(idx)].exchange(
-                nullptr, std::memory_order_acq_rel)) {
-            fast_rows_[static_cast<size_t>(idx)].store(
-                nullptr, std::memory_order_release);
-            rows_resident_.fetch_sub(1, std::memory_order_relaxed);
-        }
-    }
 }
 
 void
@@ -216,65 +155,42 @@ DecodingGraph::search(int src, DijkstraScratch &sc, Row *record) const
     }
 }
 
-DecodingGraph::Row *
+std::unique_ptr<DecodingGraph::Row>
 DecodingGraph::buildRow(int src, DijkstraScratch &sc) const
 {
-    auto *row = new Row;
+    auto row = std::make_unique<Row>();
     row->dist.assign(numNodes() + 1,
                      std::numeric_limits<float>::infinity());
     row->par.assign(numNodes() + 1, 0);
-    search(src, sc, row);
+    search(src, sc, row.get());
     return row;
 }
 
-std::shared_ptr<const DecodingGraph::Row>
+const DecodingGraph::Row *
+DecodingGraph::publish(int src, std::unique_ptr<const Row> fresh) const
+{
+    const Row *cur = nullptr;
+    if (!rows_[static_cast<size_t>(src)].compare_exchange_strong(
+            cur, fresh.get(), std::memory_order_acq_rel,
+            std::memory_order_acquire))
+        return nullptr; // `fresh` frees the losing copy
+    rows_resident_.fetch_add(1, std::memory_order_relaxed);
+    return fresh.release(); // owned by the slot until ~DecodingGraph
+}
+
+const DecodingGraph::Row &
 DecodingGraph::row(int src, DijkstraScratch &sc) const
 {
     SURF_ASSERT(backend_ != MatchingBackend::Dense &&
                     static_cast<size_t>(src) < rows_.size(),
                 "row queries are a Sparse-backend defect-node facility");
     auto &slot = rows_[static_cast<size_t>(src)];
-    // Unbudgeted graphs (the default) never evict, so warm hits read a
-    // raw mirror pointer with no refcount traffic and return a
-    // non-owning handle — the same lock-free fast path the raw-pointer
-    // design had.
-    if (!row_budget_ever_.load(std::memory_order_acquire)) {
-        const Row *fast =
-            fast_rows_[static_cast<size_t>(src)].load(
-                std::memory_order_acquire);
-        if (fast)
-            return {std::shared_ptr<const void>(), fast};
-    }
-    // LRU stamps only matter when a budget can evict; the unbudgeted
-    // path skips the shared tick counter so workers don't contend on
-    // it for every defect of every shot.
-    auto touch = [&] {
-        if (row_budget_.load(std::memory_order_relaxed))
-            row_stamp_[static_cast<size_t>(src)].store(
-                row_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-    };
-    std::shared_ptr<const Row> cur = slot.load(std::memory_order_acquire);
-    if (cur) {
-        touch();
-        return cur;
-    }
-    std::shared_ptr<const Row> fresh{buildRow(src, sc)};
-    if (!slot.compare_exchange_strong(cur, fresh, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-        // Lost the race; `cur` now holds the (identical) winner.
-        touch();
-        return cur;
-    }
-    rows_built_.fetch_add(1, std::memory_order_relaxed);
-    rows_resident_.fetch_add(1, std::memory_order_relaxed);
-    fast_rows_[static_cast<size_t>(src)].store(fresh.get(),
-                                               std::memory_order_release);
-    touch();
-    if (row_budget_ &&
-        rows_resident_.load(std::memory_order_relaxed) > row_budget_)
-        enforceRowBudget();
-    return fresh;
+    if (const Row *cur = slot.load(std::memory_order_acquire))
+        return *cur;
+    if (const Row *mine = publish(src, buildRow(src, sc)))
+        return *mine;
+    // Lost the race to an identical row: read the winner's.
+    return *slot.load(std::memory_order_acquire);
 }
 
 uint64_t
@@ -309,52 +225,25 @@ void
 DecodingGraph::forEachResidentRow(
     const std::function<void(int src, const Row &row)> &fn) const
 {
-    if (backend_ == MatchingBackend::Dense)
-        return;
-    for (size_t i = 0; i < rows_.size(); ++i) {
-        // Owned handle: the row stays alive through the visit even if
-        // the budget evicts the slot concurrently.
-        std::shared_ptr<const Row> r =
-            rows_[i].load(std::memory_order_acquire);
-        if (r)
+    for (size_t i = 0; i < rows_.size(); ++i)
+        if (const Row *r = rows_[i].load(std::memory_order_acquire))
             fn(static_cast<int>(i), *r);
-    }
 }
 
 bool
 DecodingGraph::restoreRow(int src, Row &&row) const
 {
-    if (backend_ == MatchingBackend::Dense)
-        return false;
+    // Dense graphs have no row slots, so every source is out of range.
     if (src < 0 || static_cast<size_t>(src) >= rows_.size())
         return false;
     const size_t n = numNodes() + 1;
     if (row.dist.size() != n || row.par.size() != n)
         return false;
-    auto &slot = rows_[static_cast<size_t>(src)];
-    std::shared_ptr<const Row> cur = slot.load(std::memory_order_acquire);
-    if (cur)
+    if (rows_[static_cast<size_t>(src)].load(std::memory_order_acquire))
         return false; // a live row exists; values are identical anyway
-    std::shared_ptr<const Row> fresh =
-        std::make_shared<const Row>(std::move(row));
-    if (!slot.compare_exchange_strong(cur, fresh,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_acquire))
-        return false; // lost a publish race to a decode worker
-    // Same bookkeeping as row()'s first publication, except rows_built_
-    // stays untouched: a restore avoids a build, it doesn't perform one.
-    rows_resident_.fetch_add(1, std::memory_order_relaxed);
-    fast_rows_[static_cast<size_t>(src)].store(fresh.get(),
-                                               std::memory_order_release);
-    if (row_budget_.load(std::memory_order_relaxed)) {
-        row_stamp_[static_cast<size_t>(src)].store(
-            row_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
-            std::memory_order_relaxed);
-        if (rows_resident_.load(std::memory_order_relaxed) >
-            row_budget_.load(std::memory_order_relaxed))
-            enforceRowBudget();
-    }
-    return true;
+    // False when a decode worker published this source first.
+    return publish(src, std::make_unique<const Row>(std::move(row))) !=
+           nullptr;
 }
 
 void

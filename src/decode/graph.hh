@@ -28,7 +28,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -55,13 +54,9 @@ enum class MatchingBackend : uint8_t
 };
 
 /**
- * Process-wide default backend (read once, at first use) from the
- * environment variable SURF_MATCHING_BACKEND:
- *  - unset / "sparse": Sparse rows for small shots, with the decoder
- *    dispatching burst shots to the matrix-free sparse blossom
- *  - "dense": precomputed all-pairs tables
- *  - "rows": Sparse rows for every shot (no sparse-blossom dispatch)
- *  - "sparse_blossom" / "blossom": matrix-free matcher for every shot
+ * Default backend of new graphs and decoders: Sparse rows for small
+ * shots, with the decoder dispatching burst shots to the matrix-free
+ * sparse blossom. The other backends are chosen explicitly.
  */
 MatchingBackend defaultMatchingBackend();
 
@@ -178,43 +173,18 @@ class DecodingGraph
      * that keeps every pair able to beat the boundary excludes any node
      * of src's component.)
      *
-     * Concurrent builders may race; the first publication wins and the
-     * values are identical either way, so results never depend on the
-     * winner. The returned shared_ptr keeps the row alive for the
-     * caller even if the row budget evicts it mid-shot; rows are pure
-     * functions of `src`, so eviction and rebuild can never change
-     * results, only cost.
+     * Concurrent builders may race; the first publication wins, the
+     * loser frees its copy, and the values are identical either way, so
+     * results never depend on the winner. A published row lives until
+     * the graph is destroyed, so the reference stays valid for the
+     * graph's lifetime.
      */
-    std::shared_ptr<const Row> row(int src, DijkstraScratch &sc) const;
+    const Row &row(int src, DijkstraScratch &sc) const;
 
-    /**
-     * Bound the memoized row pool: at most `max_rows` rows stay
-     * resident (0 = unbounded). When a newly published row pushes the
-     * pool past the budget, the least-recently-used rows are dropped —
-     * long d >= 21 sweeps can no longer grow O(n^2) row memory. In-use
-     * rows are safe (shared_ptr), and results are unchanged by
-     * construction. Set the budget before decode workers start: the
-     * first non-zero budget permanently switches readers from the
-     * lock-free unbudgeted fast path to owned handles, and that switch
-     * must not race in-flight row() calls.
-     */
-    void setRowBudget(size_t max_rows);
-    size_t rowBudget() const
-    {
-        return row_budget_.load(std::memory_order_relaxed);
-    }
-
-    /** Rows currently resident (<= budget when one is set). */
+    /** Rows currently published (each source at most once). */
     size_t rowsResident() const
     {
         return rows_resident_.load(std::memory_order_relaxed);
-    }
-
-    /** Total rows built over the graph's lifetime (diagnostics; counts
-     *  rebuilds after eviction). */
-    size_t rowsBuilt() const
-    {
-        return rows_built_.load(std::memory_order_relaxed);
     }
 
     /** Rough heap footprint (cache accounting). */
@@ -231,10 +201,10 @@ class DecodingGraph
     uint64_t csrDigest() const;
 
     /**
-     * Visit every currently resident memoized row (Sparse backends
-     * only; no-op for Dense). Safe against concurrent publication and
-     * budget eviction: each slot is loaded as an owned handle for the
-     * duration of its visit. Used by the snapshot writer.
+     * Visit every currently published memoized row in source order
+     * (Sparse backends only; no-op for Dense). Safe against concurrent
+     * publication: a row seen once stays valid for the graph's
+     * lifetime. Used by the snapshot writer.
      */
     void forEachResidentRow(
         const std::function<void(int src, const Row &row)> &fn) const;
@@ -244,8 +214,8 @@ class DecodingGraph
      * snapshot-restore path. Rows are pure functions of `src`, so a
      * restored row is bit-identical to what the first
      * decode worker would have built; publishing uses the same CAS
-     * discipline as row(), so restores race safely against concurrent
-     * readers and row-budget reclamation. Rejects (returns false)
+     * as row(), so restores race safely against concurrent readers and
+     * builders. Rejects (returns false)
      * out-of-range sources, size-mismatched arrays and occupied slots;
      * never aborts.
      */
@@ -280,7 +250,11 @@ class DecodingGraph
     }
 
     /** Full Dijkstra for one memoized row. */
-    Row *buildRow(int src, DijkstraScratch &sc) const;
+    std::unique_ptr<Row> buildRow(int src, DijkstraScratch &sc) const;
+
+    /** CAS `fresh` into the empty slot of `src` and return it; null
+     *  (and `fresh` freed) when a row is already published there. */
+    const Row *publish(int src, std::unique_ptr<const Row> fresh) const;
 
     MatchingBackend backend_;
     uint8_t tag_ = 0;
@@ -298,26 +272,11 @@ class DecodingGraph
     std::vector<uint8_t> obs_; // parities, same indexing; bytes so
                                // parallel row fills don't share words
                                // across rows
-    /** Drop least-recently-used rows until the pool fits the budget. */
-    void enforceRowBudget() const;
 
-    // Sparse backend only: lazily built, immutable-once-published rows.
-    // Slots are atomic shared_ptrs so the budget can evict concurrently
-    // with readers; per-slot use stamps drive the LRU choice. While no
-    // budget has ever been set (the default), readers take a lock-free
-    // raw-pointer fast path instead (fast_rows_ mirrors the slots; a
-    // published row is never replaced, so non-owning readers stay safe);
-    // the first setRowBudget permanently switches readers to owned
-    // handles.
-    mutable std::vector<std::atomic<std::shared_ptr<const Row>>> rows_;
-    mutable std::vector<std::atomic<const Row *>> fast_rows_;
-    mutable std::vector<std::atomic<uint64_t>> row_stamp_;
-    mutable std::atomic<uint64_t> row_tick_{0};
-    mutable std::atomic<size_t> rows_built_{0};
+    // Sparse backend only: lazily built rows, each published once by a
+    // CAS on its slot and owned by the graph until destruction.
+    mutable std::vector<std::atomic<const Row *>> rows_;
     mutable std::atomic<size_t> rows_resident_{0};
-    std::atomic<size_t> row_budget_{0};      ///< 0 = unbounded
-    std::atomic<bool> row_budget_ever_{false};
-    mutable std::mutex evict_mutex_;
 };
 
 } // namespace surf

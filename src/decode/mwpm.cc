@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "decode/blossom.hh"
 #include "decode/match_weights.hh"
@@ -20,18 +18,6 @@ quantizeW(double w)
 }
 
 } // namespace
-
-size_t
-defaultBlossomThreshold()
-{
-    static const size_t def = [] {
-        const char *env = std::getenv("SURF_MATCHING_BACKEND");
-        if (env && std::strcmp(env, "rows") == 0)
-            return SIZE_MAX;
-        return size_t{0}; // automatic count + density heuristic
-    }();
-    return def;
-}
 
 bool
 MwpmDecoder::decode(const uint32_t *fired, size_t n_fired,
@@ -259,15 +245,11 @@ MwpmDecoder::decodeSparse(MwpmScratch &sc) const
     // store.
     sc.pathDist.assign(cols * cols, kInf);
     sc.pathPar.assign(cols * cols, 0);
-    sc.rows.clear();
     for (int i = 0; i < k; ++i) {
         if (outOfTime())
             return false;
-        sc.rows.push_back(
-            graph_.row(defects[static_cast<size_t>(i)], sc.dijkstra));
-    }
-    for (int i = 0; i < k; ++i) {
-        const DecodingGraph::Row &ri = *sc.rows[static_cast<size_t>(i)];
+        const DecodingGraph::Row &ri =
+            graph_.row(defects[static_cast<size_t>(i)], sc.dijkstra);
         for (int j = i + 1; j <= k; ++j) {
             const auto tj = static_cast<size_t>(
                 j < k ? defects[static_cast<size_t>(j)] : bnode);

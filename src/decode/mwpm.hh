@@ -53,12 +53,6 @@ namespace surf {
  *  graphs (d >= 13). Override with setBlossomThreshold(). */
 inline constexpr size_t kDefaultBlossomDefects = 56;
 
-/** Process-wide default for the sparse-blossom dispatch: automatic
- *  (count + density heuristic above), or never when
- *  SURF_MATCHING_BACKEND=rows pins the rows pipeline. Returns SIZE_MAX
- *  for "never", 0 for "automatic". */
-size_t defaultBlossomThreshold();
-
 /**
  * Reusable per-thread decode workspace. The defect list, the dense
  * matching weight matrix, the blossom mate buffer, the Dijkstra search
@@ -84,9 +78,6 @@ struct MwpmScratch
     DijkstraScratch dijkstra;
     std::vector<float> pathDist;
     std::vector<uint8_t> pathPar;
-    /** Shared row handles held for the duration of one shot, so a row
-     *  budget eviction can never free a row mid-decode. */
-    std::vector<std::shared_ptr<const DecodingGraph::Row>> rows;
 
     // Matrix-free matcher arena (ball growth, candidate hash, blossom
     // solver); used by the SparseBlossom backend and by burst shots the
@@ -124,7 +115,7 @@ class MwpmDecoder
     /**
      * @param pool optional workers for parallel table construction
      *             (Dense backend only; Sparse builds in O(edges))
-     * @param backend query backend, default from SURF_MATCHING_BACKEND
+     * @param backend query backend (see defaultMatchingBackend())
      */
     MwpmDecoder(const DetectorErrorModel &dem, uint8_t tag,
                 ThreadPool *pool = nullptr,
@@ -159,10 +150,6 @@ class MwpmDecoder
     /** Rough heap footprint (cache accounting). */
     size_t memoryBytes() const { return graph_.memoryBytes(); }
 
-    /** LRU bound on the memoized Dijkstra row pool (see
-     *  DecodingGraph::setRowBudget); 0 = unbounded. */
-    void setRowBudget(size_t max_rows) { graph_.setRowBudget(max_rows); }
-
     /**
      * Decode one shot: `fired` points at `n_fired` fired detector ids
      * (global); detectors of other tags are ignored. Thread-safe given a
@@ -189,8 +176,8 @@ class MwpmDecoder
     bool decodeLadder(MwpmScratch &scratch) const;
 
     DecodingGraph graph_;
-    size_t blossom_threshold_ = defaultBlossomThreshold();
-    bool auto_threshold_ = defaultBlossomThreshold() == 0;
+    size_t blossom_threshold_ = 0;
+    bool auto_threshold_ = true;
 };
 
 } // namespace surf

@@ -167,12 +167,13 @@ void
 writeSegmentRecord(SnapshotWriter &snap, const std::string &key,
                    const CachedSegment &seg, double cost, uint64_t &rowsOut)
 {
-    // Collect the resident rows once (a single coherent pass), then
-    // write; forEachResidentRow holds each row as an owned handle.
+    // Collect the resident rows once (a single coherent pass, so the
+    // count matches the rows written), then write. Published rows live
+    // as long as the graph, so pointers suffice.
     const DecodingGraph &g = seg.mwpm->graph();
-    std::vector<SavedRow> rows;
+    std::vector<std::pair<int, const DecodingGraph::Row *>> rows;
     g.forEachResidentRow([&](int src, const DecodingGraph::Row &row) {
-        rows.push_back({src, row});
+        rows.emplace_back(src, &row);
     });
     rowsOut += rows.size();
 
@@ -181,16 +182,16 @@ writeSegmentRecord(SnapshotWriter &snap, const std::string &key,
     w.str(key);
     w.u8(g.tag());
     w.u8(static_cast<uint8_t>(g.backend()));
-    w.u64(g.rowBudget());
+    w.u64(0); // retired row-budget slot, kept for the record layout
     writeCircuit(w, seg.circuit);
     writeDem(w, seg.dem);
     w.u64(g.csrDigest());
     w.u64(rows.size());
-    for (const SavedRow &sr : rows) {
-        w.u64(static_cast<uint64_t>(sr.src));
-        w.u64(sr.row.dist.size());
-        w.bytes(sr.row.dist.data(), sr.row.dist.size() * sizeof(float));
-        w.bytes(sr.row.par.data(), sr.row.par.size());
+    for (const auto &[src, row] : rows) {
+        w.u64(static_cast<uint64_t>(src));
+        w.u64(row->dist.size());
+        w.bytes(row->dist.data(), row->dist.size() * sizeof(float));
+        w.bytes(row->par.data(), row->par.size());
     }
     w.f64(cost);
     snap.endRecord();
@@ -205,7 +206,7 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
     const std::string key = r.str();
     const uint8_t tag = r.u8();
     const uint8_t backend = r.u8();
-    const uint64_t row_budget = r.u64();
+    (void)r.u64(); // retired row-budget slot
     if (!r.ok() || key.empty() || tag > 1 || backend > kMaxBackend)
         return false;
 
@@ -261,8 +262,6 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
     cs.uf = std::make_unique<UnionFindDecoder>(cs.dem, tag);
     if (cs.mwpm->graph().csrDigest() != digest)
         return false;
-    if (row_budget)
-        cs.mwpm->setRowBudget(static_cast<size_t>(row_budget));
     for (SavedRow &sr : rows)
         if (cs.mwpm->graph().restoreRow(sr.src, std::move(sr.row)))
             ++stats.rows;

@@ -225,7 +225,7 @@ scenarioConfigSignature(const ScenarioConfig &cfg)
     sig.f64(live_faults ? f.fabCouplerProb : 0.0);
     // Deliberately excluded (result-invariant by the engine's contract):
     // threads, useCache, cache pointer, cacheMaxBytes/Entries,
-    // mwpmRowBudget, persistDir, snap.*.
+    // persistDir, snap.*.
     return sig.h;
 }
 

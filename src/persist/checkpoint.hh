@@ -13,7 +13,7 @@
  * The config signature hashes every field that influences results
  * (strategy, distances, horizons, noise, seeds, decoder and fault plan)
  * and deliberately excludes the result-invariant knobs (thread count,
- * cache budgets, row budgets, persist directory, snap.* fault clauses):
+ * cache budgets, persist directory, snap.* fault clauses):
  * a resume may change those freely, while a checkpoint written under a
  * different physics config is ignored as stale.
  */

@@ -118,7 +118,6 @@ segmentCacheKey(const std::string &prevSig, const std::string &curSig,
     key += "\nnoise:" + noiseSignature(decoderNoise);
     key += "\ndec:";
     key += backendTag(cfg.matching);
-    key += " rb" + std::to_string(cfg.mwpmRowBudget);
     return key;
 }
 
@@ -138,7 +137,6 @@ timelineCacheKey(const ScenarioPlan &plan, const ScenarioConfig &cfg)
         key += " dk";
     key += " dec:";
     key += backendTag(cfg.matching);
-    key += " rb" + std::to_string(cfg.mwpmRowBudget);
     key += "\nnoise:" + noiseSignature(cfg.noise);
     for (const Epoch &ep : plan.epochs) {
         key += "\n@" + std::to_string(ep.startRound) + "+" +
@@ -251,8 +249,6 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
             cs.dem = buildDem(cs.circuit, cfg.basis);
             cs.mwpm = std::make_unique<MwpmDecoder>(cs.dem, tag, &pool,
                                                     cfg.matching);
-            if (cfg.mwpmRowBudget)
-                cs.mwpm->setRowBudget(cfg.mwpmRowBudget);
             cs.uf = std::make_unique<UnionFindDecoder>(cs.dem, tag);
             return cs;
         };

@@ -72,12 +72,9 @@ struct ScenarioConfig
      *  decode-segment cache identity). The default Sparse backend
      *  dispatches burst shots to the matrix-free sparse blossom past
      *  the decoder's defect threshold; Dense/SparseBlossom pin one
-     *  path for every shot. */
+     *  path for every shot. Memoized rows are bounded by the cache
+     *  budget (cacheMaxBytes), which charges each decoder's row growth. */
     MatchingBackend matching = defaultMatchingBackend();
-    /** LRU bound on each cached decoder's memoized Dijkstra row pool
-     *  (rows per graph; 0 = unbounded). Caps decoder memory on long
-     *  high-distance sweeps without changing any result. */
-    size_t mwpmRowBudget = 0;
     uint64_t maxShotsPerTimeline = 4096;
     uint64_t targetFailures = UINT64_MAX; ///< stop early once reached
     size_t batchShots = 4096;
