@@ -1,9 +1,9 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the performance-critical kernels:
- * frame-simulator sampling, DEM extraction, MWPM decoding, deformation,
- * graph distance computation, epoch planning, a warm scenario pass, and
- * deformed-code cache snapshot save/load.
+ * frame-simulator sampling, DEM extraction, MWPM decoding, cold Dijkstra
+ * rows, deformation, graph distance computation, epoch planning, a warm
+ * scenario pass, and deformed-code cache snapshot save/load.
  */
 
 #include <benchmark/benchmark.h>
@@ -221,6 +221,29 @@ BENCHMARK(BM_DecodingGraphBuild)
     ->Args({5, 1})
     ->Args({9, 1})
     ->Args({13, 1});
+
+void
+BM_ColdRows(benchmark::State &state)
+{
+    // Every Dijkstra row of a cold decoder (arg: distance): each
+    // iteration builds a fresh Sparse decoder over a d-round Z memory
+    // DEM and asks for the row of every node, as a freshly deformed
+    // code does before its rows are warm.
+    const int d = static_cast<int>(state.range(0));
+    const auto built = standardCircuit(d, 5e-3);
+    const auto dem = buildDem(built.circuit, PauliType::Z);
+    DijkstraScratch scratch;
+    int n = 0;
+    for (auto _ : state) {
+        const MwpmDecoder decoder(dem, 1, nullptr, MatchingBackend::Sparse);
+        const DecodingGraph &graph = decoder.graph();
+        n = static_cast<int>(graph.numNodes());
+        for (int src = 0; src < n; ++src)
+            benchmark::DoNotOptimize(graph.row(src, scratch).dist.data());
+    }
+    state.SetItemsProcessed(state.iterations() * n); // rows
+}
+BENCHMARK(BM_ColdRows)->Arg(7)->Arg(9)->Arg(13)->Unit(benchmark::kMillisecond);
 
 void
 BM_PipelineDecode(benchmark::State &state)

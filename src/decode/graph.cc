@@ -1,8 +1,11 @@
 #include "decode/graph.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -17,6 +20,24 @@ edgeWeight(double p)
     // Clamp into (0, 0.5) so weights stay positive and finite.
     const double q = std::clamp(p, 1e-14, 0.499999);
     return std::log((1.0 - q) / q);
+}
+
+/** Radix-queue key of a non-negative distance: its IEEE-754 bits,
+ *  which order like the values. */
+uint64_t
+keyOf(double d)
+{
+    uint64_t k;
+    std::memcpy(&k, &d, sizeof k);
+    return k;
+}
+
+/** Bucket of `key` relative to the last popped key: 0 when equal, else
+ *  one past the highest bit in which they differ. */
+int
+bucketOf(uint64_t key, uint64_t last)
+{
+    return std::bit_width(key ^ last);
 }
 
 } // namespace
@@ -58,6 +79,10 @@ DecodingGraph::DecodingGraph(const DetectorErrorModel &dem, uint8_t tag,
         if (a == b)
             continue;
         const double w = edgeWeight(e.p);
+        // The radix queue orders distances by their bit patterns, which
+        // needs finite, positive weights.
+        SURF_ASSERT(std::isfinite(w) && w > 0.0, "edge weight ", w,
+                    " from p = ", e.p);
         adj[static_cast<size_t>(a)].push_back({b, w, e.flipsObs});
         adj[static_cast<size_t>(b)].push_back({a, w, e.flipsObs});
         n_dirs += 2;
@@ -115,41 +140,97 @@ DecodingGraph::memoryBytes() const
 void
 DecodingGraph::search(int src, DijkstraScratch &sc, Row *record) const
 {
+    using Entry = DijkstraScratch::Entry;
     const size_t n = numNodes() + 1;
     sc.bind(n);
     if (++sc.cur == 0) {
         std::fill(sc.gen.begin(), sc.gen.end(), 0);
         sc.cur = 1;
     }
-    using Item = std::pair<double, int>;
-    const auto by_dist = std::greater<Item>();
-    auto &heap = sc.heap;
-    heap.clear();
-    sc.dist[static_cast<size_t>(src)] = 0.0;
-    sc.par[static_cast<size_t>(src)] = 0;
-    sc.gen[static_cast<size_t>(src)] = sc.cur;
-    heap.push_back({0.0, src});
-    while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), by_dist);
-        const auto [dv, v] = heap.back();
-        heap.pop_back();
-        const auto vi = static_cast<size_t>(v);
-        if (dv > sc.dist[vi])
+    auto &buckets = sc.buckets;
+    auto &ties = buckets[0]; // popped from `head` on
+    size_t head = 0;
+    uint64_t last = keyOf(0.0); // key of the last popped entry
+    uint64_t mask = 1;          // bit b set iff bucket b has entries
+    uint64_t lo[DijkstraScratch::kBuckets]; // smallest key per bucket
+    std::fill(std::begin(lo), std::end(lo), UINT64_MAX);
+    auto put = [&](const Entry &e, int j) {
+        lo[j] = std::min(lo[j], e.key);
+        mask |= uint64_t{1} << j;
+        buckets[static_cast<size_t>(j)].push_back(e);
+    };
+    const auto by_node = [](const Entry &a, const Entry &b) {
+        return a.node < b.node;
+    };
+    // Plain pointers: the bucket pushes would otherwise make the compiler
+    // reload every vector's data pointer (and the stamp) per relaxation.
+    double *const dist = sc.dist.data();
+    uint8_t *const par = sc.par.data();
+    uint32_t *const gen = sc.gen.data();
+    const uint32_t cur = sc.cur;
+    const uint32_t *const off = csr_off_.data();
+    const int *const to_node = csr_to_.data();
+    const double *const weight = csr_w_.data();
+    const uint8_t *const flips = csr_obs_.data();
+    dist[src] = 0.0;
+    par[src] = 0;
+    gen[src] = cur;
+    ties.push_back({last, src});
+    while (mask != 0) {
+        if (!(mask & 1)) {
+            // The ties ran dry: the lowest nonempty bucket holds the
+            // smallest key. Make it `last` and redistribute the bucket;
+            // its entries all land in lower buckets.
+            const int b = std::countr_zero(mask);
+            auto &from = buckets[static_cast<size_t>(b)];
+            mask &= ~(uint64_t{1} << b);
+            last = std::exchange(lo[b], UINT64_MAX);
+            for (const Entry &e : from) {
+                const int j = bucketOf(e.key, last);
+                if (j == 0)
+                    ties.push_back(e);
+                else
+                    put(e, j);
+            }
+            from.clear();
+            mask |= 1;
+            // Equal distances pop in ascending node id. Relaxation order
+            // mostly pushes them that way already.
+            if (!std::is_sorted(ties.begin(), ties.end(), by_node))
+                std::sort(ties.begin(), ties.end(), by_node);
+            continue;
+        }
+        const Entry top = ties[head++];
+        if (head == ties.size()) {
+            ties.clear();
+            head = 0;
+            mask &= ~uint64_t{1};
+        }
+        const auto vi = static_cast<size_t>(top.node);
+        const double dv = dist[vi];
+        if (top.key != keyOf(dv))
             continue; // stale entry: v already settled closer
         if (record) {
-            record->dist[vi] = static_cast<float>(sc.dist[vi]);
-            record->par[vi] = sc.par[vi];
+            record->dist[vi] = static_cast<float>(dv);
+            record->par[vi] = par[vi];
         }
-        const uint32_t b0 = csr_off_[vi], b1 = csr_off_[vi + 1];
-        for (uint32_t i = b0; i < b1; ++i) {
-            const auto to = static_cast<size_t>(csr_to_[i]);
-            const double nd = dv + csr_w_[i];
-            if (sc.gen[to] != sc.cur || nd < sc.dist[to] - 1e-12) {
-                sc.gen[to] = sc.cur;
-                sc.dist[to] = nd;
-                sc.par[to] = sc.par[vi] ^ csr_obs_[i];
-                heap.push_back({nd, csr_to_[i]});
-                std::push_heap(heap.begin(), heap.end(), by_dist);
+        for (uint32_t i = off[vi]; i < off[vi + 1]; ++i) {
+            const auto to = static_cast<size_t>(to_node[i]);
+            const double nd = dv + weight[i];
+            if (gen[to] != cur || nd < dist[to] - 1e-12) {
+                gen[to] = cur;
+                dist[to] = nd;
+                par[to] = par[vi] ^ flips[i];
+                const Entry e{keyOf(nd), to_node[i]};
+                const int j = bucketOf(e.key, last);
+                if (j == 0) { // nd rounded to dv: keep the ties sorted
+                    ties.insert(std::upper_bound(ties.begin() + head,
+                                                 ties.end(), e, by_node),
+                                e);
+                    mask |= 1;
+                } else {
+                    put(e, j);
+                }
             }
         }
     }

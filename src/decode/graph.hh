@@ -14,21 +14,24 @@
  *    build, O(1) queries. Kept for equivalence testing and for
  *    query-heavy workloads on small graphs.
  *
- * Both backends share one Dijkstra kernel (same relaxation order,
- * epsilon and float rounding), so every quantity the sparse backend
- * reports is bit-identical to the dense tables' entry for the same
- * (source, target) pair.
+ * Both backends share one Dijkstra kernel (same pop order, relaxation
+ * order, epsilon and float rounding), so every quantity the sparse
+ * backend reports is bit-identical to the dense tables' entry for the
+ * same (source, target) pair. The kernel's frontier is a radix queue
+ * (see DijkstraScratch) that pops in ascending (distance, node id), the
+ * order of a binary heap of pairs; tests/dijkstra_reference.hh keeps
+ * that heap as the oracle.
  */
 
 #ifndef SURF_DECODE_GRAPH_HH
 #define SURF_DECODE_GRAPH_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "sim/dem.hh"
@@ -72,10 +75,26 @@ inline constexpr double kWeightTieMargin = 8.0 / 1024.0;
  * loop performs no allocation in steady state. One scratch per thread;
  * a scratch may be shared across graphs of different sizes (arrays only
  * ever grow).
+ *
+ * The frontier is a monotone radix queue keyed on the IEEE-754 bits of
+ * the tentative distances (for non-negative doubles the bit patterns
+ * order like the values). Bucket b > 0 holds the entries whose key
+ * first differs from the last popped key at bit b-1; bucket 0 holds the
+ * entries whose key equals it, in ascending node id, so the queue pops
+ * in the same (distance, node) order as a binary heap of pairs. Every
+ * search exhausts the queue, so the buckets are empty between searches
+ * and keep their capacity.
  */
 struct DijkstraScratch
 {
-    std::vector<std::pair<double, int>> heap;
+    struct Entry
+    {
+        uint64_t key; ///< bits of the tentative distance
+        int node;
+    };
+    static constexpr int kBuckets = 64; ///< the sign bit never differs
+
+    std::array<std::vector<Entry>, kBuckets> buckets;
     std::vector<double> dist;
     std::vector<uint8_t> par;
     std::vector<uint32_t> gen;
@@ -86,7 +105,6 @@ struct DijkstraScratch
     bind(size_t n)
     {
         if (dist.size() < n) {
-            heap.reserve(n);
             dist.resize(n);
             par.resize(n);
             gen.resize(n, 0);
@@ -225,11 +243,15 @@ class DecodingGraph
     void buildApsp(ThreadPool *pool);
 
     /**
-     * The one Dijkstra kernel both backends run — identical relaxation
-     * order, tie epsilon and float rounding, which is what makes sparse
-     * rows bit-compatible with the dense tables. The frontier is
+     * The one Dijkstra kernel both backends run — identical pop order,
+     * relaxation order, tie epsilon and float rounding, which is what
+     * makes sparse rows bit-compatible with the dense tables. Nodes
+     * settle in ascending (distance, node id) from the scratch's radix
+     * queue; each relaxes its CSR edges in order and takes a first
+     * visit or an improvement by more than 1e-12. The frontier is
      * exhausted into the scratch; with `record` non-null every settled
-     * node is also written into the record row.
+     * node is also written into the record row. Needs finite, positive
+     * weights, which the constructor asserts.
      */
     void search(int src, DijkstraScratch &sc, Row *record) const;
 

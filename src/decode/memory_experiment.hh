@@ -35,9 +35,11 @@ struct MemoryExperimentConfig
     size_t mwpmDefectCap = 120; ///< Auto: defect count above which UF runs
     size_t batchShots = 4096;
     /** Decode worker threads per batch; 0 = hardware concurrency. The
-     *  result is bit-identical for any thread count: sampling stays
-     *  serial per batch and every shot decodes independently, so the
-     *  failure count is invariant under sharding. */
+     *  result is bit-identical for any thread count: one task samples
+     *  each batch from its own seed in batch order (the next batch
+     *  ahead, while this one decodes) and every shot decodes
+     *  independently, so the failure count is invariant under
+     *  sharding. */
     size_t threads = 0;
     /** When false (paper-faithful default), the decoding graph is built
      *  from the defect-free error rates: an untreated defective code is
