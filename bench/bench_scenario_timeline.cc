@@ -121,7 +121,7 @@ main(int argc, char **argv)
     const auto cache_mb = static_cast<size_t>(
         flagValue(argc, argv, "cache_mb", 0));
     if (cache_mb)
-        shared_cache.setBudget(cache_mb << 20, 0);
+        shared_cache.setBudget(cache_mb << 20);
     cfg.useCache = true;
     cfg.cache = &shared_cache;
     const Timed cold = run(cfg);

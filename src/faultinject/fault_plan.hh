@@ -13,7 +13,7 @@
  *  - decoder stalls (stall.*): virtual time charged to a ladder stage at
  *    stage entry, forcing the deadline's staged fallback deterministically
  *    (util/deadline.hh, virtual clock mode);
- *  - cache-eviction storms (storm.*): DeformedCodeCache::clear() fired
+ *  - cache-eviction storms (storm.*): DeformedCodeCache::evictAll() fired
  *    mid-timeline between epoch builds and between shot batches, while
  *    live decodes still hold shared_ptr handles into evicted entries;
  *  - defect-stream truncation/corruption (truncate.frac / corrupt.p):

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "pauli/bitmatrix.hh"
 #include "util/logging.hh"
 
 namespace surf {

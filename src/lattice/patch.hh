@@ -16,13 +16,27 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lattice/coord.hh"
 #include "pauli/pauli_string.hh"
-#include "pauli/subsystem_code.hh"
 
 namespace surf {
+
+/** Outcome of a structural validity check, with a reason when invalid. */
+struct ValidationResult
+{
+    bool ok = true;
+    std::string reason;
+
+    static ValidationResult pass() { return {}; }
+    static ValidationResult
+    fail(std::string why)
+    {
+        return {false, std::move(why)};
+    }
+};
 
 /** Whether a measured operator is a full stabilizer or a gauge operator. */
 enum class CheckRole : uint8_t { Stabilizer, Gauge };

@@ -182,8 +182,6 @@ writeSegmentRecord(SnapshotWriter &snap, const std::string &key,
     w.str(key);
     w.u8(g.tag());
     w.u8(static_cast<uint8_t>(g.backend()));
-    w.u64(0); // retired row-budget slot, kept for the record layout
-    writeCircuit(w, seg.circuit);
     writeDem(w, seg.dem);
     w.u64(g.csrDigest());
     w.u64(rows.size());
@@ -197,8 +195,8 @@ writeSegmentRecord(SnapshotWriter &snap, const std::string &key,
     snap.endRecord();
 }
 
-/** Restore one segment record; returns rows restored, or nullopt-style
- *  false on rejection (nothing inserted). */
+/** Restore one segment record: key, tag, backend, DEM, CSR digest, rows,
+ *  cost. False on rejection (nothing inserted). */
 bool
 restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
                      SnapshotRestoreStats &stats)
@@ -206,18 +204,11 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
     const std::string key = r.str();
     const uint8_t tag = r.u8();
     const uint8_t backend = r.u8();
-    (void)r.u64(); // retired row-budget slot
     if (!r.ok() || key.empty() || tag > 1 || backend > kMaxBackend)
         return false;
 
     CachedSegment cs;
-    if (!readCircuit(r, cs.circuit))
-        return false;
     if (!readDem(r, cs.dem))
-        return false;
-    // Cross-field invariant the engine relies on: the standalone circuit
-    // and its DEM agree on the detector count.
-    if (cs.circuit.numDetectors() != cs.dem.numDetectors)
         return false;
 
     const uint64_t digest = r.u64();

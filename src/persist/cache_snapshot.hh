@@ -1,14 +1,14 @@
 /**
  * @file
  * DeformedCodeCache snapshot: serialize the expensive warm state — segment
- * circuits, detector error models, memoized Dijkstra rows and stitched
- * timelines — so a later run (or a run resumed after a crash) starts at
- * warm-cache speed instead of rebuilding everything from scratch.
+ * detector error models, memoized Dijkstra rows and stitched timelines —
+ * so a later run (or a run resumed after a crash) starts at warm-cache
+ * speed instead of rebuilding everything from scratch.
  *
  * Restore strategy: decoders are NOT serialized. A segment record carries
- * its circuit, its DEM, a digest of the decoding graph's CSR arrays, and
- * the memoized rows; the loader rebuilds the decoders from the DEM (an
- * O(edges) construction) and then verifies that the rebuilt graph's CSR
+ * its DEM, a digest of the decoding graph's CSR arrays, and the memoized
+ * rows; the loader rebuilds the decoders from the DEM (an O(edges)
+ * construction) and then verifies that the rebuilt graph's CSR
  * digest matches the recorded one before trusting a single row. Entries
  * are pure functions of their cache keys, so a restored entry answers
  * every query bit-identically to a cold-built one — corruption can only

@@ -224,8 +224,8 @@ scenarioConfigSignature(const ScenarioConfig &cfg)
     sig.f64(live_faults ? f.fabQubitProb : 0.0);
     sig.f64(live_faults ? f.fabCouplerProb : 0.0);
     // Deliberately excluded (result-invariant by the engine's contract):
-    // threads, useCache, cache pointer, cacheMaxBytes/Entries,
-    // persistDir, snap.*.
+    // threads, useCache, cache pointer (and its budget), persistDir,
+    // snap.*.
     return sig.h;
 }
 

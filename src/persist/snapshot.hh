@@ -54,8 +54,10 @@ inline constexpr uint32_t kSnapshotFormatVersion = 1;
 /** Payload ABI version: bump when any serialized struct changes.
  *  v2: DegradationLedger gained the three fab* counters.
  *  v3: memoized rows are full searches and carry no radius (v2 rows
- *      stop at 2 d(src, B)). */
-inline constexpr uint32_t kSnapshotAbiVersion = 3;
+ *      stop at 2 d(src, B)).
+ *  v4: segment records drop the standalone circuit and the retired
+ *      row-budget slot (key, tag, backend, DEM, CSR digest, rows, cost). */
+inline constexpr uint32_t kSnapshotAbiVersion = 4;
 /** Header size: magic (8) | format u32 | abi u32 | header crc32. */
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 4;
 

@@ -11,7 +11,7 @@ namespace surf {
 size_t
 CachedSegment::memoryBytes() const
 {
-    size_t bytes = sizeof(CachedSegment) + circuit.memoryBytes();
+    size_t bytes = sizeof(CachedSegment);
     bytes += dem.detectorTag.capacity();
     bytes += (dem.edges[0].capacity() + dem.edges[1].capacity()) *
              sizeof(DemEdge);
@@ -172,11 +172,8 @@ DeformedCodeCache::touch(Entry &e)
 void
 DeformedCodeCache::enforceBudget(const Entry *pinned)
 {
-    auto overBudget = [&] {
-        return (max_bytes_ && bytes_used_ > max_bytes_) ||
-               (max_entries_ && entries_.size() > max_entries_);
-    };
-    while (overBudget() && entries_.size() > (pinned ? 1u : 0u)) {
+    while (max_bytes_ && bytes_used_ > max_bytes_ &&
+           entries_.size() > (pinned ? 1u : 0u)) {
         auto victim = entries_.end();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
             if (&it->second == pinned)
@@ -195,10 +192,9 @@ DeformedCodeCache::enforceBudget(const Entry *pinned)
 }
 
 void
-DeformedCodeCache::setBudget(size_t max_bytes, size_t max_entries)
+DeformedCodeCache::setBudget(size_t max_bytes)
 {
     max_bytes_ = max_bytes;
-    max_entries_ = max_entries;
     enforceBudget(nullptr);
 }
 
@@ -274,16 +270,6 @@ DeformedCodeCache::restoreTimeline(const std::string &key, CachedTimeline tl,
     touch(stored);
     enforceBudget(&stored);
     return true;
-}
-
-void
-DeformedCodeCache::clear()
-{
-    entries_.clear();
-    bytes_used_ = 0;
-    clock_ = 0.0;
-    build_seconds_ = 0.0;
-    hits_ = misses_ = evictions_ = 0;
 }
 
 } // namespace surf

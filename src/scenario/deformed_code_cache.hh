@@ -1,8 +1,9 @@
 /**
  * @file
  * DeformedCodeCache: memoizes the expensive per-epoch decode artifacts —
- * the standalone segment circuit, its detector error model, and the
- * decoder graphs. Keys are canonical segment identities (previous/current
+ * the detector error model of the standalone segment circuit and the
+ * decoder graphs built from it (the circuit itself is dropped once its
+ * DEM is built). Keys are canonical segment identities (previous/current
  * patch signatures, seam trust set, rounds, round parity, position flags
  * and the decoder-view noise), so every recurrence of a deformed shape
  * across shots, events and timelines reuses one entry. Entries are built
@@ -10,11 +11,11 @@
  * decodes are bit-identical — and why eviction can never change results,
  * only cost.
  *
- * The cache is bounded: setBudget() caps the approximate byte footprint
- * and/or the entry count, and eviction runs the classic GreedyDual
- * policy — each entry's priority is (global clock at last use + measured
- * build seconds), the minimum-priority entry is evicted, and the clock
- * advances to the evicted priority. With equal build costs this is exact
+ * The cache is bounded: setBudget() caps the approximate byte footprint,
+ * and eviction runs the classic GreedyDual policy — each entry's priority
+ * is (global clock at last use + measured build seconds), the
+ * minimum-priority entry is evicted, and the clock advances to the
+ * evicted priority. With equal build costs this is exact
  * LRU; with unequal costs, entries that were expensive to build survive
  * proportionally longer. Entries are handed out as shared_ptr, so a
  * segment still referenced by an in-flight timeline survives its own
@@ -41,8 +42,7 @@ namespace surf {
 /** One memoized decode-ready segment. */
 struct CachedSegment
 {
-    Circuit circuit; ///< standalone decoder-view circuit
-    DetectorErrorModel dem;
+    DetectorErrorModel dem; ///< of the standalone decoder-view circuit
     std::unique_ptr<MwpmDecoder> mwpm;
     std::unique_ptr<UnionFindDecoder> uf;
 
@@ -119,13 +119,11 @@ class DeformedCodeCache
 
     /**
      * Bound the cache: evict (cost-weighted LRU) until the approximate
-     * byte footprint is at most `max_bytes` and the entry count at most
-     * `max_entries`; 0 means unbounded in that dimension. Applies
-     * immediately and to every subsequent insertion.
+     * byte footprint is at most `max_bytes`; 0 means unbounded. Applies
+     * immediately and to every subsequent insertion. A lookup never
+     * evicts its own entry, so a budget below one entry keeps just it.
      */
-    void setBudget(size_t max_bytes, size_t max_entries);
-    size_t budgetBytes() const { return max_bytes_; }
-    size_t budgetEntries() const { return max_entries_; }
+    void setBudget(size_t max_bytes);
 
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
@@ -133,12 +131,6 @@ class DeformedCodeCache
     /** Timeline-level lookups (a subset of hits()/misses()). */
     uint64_t timelineHits() const { return timeline_hits_; }
     uint64_t timelineMisses() const { return timeline_misses_; }
-    double
-    hitRate() const
-    {
-        const uint64_t total = hits_ + misses_;
-        return total ? static_cast<double>(hits_) / total : 0.0;
-    }
     size_t size() const { return entries_.size(); }
     /** Approximate bytes held by resident entries. Entry sizes are
      *  re-measured on every hit — the sparse decoder graphs grow as
@@ -154,7 +146,6 @@ class DeformedCodeCache
         hits_ = misses_ = evictions_ = 0;
         timeline_hits_ = timeline_misses_ = 0;
     }
-    void clear();
 
     /**
      * Evict every resident entry (counted in evictions()) while keeping
@@ -227,8 +218,7 @@ class DeformedCodeCache
     size_t timelineBytes(const Entry &e) const;
 
     std::map<std::string, Entry> entries_;
-    size_t max_bytes_ = 0;   ///< 0 = unbounded
-    size_t max_entries_ = 0; ///< 0 = unbounded
+    size_t max_bytes_ = 0; ///< 0 = unbounded
     size_t bytes_used_ = 0;
     double clock_ = 0.0;
     double build_seconds_ = 0.0;

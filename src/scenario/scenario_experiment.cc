@@ -244,9 +244,10 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
             SegmentSpec standalone_spec = spec;
             standalone_spec.epochProbes = false;
             CachedSegment cs;
-            cs.circuit = buildStandaloneSegment(patch, standalone_spec,
-                                                dec_noise, seam, prev_patch);
-            cs.dem = buildDem(cs.circuit, cfg.basis);
+            cs.dem = buildDem(buildStandaloneSegment(patch, standalone_spec,
+                                                     dec_noise, seam,
+                                                     prev_patch),
+                              cfg.basis);
             cs.mwpm = std::make_unique<MwpmDecoder>(cs.dem, tag, &pool,
                                                     cfg.matching);
             cs.uf = std::make_unique<UnionFindDecoder>(cs.dem, tag);
@@ -719,8 +720,6 @@ runScenarioExperimentChecked(const ScenarioConfig &userCfg)
         out.horizonRounds = cfg.timeline.horizonRounds;
         DeformedCodeCache local_cache;
         DeformedCodeCache &cache = cfg.cache ? *cfg.cache : local_cache;
-        if (cfg.cacheMaxBytes || cfg.cacheMaxEntries)
-            cache.setBudget(cfg.cacheMaxBytes, cfg.cacheMaxEntries);
         const uint64_t hits0 = cache.hits(), misses0 = cache.misses();
         const uint64_t evictions0 = cache.evictions();
 

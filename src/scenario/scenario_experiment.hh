@@ -72,8 +72,9 @@ struct ScenarioConfig
      *  decode-segment cache identity). The default Sparse backend
      *  dispatches burst shots to the matrix-free sparse blossom past
      *  the decoder's defect threshold; Dense/SparseBlossom pin one
-     *  path for every shot. Memoized rows are bounded by the cache
-     *  budget (cacheMaxBytes), which charges each decoder's row growth. */
+     *  path for every shot. Memoized rows count against the cache's
+     *  byte budget (DeformedCodeCache::setBudget), which charges each
+     *  decoder's row growth. */
     MatchingBackend matching = defaultMatchingBackend();
     uint64_t maxShotsPerTimeline = 4096;
     uint64_t targetFailures = UINT64_MAX; ///< stop early once reached
@@ -83,13 +84,10 @@ struct ScenarioConfig
     uint64_t seed = 0x5eedULL;
 
     bool useCache = true; ///< disable to rebuild decoders per epoch (bench)
-    DeformedCodeCache *cache = nullptr; ///< optional external cache
-    /** Cache budget applied to whichever cache the run uses (the local
-     *  one or cfg.cache); 0 = leave unbounded / as configured. Eviction
+    /** Optional external cache; bound it with its setBudget(). Eviction
      *  is cost-weighted LRU and can never change results — entries are
      *  pure functions of their keys. */
-    size_t cacheMaxBytes = 0;
-    size_t cacheMaxEntries = 0;
+    DeformedCodeCache *cache = nullptr;
 
     /**
      * Per-stage soft decode budget in nanoseconds; 0 (the default)

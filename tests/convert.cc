@@ -1,8 +1,8 @@
-#include "lattice/convert.hh"
+#include "convert.hh"
 
 #include <algorithm>
 
-#include "pauli/coset.hh"
+#include "coset.hh"
 #include "util/logging.hh"
 
 namespace surf {

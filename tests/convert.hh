@@ -5,14 +5,14 @@
  * distance oracle used to validate the graph-based distance.
  */
 
-#ifndef SURF_LATTICE_CONVERT_HH
-#define SURF_LATTICE_CONVERT_HH
+#ifndef SURF_TESTS_CONVERT_HH
+#define SURF_TESTS_CONVERT_HH
 
 #include <map>
 #include <vector>
 
 #include "lattice/patch.hh"
-#include "pauli/subsystem_code.hh"
+#include "subsystem_code.hh"
 
 namespace surf {
 
@@ -44,4 +44,4 @@ size_t exactDistance(const CodePatch &patch, PauliType t);
 
 } // namespace surf
 
-#endif // SURF_LATTICE_CONVERT_HH
+#endif // SURF_TESTS_CONVERT_HH

@@ -1,4 +1,4 @@
-#include "pauli/coset.hh"
+#include "coset.hh"
 
 #include <bit>
 

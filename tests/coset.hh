@@ -5,8 +5,8 @@
  * code so each step touches one basis vector.
  */
 
-#ifndef SURF_PAULI_COSET_HH
-#define SURF_PAULI_COSET_HH
+#ifndef SURF_TESTS_COSET_HH
+#define SURF_TESTS_COSET_HH
 
 #include <vector>
 
@@ -30,4 +30,4 @@ size_t minCosetWeight(const std::vector<BitVec> &basis, const BitVec &offset,
 
 } // namespace surf
 
-#endif // SURF_PAULI_COSET_HH
+#endif // SURF_TESTS_COSET_HH

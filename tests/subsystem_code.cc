@@ -1,6 +1,6 @@
-#include "pauli/subsystem_code.hh"
+#include "subsystem_code.hh"
 
-#include "pauli/coset.hh"
+#include "coset.hh"
 #include "util/logging.hh"
 
 namespace surf {

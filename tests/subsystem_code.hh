@@ -7,30 +7,17 @@
  * oracles used to verify the geometric layer.
  */
 
-#ifndef SURF_PAULI_SUBSYSTEM_CODE_HH
-#define SURF_PAULI_SUBSYSTEM_CODE_HH
+#ifndef SURF_TESTS_SUBSYSTEM_CODE_HH
+#define SURF_TESTS_SUBSYSTEM_CODE_HH
 
 #include <string>
 #include <vector>
 
+#include "lattice/patch.hh" // ValidationResult
 #include "pauli/bitmatrix.hh"
 #include "pauli/pauli_string.hh"
 
 namespace surf {
-
-/** Outcome of a structural validity check, with a reason when invalid. */
-struct ValidationResult
-{
-    bool ok = true;
-    std::string reason;
-
-    static ValidationResult pass() { return {}; }
-    static ValidationResult
-    fail(std::string why)
-    {
-        return {false, std::move(why)};
-    }
-};
 
 /**
  * An [[n, k, l]] subsystem stabilizer code: n physical qubits, k logical
@@ -102,4 +89,4 @@ class SubsystemCode
 
 } // namespace surf
 
-#endif // SURF_PAULI_SUBSYSTEM_CODE_HH
+#endif // SURF_TESTS_SUBSYSTEM_CODE_HH

@@ -1,4 +1,4 @@
-#include "sim/tableau.hh"
+#include "tableau.hh"
 
 #include "util/logging.hh"
 

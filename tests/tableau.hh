@@ -8,8 +8,8 @@
  * (paper Appendix A).
  */
 
-#ifndef SURF_SIM_TABLEAU_HH
-#define SURF_SIM_TABLEAU_HH
+#ifndef SURF_TESTS_TABLEAU_HH
+#define SURF_TESTS_TABLEAU_HH
 
 #include <cstdint>
 #include <vector>
@@ -81,4 +81,4 @@ class TableauSimulator
 
 } // namespace surf
 
-#endif // SURF_SIM_TABLEAU_HH
+#endif // SURF_TESTS_TABLEAU_HH

@@ -114,12 +114,15 @@ TEST(CacheRaces, SegmentEvictionMidTimelineUnderThreads)
     const auto ref = runScenarioExperimentChecked(ref_cfg);
     ASSERT_TRUE(ref.ok()) << ref.status().str();
 
-    // A one-entry cache budget under a threaded pipeline: segments are
-    // evicted while earlier epochs' decoders are still decoding through
-    // their pinned shared_ptr handles.
+    // A one-byte cache budget (only the entry being looked up stays
+    // resident) under a threaded pipeline: segments are evicted while
+    // earlier epochs' decoders are still decoding through their pinned
+    // shared_ptr handles.
     ScenarioConfig cfg = racyScenarioConfig();
     cfg.threads = 4;
-    cfg.cacheMaxEntries = 1;
+    DeformedCodeCache cache;
+    cache.setBudget(1);
+    cfg.cache = &cache;
     const auto bounded = runScenarioExperimentChecked(cfg);
     ASSERT_TRUE(bounded.ok()) << bounded.status().str();
     EXPECT_EQ(bounded.value().failures, ref.value().failures);

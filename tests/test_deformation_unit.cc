@@ -11,8 +11,8 @@
 
 #include <tuple>
 
+#include "convert.hh"
 #include "core/deformation_unit.hh"
-#include "lattice/convert.hh"
 #include "lattice/distance.hh"
 #include "lattice/rotated.hh"
 #include "util/rng.hh"

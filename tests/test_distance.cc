@@ -10,11 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "baselines/strategies.hh"
+#include "convert.hh"
 #include "core/deformation_unit.hh"
 #include "core/instructions.hh"
 #include "defects/defect_sampler.hh"
 #include "distance_reference.hh"
-#include "lattice/convert.hh"
 #include "lattice/distance.hh"
 #include "lattice/rotated.hh"
 #include "util/rng.hh"

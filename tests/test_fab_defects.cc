@@ -24,7 +24,7 @@
 #include "scenario/patch_signature.hh"
 #include "scenario/scenario_experiment.hh"
 #include "sim/syndrome_circuit.hh"
-#include "sim/tableau.hh"
+#include "tableau.hh"
 
 namespace surf {
 namespace {

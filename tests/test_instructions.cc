@@ -10,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "convert.hh"
 #include "core/instructions.hh"
 #include "core/trace.hh"
-#include "lattice/convert.hh"
 #include "lattice/distance.hh"
 #include "lattice/rotated.hh"
 

@@ -311,7 +311,7 @@ TEST(SnapshotContainer, Crc32MatchesBytewiseReference)
 TEST(CacheSnapshot, FixtureReSavesByteIdentical)
 {
     // tests/data/cache_d3.snap was written by saveCacheSnapshot at
-    // format version 1 / ABI version 3, from the cache of this scenario:
+    // format version 1 / ABI version 4, from the cache of this scenario:
     // SurfDeformer, d=3, deltaD=2, horizon 4 rounds, window and max epoch
     // 1 round, durationSec 20e-6, regionDiameter 2, eventRateScale
     // 150000, 1 timeline, p=2e-3, 64 shots, seed 1, threads 1 — four
@@ -351,6 +351,45 @@ TEST(CacheSnapshot, FixtureReSavesByteIdentical)
     const std::string resaved = slurp(path);
     ASSERT_EQ(resaved.size(), original.size());
     EXPECT_TRUE(resaved == original) << "re-saved snapshot differs";
+}
+
+TEST(CacheSnapshot, PreviousAbiRejectedWholeAndColdStarts)
+{
+    // A snapshot stamped with ABI 3 (whose segment records still carried
+    // their circuit) is rejected whole by the version check, with a
+    // valid header CRC, and the run that finds it cold-starts with
+    // identical results.
+    static_assert(kSnapshotAbiVersion == 4);
+    TempDir dir;
+    ScenarioConfig sc = sampledConfig();
+    sc.persistDir = dir.path;
+    StatusOr<ScenarioResult> cold = runScenarioExperimentChecked(sc);
+    ASSERT_TRUE(cold.ok()) << cold.status().str();
+
+    const std::string snap = dir.file("cache.snap");
+    std::string bytes = slurp(snap);
+    ASSERT_GT(bytes.size(), kSnapshotHeaderBytes);
+    constexpr size_t kAbiOffset = 8 + 4; // magic | format | abi
+    const uint32_t abi = 3;
+    std::memcpy(&bytes[kAbiOffset], &abi, sizeof abi);
+    const uint32_t crc = crc32(bytes.data(), kSnapshotHeaderBytes - 4);
+    std::memcpy(&bytes[kSnapshotHeaderBytes - 4], &crc, sizeof crc);
+    spit(snap, bytes);
+
+    DeformedCodeCache probe;
+    StatusOr<SnapshotRestoreStats> loaded = loadCacheSnapshot(probe, snap);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruptSnapshot);
+    EXPECT_NE(loaded.status().message().find("ABI version 3"),
+              std::string::npos)
+        << loaded.status().str();
+    EXPECT_EQ(probe.size(), 0u);
+
+    StatusOr<ScenarioResult> rerun = runScenarioExperimentChecked(sc);
+    ASSERT_TRUE(rerun.ok()) << rerun.status().str();
+    EXPECT_EQ(rerun->persistRestoredSegments, 0u);
+    EXPECT_EQ(rerun->persistRecoveries, 1u);
+    expectSameResults(*cold, *rerun);
 }
 
 TEST(CacheSnapshot, WarmRestartBitIdenticalToCold)
@@ -493,8 +532,9 @@ TEST(LoaderFuzz, TruncationAtEveryRecordBoundary)
         // exactly on a record boundary is indistinguishable from a
         // shorter valid snapshot (clean EOF); a mid-record cut flags
         // truncation and keeps the valid prefix.
-        if (cut < kSnapshotHeaderBytes)
+        if (cut < kSnapshotHeaderBytes) {
             EXPECT_FALSE(loaded.ok());
+        }
         // Whatever was restored still yields bit-identical physics.
         ScenarioConfig warm = sampledConfig();
         warm.cache = &fresh;
@@ -539,27 +579,95 @@ TEST(LoaderFuzz, SingleBitFlips)
     }
 }
 
+/** A small valid DEM: two X-check detectors, a Z-check detector, and
+ *  the edges between them and the boundary. */
+DetectorErrorModel
+tinyDem()
+{
+    DetectorErrorModel dem;
+    dem.numDetectors = 3;
+    dem.detectorTag = {0, 0, 1};
+    dem.edges[0] = {{0, 1, 0.01, false}, {0, -1, 0.02, true},
+                    {1, -1, 0.03, false}};
+    dem.edges[1] = {{2, -1, 0.04, true}};
+    return dem;
+}
+
+/** The v4 segment record layout, written field by field: key, tag,
+ *  backend, DEM, CSR digest, rows (none here), cost. */
+void
+writeSegmentRecordByHand(SnapshotWriter &snap, const std::string &key,
+                         uint8_t tag, MatchingBackend backend,
+                         const DetectorErrorModel &dem, uint64_t digest)
+{
+    ByteWriter w(snap.beginRecord(1)); // kRecSegment
+    w.str(key);
+    w.u8(tag);
+    w.u8(static_cast<uint8_t>(backend));
+    w.u64(dem.numDetectors);
+    w.bytes(dem.detectorTag.data(), dem.detectorTag.size());
+    for (const std::vector<DemEdge> &edges : dem.edges) {
+        w.u64(edges.size());
+        for (const DemEdge &e : edges) {
+            w.i64(e.a);
+            w.i64(e.b);
+            w.f64(e.p);
+            w.u8(e.flipsObs ? 1 : 0);
+        }
+    }
+    w.f64(dem.undetectableObsProb);
+    w.u64(dem.decomposedComponents);
+    w.u64(digest);
+    w.u64(0);   // rows
+    w.f64(0.5); // build cost
+    snap.endRecord();
+}
+
 TEST(LoaderFuzz, SemanticMismatchRejectedByDigest)
 {
-    // A CRC-valid segment record whose payload belongs to different
-    // code: loader must reject it on semantic validation, not trust it.
-    TempDir dir;
-    const std::string path = dir.file("forged.snap");
-    SnapshotWriter w;
-    {
-        std::string &payload = w.beginRecord(1); // kRecSegment
-        ByteWriter bw(payload);
-        bw.str("forged-key");
-        bw.u8(9); // invalid tag (> 1): semantic validation must fire
-        w.endRecord();
-    }
-    ASSERT_TRUE(w.finish(path).ok());
+    // A CRC-valid, well-formed segment record whose CSR digest does not
+    // match the graph its DEM rebuilds (a payload from a different
+    // code): the loader must reject it at the digest check, not trust
+    // it. An invalid basis tag is rejected before the DEM is read. The
+    // same record with the right tag and digest restores.
+    const DetectorErrorModel dem = tinyDem();
+    const uint8_t tag = 0;
+    const MatchingBackend backend = MatchingBackend::Sparse;
+    const uint64_t digest =
+        MwpmDecoder(dem, tag, nullptr, backend).graph().csrDigest();
 
-    DeformedCodeCache fresh;
-    StatusOr<SnapshotRestoreStats> loaded = loadCacheSnapshot(fresh, path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().str();
-    EXPECT_EQ(loaded->segments, 0u);
-    EXPECT_GE(loaded->rejectedRecords, 1u);
+    struct Case
+    {
+        const char *what;
+        uint8_t tag;
+        uint64_t digest;
+        bool restores;
+    };
+    TempDir dir;
+    for (const Case &c : {Case{"wrong digest", tag, digest ^ 1, false},
+                          Case{"invalid tag", 9, digest, false},
+                          Case{"control", tag, digest, true}}) {
+        SCOPED_TRACE(c.what);
+        const std::string path = dir.file("record.snap");
+        SnapshotWriter w;
+        writeSegmentRecordByHand(w, "segment-key", c.tag, backend, dem,
+                                 c.digest);
+        ASSERT_TRUE(w.finish(path).ok());
+
+        DeformedCodeCache fresh;
+        StatusOr<SnapshotRestoreStats> loaded = loadCacheSnapshot(fresh, path);
+        ASSERT_TRUE(loaded.ok()) << loaded.status().str();
+        EXPECT_FALSE(loaded->truncated);
+        EXPECT_EQ(loaded->segments, c.restores ? 1u : 0u);
+        EXPECT_EQ(loaded->rejectedRecords, c.restores ? 0u : 1u);
+        EXPECT_EQ(fresh.size(), c.restores ? 1u : 0u);
+        if (c.restores) {
+            const auto seg = fresh.peekSegment("segment-key");
+            ASSERT_NE(seg, nullptr);
+            EXPECT_EQ(seg->dem.numDetectors, dem.numDetectors);
+            EXPECT_EQ(seg->mwpm->graph().csrDigest(), digest);
+        }
+    }
 }
 
 TEST(LoaderFuzz, UnknownRecordTypeSkipped)
@@ -625,12 +733,14 @@ TEST(LoaderFuzz, LyingElementCountsRejectedWithoutHugeReservations)
 #endif
     constexpr uint64_t kZeros = uint64_t{64} << 20;
     const std::string zeros(kZeros, '\0');
-    auto emptyCircuit = [](ByteWriter &w) { w.u64(0); };
     auto segmentHead = [&](ByteWriter &w) {
         w.str("lying-segment");
-        w.u8(0);  // tag
-        w.u8(0);  // backend
-        w.u64(0); // row budget
+        w.u8(0); // tag
+        w.u8(0); // backend
+    };
+    auto timelineHead = [&](ByteWriter &w) {
+        w.str("lying-timeline");
+        w.u8(1); // alive
     };
 
     struct Case
@@ -640,29 +750,26 @@ TEST(LoaderFuzz, LyingElementCountsRejectedWithoutHugeReservations)
         std::function<void(ByteWriter &)> head;
     };
     const std::vector<Case> cases = {
+        {"instructions", 2,
+         [&](ByteWriter &w) {
+             timelineHead(w);
+             w.u64(kZeros); // circuit instructions (>= 21 B each)
+         }},
         {"epochs", 2,
          [&](ByteWriter &w) {
-             w.str("lying-timeline");
-             w.u8(1); // alive
-             emptyCircuit(w);
+             timelineHead(w);
+             w.u64(0);      // circuit instructions
              w.u64(kZeros); // epochs (>= 64 B each)
          }},
         {"dem edges", 1,
          [&](ByteWriter &w) {
              segmentHead(w);
-             emptyCircuit(w);
              w.u64(0);      // DEM detectors
              w.u64(kZeros); // X edges (25 B each)
-         }},
-        {"instructions", 1,
-         [&](ByteWriter &w) {
-             segmentHead(w);
-             w.u64(kZeros); // instructions (>= 21 B each)
          }},
         {"rows", 1,
          [&](ByteWriter &w) {
              segmentHead(w);
-             emptyCircuit(w);
              w.u64(0);      // DEM detectors
              w.u64(0);      // X edges
              w.u64(0);      // Z edges

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lattice/convert.hh"
+#include "convert.hh"
 #include "lattice/patch.hh"
 #include "lattice/rotated.hh"
 

@@ -26,7 +26,7 @@
 #include "scenario/scenario_experiment.hh"
 #include "sim/frame.hh"
 #include "sim/segment.hh"
-#include "sim/tableau.hh"
+#include "tableau.hh"
 
 namespace surf {
 namespace {
@@ -326,7 +326,8 @@ TEST(ScenarioEngine, SharedCacheReusesStitchedTimelinesAndSegments)
 
 TEST(ScenarioEngine, CacheEvictionNeverChangesResults)
 {
-    // A one-entry budget forces an eviction on every new shape while the
+    // A one-byte budget (below any entry, so only the entry being looked
+    // up stays resident) forces an eviction on every new shape while the
     // timeline is still being resolved; shared_ptr hand-out keeps the
     // evicted segments alive for the decode phase, and entries are pure
     // functions of their keys, so the failure count cannot move.
@@ -340,8 +341,7 @@ TEST(ScenarioEngine, CacheEvictionNeverChangesResults)
     EXPECT_GT(unbounded.bytesUsed(), 0u);
 
     DeformedCodeCache bounded;
-    bounded.setBudget(0, 1);
-    EXPECT_EQ(bounded.budgetEntries(), 1u);
+    bounded.setBudget(1);
     const TimelineStats tl =
         runPlannedTimeline(plan, cfg, bounded, cfg.seed, 0);
     EXPECT_EQ(tl.failures, ref.failures);
@@ -363,7 +363,9 @@ TEST(ScenarioEngine, CacheEvictionNeverChangesResults)
     sc.maxShotsPerTimeline = 128;
     sc.batchShots = 128;
     const ScenarioResult free_cache = runScenarioExperiment(sc);
-    sc.cacheMaxBytes = 1;
+    DeformedCodeCache tiny;
+    tiny.setBudget(1);
+    sc.cache = &tiny;
     const ScenarioResult tiny_cache = runScenarioExperiment(sc);
     EXPECT_EQ(tiny_cache.failures, free_cache.failures);
     EXPECT_GT(tiny_cache.cacheEvictions, 0u);
@@ -385,9 +387,12 @@ TEST(DeformedCodeCache, GreedyDualEvictionIsCostWeighted)
         };
     };
     DeformedCodeCache cache;
-    cache.setBudget(0, 2);
     cache.get("expensive", segment(0.05));
     cache.get("cheap", segment(0.0));
+    EXPECT_EQ(cache.size(), 2u);
+    // Room for exactly these two: their keys are the two longest, so
+    // any two of the three entries fit and all three overflow.
+    cache.setBudget(cache.bytesUsed());
     EXPECT_EQ(cache.size(), 2u);
     cache.get("new", segment(0.0));
     EXPECT_EQ(cache.size(), 2u);
@@ -398,8 +403,8 @@ TEST(DeformedCodeCache, GreedyDualEvictionIsCostWeighted)
     cache.get("cheap", segment(0.0));
     EXPECT_EQ(cache.misses(), 4u) << "the cheap entry should have gone";
 
-    // Byte budgets evict too; an impossible budget empties the cache.
-    cache.setBudget(1, 0);
+    // An impossible budget empties the cache.
+    cache.setBudget(1);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.bytesUsed(), 0u);
 }

@@ -15,7 +15,7 @@
 #include "sim/dem.hh"
 #include "sim/frame.hh"
 #include "sim/syndrome_circuit.hh"
-#include "sim/tableau.hh"
+#include "tableau.hh"
 
 namespace surf {
 namespace {

@@ -177,9 +177,10 @@ TEST(SparseMatching, MemoizedRowsMatchDenseTables)
             }
             ASSERT_EQ(static_cast<double>(row.dist[ti]), dd)
                 << "src " << src << " target " << t;
-            if (t >= src)
+            if (t >= src) {
                 ASSERT_EQ(row.par[ti] != 0, dense.obsParity(src, t))
                     << "src " << src << " target " << t;
+            }
         }
         // Asking again returns the memoized row.
         EXPECT_EQ(&sparse.row(src, sc), &row);

@@ -6,8 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include "pauli/coset.hh"
-#include "pauli/subsystem_code.hh"
+#include "coset.hh"
+#include "subsystem_code.hh"
 
 namespace surf {
 namespace {
