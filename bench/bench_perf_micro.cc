@@ -394,6 +394,30 @@ BM_ScenarioWarmPass(benchmark::State &state)
 }
 BENCHMARK(BM_ScenarioWarmPass)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+void
+BM_ScenarioColdPass(benchmark::State &state)
+{
+    // One cold scenario-d7 pass: the warm pass's planning, sampling and
+    // decoding, plus every stitched timeline, segment DEM and decoder
+    // built from scratch into a fresh cache (missing DEMs are prefetched
+    // on the 2-thread pool).
+    const ScenarioD7 sc;
+    for (auto _ : state) {
+        DeformedCodeCache cache;
+        StrategyMemo memo;
+        uint64_t failures = 0;
+        for (size_t t = 0; t < sc.history.size(); ++t)
+            failures += runPlannedTimeline(
+                            planEpochs(sc.cfg.timeline, sc.history[t], &memo),
+                            sc.cfg, cache, historySeed(1, 0xba7c + t), 0)
+                            .failures;
+        benchmark::DoNotOptimize(failures);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(sc.history.size()));
+}
+BENCHMARK(BM_ScenarioColdPass)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 /** A deformed-code cache populated by a d=5 cosmic-ray scenario (segments,
  *  stitched timelines and the Dijkstra rows their decodes memoized), and
  *  a temp directory for its snapshot; built once per process. */

@@ -35,7 +35,13 @@ struct Coord
     std::string
     str() const
     {
-        return "(" + std::to_string(x) + "," + std::to_string(y) + ")";
+        // reserve + append: GCC 12 at -O3 mistakes the inlined
+        // `"(" + ...` chain for an overlapping copy (-Wrestrict).
+        const std::string xs = std::to_string(x), ys = std::to_string(y);
+        std::string s;
+        s.reserve(xs.size() + ys.size() + 3);
+        s.append("(").append(xs).append(",").append(ys).append(")");
+        return s;
     }
 };
 

@@ -38,7 +38,8 @@ CachedTimeline::memoryBytes() const
 
 std::shared_ptr<const CachedSegment>
 DeformedCodeCache::get(const std::string &key,
-                       const std::function<CachedSegment()> &build)
+                       const std::function<CachedSegment()> &build,
+                       const PrebuiltWork &prebuilt)
 {
     auto it = entries_.find(key);
     if (it != entries_.end()) {
@@ -59,10 +60,12 @@ DeformedCodeCache::get(const std::string &key,
     ++misses_;
     const auto t0 = std::chrono::steady_clock::now();
     auto seg = std::make_shared<CachedSegment>(build());
-    const double cost = std::chrono::duration<double>(
+    const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
+    const double cost = wall + prebuilt.seconds;
     build_seconds_ += cost;
+    segment_wall_ += wall + prebuilt.wallSeconds;
     Entry entry;
     entry.seg = std::move(seg);
     entry.bytes = entry.seg->memoryBytes() + key.size();
@@ -133,7 +136,7 @@ DeformedCodeCache::getTimeline(const std::string &key,
     ++misses_;
     ++timeline_misses_;
     const auto t0 = std::chrono::steady_clock::now();
-    const double nested0 = build_seconds_;
+    const double nested0 = segment_wall_;
     // The build resolves its per-epoch segments through get(), so it
     // must run before this entry is inserted (the nested lookups mutate
     // the map and may evict).
@@ -144,8 +147,9 @@ DeformedCodeCache::getTimeline(const std::string &key,
     // The nested segment misses already logged their own build time and
     // carry their own eviction priorities; this entry's cost is the
     // stitching work on top of them (what a rebuild against cached
-    // segments would pay).
-    const double cost = std::max(0.0, wall - (build_seconds_ - nested0));
+    // segments would pay). DEMs prefetched in parallel overlap on the
+    // wall clock, so the wall they took is subtracted, not their cost.
+    const double cost = std::max(0.0, wall - (segment_wall_ - nested0));
     build_seconds_ += cost;
     Entry entry;
     entry.tl = std::move(tl);

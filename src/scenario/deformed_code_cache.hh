@@ -21,8 +21,11 @@
  * segment still referenced by an in-flight timeline survives its own
  * eviction.
  *
- * Not thread-safe: the scenario engine populates it from the orchestrating
- * thread only; decode workers share the immutable entries.
+ * Not thread-safe: only the orchestrating thread touches the cache.
+ * Cold segment builds do run on pool workers — a stitched timeline's
+ * missing DEMs are prefetched in parallel — but the workers only build;
+ * lookups, insertion and eviction stay on the orchestrating thread, and
+ * decode workers share the immutable entries.
  */
 
 #ifndef SURF_SCENARIO_DEFORMED_CODE_CACHE_HH
@@ -94,6 +97,21 @@ struct CachedTimeline
     size_t memoryBytes() const;
 };
 
+/**
+ * Build work a segment miss did before get() was called: its DEM,
+ * prefetched on a pool worker while the caller waited for the batch.
+ */
+struct PrebuiltWork
+{
+    /** Measured on the worker: part of the entry's cost (a rebuild pays
+     *  it) and of buildSeconds(). */
+    double seconds = 0.0;
+    /** The entry's share of the caller's wall clock spent waiting on the
+     *  prefetch: an enclosing getTimeline() build counts it as nested
+     *  segment work, not as its own stitching. */
+    double wallSeconds = 0.0;
+};
+
 /** Signature-keyed store of decode-ready segments. */
 class DeformedCodeCache
 {
@@ -101,10 +119,12 @@ class DeformedCodeCache
     /**
      * Look up `key`, building the entry with `build` on a miss. The
      * returned pointer keeps the segment alive even if the entry is
-     * later evicted to stay within budget.
+     * later evicted to stay within budget. `prebuilt` is work the miss
+     * did before the call; a hit ignores it.
      */
     std::shared_ptr<const CachedSegment>
-    get(const std::string &key, const std::function<CachedSegment()> &build);
+    get(const std::string &key, const std::function<CachedSegment()> &build,
+        const PrebuiltWork &prebuilt = {});
 
     /**
      * Timeline-level lookup: memoized stitched sampling circuits, same
@@ -137,7 +157,8 @@ class DeformedCodeCache
      *  workers memoize Dijkstra rows — so byte budgets track the real
      *  footprint of each entry as of its last use. */
     size_t bytesUsed() const { return bytes_used_; }
-    /** Total seconds spent building entries (misses). */
+    /** Total seconds spent building entries (misses), prefetched DEMs
+     *  counted at their worker-measured time. */
     double buildSeconds() const { return build_seconds_; }
 
     void
@@ -222,6 +243,10 @@ class DeformedCodeCache
     size_t bytes_used_ = 0;
     double clock_ = 0.0;
     double build_seconds_ = 0.0;
+    /** Caller wall-clock seconds spent on segment misses (their build()
+     *  calls plus their prebuilt wall shares); getTimeline() subtracts
+     *  its builds' nested share of this. */
+    double segment_wall_ = 0.0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;

@@ -1,10 +1,12 @@
 #include "scenario/scenario_experiment.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <optional>
 
 #include <cerrno>
@@ -168,6 +170,18 @@ deadTimeline(const ScenarioConfig &cfg, size_t events)
  * function of (plan, decode-relevant config): the timeline cache hands
  * out memoized results keyed on exactly those.
  *
+ * Two passes. The first classifies every seam, stitches the sampling
+ * circuit and derives the segment keys, serially as the seams chain.
+ * The standalone-segment DEMs the cache does not hold (every one when
+ * uncached) are then built at once on the pool's workers. The second
+ * pass resolves the epochs in order on this thread, as a serial build
+ * would: cache lookups, decoder construction (the Dense backend's
+ * all-pairs build is itself a pool job, which must not nest in one) and
+ * the detector-count check, taking a prefetched DEM where there is one.
+ * A DEM build that threw surfaces at its own epoch, after the earlier
+ * epochs resolved. A dead seam ends the first pass; the epochs before it
+ * still resolve through the cache before the timeline is declared dead.
+ *
  * `inject`/`ledger` (both optional) wire in the fault harness: an
  * epoch-build eviction storm empties the cache right before the chosen
  * epochs' segments resolve, while the build is mid-flight — entries the
@@ -179,24 +193,41 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
                       DeformedCodeCache &cache, ThreadPool &pool,
                       const FaultInjector *inject, DegradationLedger *ledger)
 {
+    using Clock = std::chrono::steady_clock;
+    const auto secondsSince = [](Clock::time_point t0) {
+        return std::chrono::duration<double>(Clock::now() - t0).count();
+    };
+    /** One epoch as the first pass leaves it for the second. */
+    struct EpochBuild
+    {
+        SeamPlan seam;
+        SegmentSpec spec; ///< of the standalone decoder-view segment
+        NoiseParams decNoise;
+        size_t detBegin = 0, detEnd = 0;
+        std::string key; ///< segment cache key; empty when uncached
+        /** A prefetched DEM (or its build's exception), until this
+         *  epoch's build takes it. */
+        bool prefetched = false;
+        DetectorErrorModel dem;
+        std::exception_ptr error;
+        PrebuiltWork work;
+    };
     CachedTimeline out;
     const size_t n_epochs = plan.epochs.size();
     const uint8_t tag = (cfg.basis == PauliType::Z) ? 1 : 0;
+    std::vector<EpochBuild> builds(n_epochs);
+    const auto prevPatch = [&](size_t e) {
+        return e ? &plan.epochs[e - 1].deformed.patch : nullptr;
+    };
+
+    // --- Pass 1: seam plans, circuit stitching, segment keys -------------
     std::map<Coord, uint32_t> qubit_id;
     SeamState carry;
-    const CodePatch *prev_patch = nullptr;
-    const std::string *prev_sig = nullptr;
     std::vector<Coord> tracked; ///< representative carried across seams
-    out.epochs.reserve(n_epochs);
-
+    size_t stitched = n_epochs; ///< epochs the second pass resolves
     for (size_t e = 0; e < n_epochs; ++e) {
-        if (inject && inject->stormAtEpochBuild(0, e)) {
-            cache.evictAll();
-            if (ledger)
-                ++ledger->cacheStorms;
-        }
         const Epoch &ep = plan.epochs[e];
-        const CodePatch &patch = ep.deformed.patch;
+        EpochBuild &eb = builds[e];
         SegmentSpec spec;
         spec.basis = cfg.basis;
         spec.rounds = static_cast<int>(ep.rounds);
@@ -206,18 +237,16 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         spec.epochProbes = true; ///< opening/closing oracle probes
 
         const std::vector<Coord> prev_tracked = tracked;
-        const SeamPlan seam =
-            computeSeamPlan(prev_patch, patch, cfg.basis, ep.activeSites,
-                            ep.startRound, e ? &prev_tracked : nullptr);
-        if (!seam.obsCarryValid) {
+        eb.seam = computeSeamPlan(prevPatch(e), ep.deformed.patch, cfg.basis,
+                                  ep.activeSites, ep.startRound,
+                                  e ? &prev_tracked : nullptr);
+        if (!eb.seam.obsCarryValid) {
             // No continuation of the tracked logical exists in the new
             // code: the burst effectively destroyed the stored qubit.
-            out.alive = false;
-            out.circuit = Circuit{};
-            out.epochs.clear();
-            return out;
+            stitched = e;
+            break;
         }
-        tracked = seam.trackedLogical;
+        tracked = eb.seam.trackedLogical;
 
         // Sampling view: residual defects inside the code, plus active
         // defects on qubits being measured out at the seam (their readouts
@@ -225,29 +254,96 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         NoiseParams samp_noise = cfg.noise;
         samp_noise.defectiveSites = ep.residualDefects;
         std::set<Coord> removed_untrusted;
-        for (const Coord &q : seam.removed)
+        for (const Coord &q : eb.seam.removed)
             if (ep.activeSites.count(q)) {
                 samp_noise.defectiveSites.insert(q);
                 removed_untrusted.insert(q);
             }
 
-        const SegmentResult res =
-            appendSegment(out.circuit, qubit_id, patch, spec, samp_noise,
-                          seam, e ? &carry : nullptr, false);
+        SegmentResult res = appendSegment(
+            out.circuit, qubit_id, ep.deformed.patch, spec, samp_noise,
+            eb.seam, e ? &carry : nullptr, false);
         carry = std::move(res.carry);
+        eb.detBegin = res.detBegin;
+        eb.detEnd = res.detEnd;
         // Decoder view: defect-unaware unless configured otherwise.
-        NoiseParams dec_noise = cfg.noise;
-        dec_noise.defectiveSites = cfg.decoderKnowsDefects
-                                       ? ep.residualDefects
-                                       : std::set<Coord>{};
+        eb.decNoise = cfg.noise;
+        eb.decNoise.defectiveSites = cfg.decoderKnowsDefects
+                                         ? ep.residualDefects
+                                         : std::set<Coord>{};
+        if (cfg.useCache)
+            eb.key = segmentCacheKey(
+                e ? plan.epochs[e - 1].structSig : std::string("-"),
+                ep.structSig, removed_untrusted, prev_tracked,
+                eb.seam.trackedLogical, spec, eb.decNoise, cfg);
+        eb.spec = spec;
+        eb.spec.epochProbes = false;
+    }
+
+    // --- Prefetch: the DEMs of the segments the cache lacks --------------
+    // Each distinct missing key once, at its first epoch (a later epoch
+    // with that key hits the entry the first one inserts). Workers only
+    // read the plan and write their own epoch's slot.
+    const auto segmentDem = [&](size_t e) {
+        const EpochBuild &eb = builds[e];
+        return buildDem(buildStandaloneSegment(plan.epochs[e].deformed.patch,
+                                               eb.spec, eb.decNoise,
+                                               eb.seam, prevPatch(e)),
+                        cfg.basis);
+    };
+    std::vector<size_t> prefetch;
+    std::set<std::string> queued;
+    for (size_t e = 0; e < stitched; ++e)
+        if (!cfg.useCache || (!cache.peekSegment(builds[e].key) &&
+                              queued.insert(builds[e].key).second))
+            prefetch.push_back(e);
+    const auto t0 = Clock::now();
+    pool.parallelFor(prefetch.size(), [&](size_t t, size_t) {
+        EpochBuild &eb = builds[prefetch[t]];
+        const auto t1 = Clock::now();
+        try {
+            eb.dem = segmentDem(prefetch[t]);
+        } catch (...) {
+            eb.error = std::current_exception();
+        }
+        eb.work.seconds = secondsSince(t1);
+        eb.prefetched = true;
+    });
+    // Each entry is charged its own worker seconds, and its share of the
+    // prefetch's wall time is what the enclosing timeline build does not
+    // count as its own stitching (see PrebuiltWork).
+    const double prefetch_wall = secondsSince(t0);
+    double worker_seconds = 0.0;
+    for (size_t e : prefetch)
+        worker_seconds += builds[e].work.seconds;
+    for (size_t e : prefetch)
+        builds[e].work.wallSeconds =
+            worker_seconds > 0.0
+                ? prefetch_wall * builds[e].work.seconds / worker_seconds
+                : 0.0;
+
+    // --- Pass 2: resolve the epochs in order -----------------------------
+    out.epochs.reserve(stitched);
+    for (size_t e = 0; e < n_epochs; ++e) {
+        if (inject && inject->stormAtEpochBuild(0, e)) {
+            cache.evictAll();
+            if (ledger)
+                ++ledger->cacheStorms;
+        }
+        if (e == stitched)
+            break;
+        const Epoch &ep = plan.epochs[e];
+        EpochBuild &eb = builds[e];
         auto build = [&] {
-            SegmentSpec standalone_spec = spec;
-            standalone_spec.epochProbes = false;
             CachedSegment cs;
-            cs.dem = buildDem(buildStandaloneSegment(patch, standalone_spec,
-                                                     dec_noise, seam,
-                                                     prev_patch),
-                              cfg.basis);
+            if (eb.prefetched) {
+                eb.prefetched = false;
+                if (eb.error)
+                    std::rethrow_exception(eb.error);
+                cs.dem = std::move(eb.dem);
+            } else {
+                cs.dem = segmentDem(e);
+            }
             cs.mwpm = std::make_unique<MwpmDecoder>(cs.dem, tag, &pool,
                                                     cfg.matching);
             cs.uf = std::make_unique<UnionFindDecoder>(cs.dem, tag);
@@ -255,15 +351,13 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         };
         CachedTimelineEpoch ce;
         if (cfg.useCache) {
-            ce.segKey = segmentCacheKey(
-                prev_sig ? *prev_sig : std::string("-"), ep.structSig,
-                removed_untrusted, prev_tracked, seam.trackedLogical, spec,
-                dec_noise, cfg);
-            ce.seg = cache.get(ce.segKey, build);
+            ce.segKey = std::move(eb.key);
+            ce.seg = cache.get(ce.segKey, build,
+                               eb.prefetched ? eb.work : PrebuiltWork{});
         } else {
             ce.seg = std::make_shared<const CachedSegment>(build());
         }
-        if (ce.seg->dem.numDetectors != res.detEnd - res.detBegin)
+        if (ce.seg->dem.numDetectors != eb.detEnd - eb.detBegin)
             // A structurally inconsistent epoch plan (or a malformed
             // cached DEM) surfaces as a value at the checked boundary
             // instead of killing a long-running service.
@@ -272,18 +366,20 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
                 std::to_string(e) + " has " +
                 std::to_string(ce.seg->dem.numDetectors) +
                 " detectors but the concatenated circuit reserved " +
-                std::to_string(res.detEnd - res.detBegin)));
+                std::to_string(eb.detEnd - eb.detBegin)));
         ce.startRound = ep.startRound;
         ce.rounds = ep.rounds;
         ce.distX = ep.deformed.distX;
         ce.distZ = ep.deformed.distZ;
         ce.activeDefects = ep.activeSites.size();
-        ce.detBegin = res.detBegin;
-        ce.detEnd = res.detEnd;
+        ce.detBegin = eb.detBegin;
+        ce.detEnd = eb.detEnd;
         out.epochs.push_back(std::move(ce));
-
-        prev_patch = &patch;
-        prev_sig = &ep.structSig;
+    }
+    if (stitched < n_epochs) { // dead seam
+        out.alive = false;
+        out.circuit = Circuit{};
+        out.epochs.clear();
     }
     return out;
 }

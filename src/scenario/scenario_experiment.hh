@@ -79,7 +79,10 @@ struct ScenarioConfig
     uint64_t maxShotsPerTimeline = 4096;
     uint64_t targetFailures = UINT64_MAX; ///< stop early once reached
     size_t batchShots = 4096;
-    size_t threads = 0; ///< decode workers; results thread-count invariant
+    /** Worker threads of each timeline's pool: they decode, and build
+     *  a cold timeline's missing segment DEMs in parallel; results are
+     *  thread-count invariant. 0 = hardware threads. */
+    size_t threads = 0;
     bool decoderKnowsDefects = false;
     uint64_t seed = 0x5eedULL;
 

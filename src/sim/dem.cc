@@ -4,6 +4,7 @@
 #include <array>
 #include <iterator>
 #include <map>
+#include <memory_resource>
 #include <unordered_map>
 
 #include "util/logging.hh"
@@ -16,7 +17,7 @@ namespace {
 struct FlipSetHash
 {
     size_t
-    operator()(const std::vector<uint32_t> &v) const
+    operator()(const std::pmr::vector<uint32_t> &v) const
     {
         uint64_t h = 1469598103934665603ULL;
         for (uint32_t x : v) {
@@ -66,9 +67,18 @@ buildDem(const Circuit &circuit, PauliType obs_basis)
     // instruction's sites in reverse, the order the one-site
     // instructions were met in, and (b) the table is sized by noise
     // sites, not instructions, so it gets the same bucket count.
-    std::unordered_map<std::vector<uint32_t>, std::array<double, 2>,
-                       FlipSetHash>
-        merged;
+    //
+    // The order rule: do not change FlipSetHash, the reserve() size
+    // below or the insertion sequence of the backward pass. Together they
+    // fix libstdc++'s node order, hence the summation order of every
+    // edge, and any change can move the DEM's last bits (the
+    // CircuitLayout digests pin them). The allocator does not enter the
+    // order: nodes, buckets and key vectors come from one monotonic arena
+    // per build, released at once when the build returns.
+    std::pmr::monotonic_buffer_resource arena;
+    std::pmr::unordered_map<std::pmr::vector<uint32_t>, std::array<double, 2>,
+                            FlipSetHash>
+        merged(&arena);
     merged.reserve(4 * circuit.countNoiseSites() + 16);
 
     std::vector<size_t> meas_before(instrs.size() + 1, 0);
@@ -112,7 +122,8 @@ buildDem(const Circuit &circuit, PauliType obs_basis)
     // X, Y = X xor Z and Z sets are formed once, and the components are
     // folded in the fixed X, Y, Z (DEPOLARIZE1) or (pa, pb) = 1..15
     // (DEPOLARIZE2) order, so `merged` sees the same insertion sequence.
-    std::vector<uint32_t> comp_dets;
+    // Default-resource scratch; a new key copies it into the arena.
+    std::pmr::vector<uint32_t> comp_dets;
     auto foldComponent = [&](double p) {
         bool obs_flip = false;
         if (!comp_dets.empty() && comp_dets.back() == obs_id) {
@@ -127,7 +138,7 @@ buildDem(const Circuit &circuit, PauliType obs_basis)
     auto setTo = [&](const std::vector<uint32_t> &a) {
         comp_dets.assign(a.begin(), a.end());
     };
-    auto setToXor = [&](std::vector<uint32_t> &out,
+    auto setToXor = [&](auto &out,
                         const std::vector<uint32_t> &a,
                         const std::vector<uint32_t> &b) {
         out.clear();

@@ -48,15 +48,20 @@ SubsystemCode::validate() const
     // Gather every generator with a role label for error messages.
     struct Gen { const PauliString *p; std::string name; };
     std::vector<Gen> gens;
+    // Appended, not `"LX" + ...`: GCC 12 at -O3 flags the inlined
+    // literal-plus-temporary insert as an overlapping copy (-Wrestrict).
+    auto label = [](const char *role, size_t i) {
+        return std::string(role).append(std::to_string(i));
+    };
     for (size_t i = 0; i < stabilizers_.size(); ++i)
-        gens.push_back({&stabilizers_[i], "s" + std::to_string(i)});
+        gens.push_back({&stabilizers_[i], label("s", i)});
     for (size_t i = 0; i < logicalX_.size(); ++i) {
-        gens.push_back({&logicalX_[i], "LX" + std::to_string(i)});
-        gens.push_back({&logicalZ_[i], "LZ" + std::to_string(i)});
+        gens.push_back({&logicalX_[i], label("LX", i)});
+        gens.push_back({&logicalZ_[i], label("LZ", i)});
     }
     for (size_t i = 0; i < gaugeX_.size(); ++i) {
-        gens.push_back({&gaugeX_[i], "GX" + std::to_string(i)});
-        gens.push_back({&gaugeZ_[i], "GZ" + std::to_string(i)});
+        gens.push_back({&gaugeX_[i], label("GX", i)});
+        gens.push_back({&gaugeZ_[i], label("GZ", i)});
     }
 
     // Counting identity: n - k - l stabilizers.

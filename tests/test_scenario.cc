@@ -371,6 +371,152 @@ TEST(ScenarioEngine, CacheEvictionNeverChangesResults)
     EXPECT_GT(tiny_cache.cacheEvictions, 0u);
 }
 
+/** What a cold pass leaves behind: the cache counters and the physics. */
+struct ColdPassOutcome
+{
+    uint64_t hits = 0, misses = 0, evictions = 0;
+    size_t size = 0;
+    std::vector<uint64_t> failures; ///< per timeline
+    std::vector<uint64_t> lookupMisses; ///< per timeline, its own included
+    uint64_t storms = 0;
+    bool lastDead = false;
+};
+
+/**
+ * Cold pass over a sampled d=5 cosmic-ray history (plus, optionally, a
+ * hand-made plan whose logical dies at its third seam) against one fresh
+ * cache. Every timeline misses several segments, so their standalone
+ * DEMs are prefetched on the pool together.
+ */
+ColdPassOutcome
+runColdPass(size_t threads, bool use_cache, size_t budget,
+            const char *faults, bool dying)
+{
+    ScenarioConfig cfg;
+    cfg.timeline.strategy = Strategy::SurfDeformer;
+    cfg.timeline.d = 5;
+    cfg.timeline.deltaD = 2;
+    cfg.timeline.horizonRounds = 60;
+    cfg.timeline.windowRounds = 10;
+    cfg.timeline.maxEpochRounds = 10;
+    cfg.defectModel.durationSec = 20e-6;
+    cfg.defectModel.regionDiameter = 2;
+    cfg.noise.p = 2e-3;
+    cfg.maxShotsPerTimeline = 64;
+    cfg.batchShots = 32;
+    cfg.threads = threads;
+    cfg.useCache = use_cache;
+    if (faults) {
+        auto plan = parseFaultPlan(faults);
+        EXPECT_TRUE(plan.ok());
+        cfg.faults = plan.value();
+    }
+    DefectModelParams model = cfg.defectModel;
+    model.eventRatePerQubitSec *= 150000.0;
+    const CodePatch base = squarePatch(cfg.timeline.d);
+    std::vector<ScenarioPlan> plans;
+    StrategyMemo memo;
+    for (uint64_t seed : {77, 78, 80, 81}) {
+        DefectSampler sampler(model, seed);
+        plans.push_back(planEpochs(
+            cfg.timeline, sampler.sampleEvents(base, 60), &memo));
+    }
+    if (dying) {
+        // Pristine, struck, recovered, then a code shifted one plaquette
+        // row down whose measured-out top row is all defective: no
+        // continuation of the logical exists at the third seam.
+        ScenarioPlan plan = strikePlan(5, 2, 10, 20, 30, {5, 5}, 2);
+        const CodePatch &prev = plan.epochs.back().deformed.patch;
+        const CodePatch shifted = squarePatch(5, {0, 2});
+        std::set<Coord> lost;
+        for (const Coord &q : prev.dataQubits())
+            if (!shifted.hasData(q))
+                lost.insert(q);
+        Epoch e = makeEpoch(Strategy::SurfDeformer, 5, 2, 30, 10, {});
+        e.deformed.patch = shifted;
+        e.structSig = patchSignature(shifted);
+        e.activeSites = lost;
+        plan.epochs.push_back(std::move(e));
+        plan.epochs.push_back(
+            makeEpoch(Strategy::SurfDeformer, 5, 2, 40, 10, {}));
+        plans.push_back(std::move(plan));
+    }
+
+    DeformedCodeCache cache;
+    if (budget)
+        cache.setBudget(budget);
+    ColdPassOutcome out;
+    for (size_t t = 0; t < plans.size(); ++t) {
+        const uint64_t misses0 = cache.misses();
+        const TimelineStats tl =
+            runPlannedTimeline(plans[t], cfg, cache, 1000 + t, 0);
+        out.failures.push_back(tl.failures);
+        out.lookupMisses.push_back(cache.misses() - misses0);
+        out.storms += tl.ledger.cacheStorms;
+        out.lastDead = tl.dead;
+    }
+    out.hits = cache.hits();
+    out.misses = cache.misses();
+    out.evictions = cache.evictions();
+    out.size = cache.size();
+    return out;
+}
+
+TEST(ScenarioEngine, PrefetchedColdBuildsKeepCountersAndResults)
+{
+    // Cold timelines build their missing segment DEMs on the pool before
+    // resolving the epochs in order. Neither the counters nor the physics
+    // may notice: every value below was recorded on the serial build,
+    // where each epoch built its segment inline, and each must repeat at
+    // 1, 2 and 4 threads.
+    struct Variant
+    {
+        const char *name;
+        bool useCache;
+        size_t budget;
+        const char *faults;
+        bool dying;
+        uint64_t hits, misses, evictions;
+        size_t size;
+        uint64_t storms;
+    };
+    const Variant variants[] = {
+        {"unbounded", true, 0, nullptr, false, 7, 21, 0, 21, 0},
+        {"budget 1", true, 1, nullptr, false, 3, 25, 24, 1, 0},
+        {"epoch storms", true, 0, "storm.epochs=2", false, 3, 25, 23, 2, 12},
+        {"dies mid-timeline", true, 0, nullptr, true, 8, 24, 0, 24, 0},
+        // The storm before the dead epoch's build still fires. It shows
+        // in the evictions only: a dead timeline returns no ledger.
+        {"dies under epoch storms", true, 0, "storm.epochs=2", true, 3, 29,
+         28, 1, 12},
+        {"uncached", false, 0, nullptr, false, 0, 0, 0, 0, 0},
+    };
+    const std::vector<uint64_t> failures = {18, 22, 16, 13};
+    for (const Variant &v : variants)
+        for (size_t threads : {1u, 2u, 4u}) {
+            SCOPED_TRACE(std::string(v.name) + ", threads " +
+                         std::to_string(threads));
+            const ColdPassOutcome o =
+                runColdPass(threads, v.useCache, v.budget, v.faults, v.dying);
+            EXPECT_EQ(o.hits, v.hits);
+            EXPECT_EQ(o.misses, v.misses);
+            EXPECT_EQ(o.evictions, v.evictions);
+            EXPECT_EQ(o.size, v.size);
+            EXPECT_EQ(o.storms, v.storms);
+            std::vector<uint64_t> expected = failures;
+            if (v.dying)
+                expected.push_back(64); // every shot of the dead timeline
+            EXPECT_EQ(o.failures, expected);
+            EXPECT_EQ(o.lastDead, v.dying);
+            if (v.useCache && !v.budget && !v.faults) {
+                // Each timeline misses its own lookup and at least two
+                // segments (the dying one: the epochs before it dies).
+                for (uint64_t m : o.lookupMisses)
+                    EXPECT_GE(m, 3u);
+            }
+        }
+}
+
 TEST(DeformedCodeCache, GreedyDualEvictionIsCostWeighted)
 {
     // Eviction priority is (clock at last use + measured build seconds):
@@ -407,6 +553,41 @@ TEST(DeformedCodeCache, GreedyDualEvictionIsCostWeighted)
     cache.setBudget(1);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.bytesUsed(), 0u);
+}
+
+TEST(DeformedCodeCache, PrebuiltWorkIsChargedToItsEntry)
+{
+    // A DEM prefetched on a pool worker is part of its entry's build
+    // cost: it lifts the GreedyDual priority and counts in
+    // buildSeconds(). The enclosing timeline build subtracts only the
+    // wall-clock share the prefetch took, so the timeline's own cost
+    // stays its stitching time.
+    const auto spin = [](double seconds) {
+        const auto t0 = std::chrono::steady_clock::now();
+        while (std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count() < seconds) {
+        }
+    };
+    const auto empty = [] { return CachedSegment{}; };
+    DeformedCodeCache cache;
+    cache.getTimeline("timeline", [&] {
+        // 30 ms of the build's wall clock, 20 ms of it spent waiting on
+        // a prefetch whose DEM took 50 ms of worker time.
+        spin(0.03);
+        cache.get("prefetched", empty, PrebuiltWork{0.05, 0.02});
+        return CachedTimeline{};
+    });
+    EXPECT_GE(cache.buildSeconds(), 0.05 + 0.01 - 1e-4);
+    cache.get("cheap", empty);
+    // Room for exactly these three: the next insert evicts the cheapest,
+    // and the prefetched entry outranks it by its worker seconds.
+    cache.setBudget(cache.bytesUsed());
+    cache.get("new", empty);
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.hits(), 0u);
+    cache.get("prefetched", empty);
+    EXPECT_EQ(cache.hits(), 1u) << "the prefetched entry was evicted";
 }
 
 TEST(EpochPlanner, ConstantWindowsMergeAndCapsSplit)
