@@ -24,7 +24,8 @@ main(int argc, char **argv)
     benchutil::header("Fig. 11(a): logical error rate vs #defective qubits "
                       "(surface code untreated vs Surf-Deformer removal)");
     std::printf("circuit noise p = 1e-3, defect rate 0.5, memory-Z, "
-                "MWPM decoding\n\n");
+                "MWPM decoding; union-find above 120 fired detectors "
+                "(most untreated shots)\n\n");
     std::printf("%4s %4s | %-24s | %-24s\n", "d", "#def", "untreated p_L/round",
                 "Surf-Deformer p_L/round");
 

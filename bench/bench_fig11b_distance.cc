@@ -37,9 +37,11 @@ main(int argc, char **argv)
                 const auto defects =
                     benchutil::clusteredDefects(pristine, k, rng);
                 const auto a =
-                    applyStrategy(Strategy::Ascs, d, 0, defects);
-                auto sd = applyStrategy(Strategy::SurfDeformer, d, 0,
-                                        defects);
+                    applyStrategyChecked(Strategy::Ascs, d, 0, defects)
+                        .value();
+                auto sd = applyStrategyChecked(Strategy::SurfDeformer, d, 0,
+                                               defects)
+                              .value();
                 sum_ascs += static_cast<double>(a.alive ? a.minDist() : 0);
                 sum_sd += static_cast<double>(sd.alive ? sd.minDist() : 0);
             }

@@ -33,10 +33,13 @@ main(int argc, char **argv)
                                   static_cast<uint64_t>(k) * 7919 +
                                       static_cast<uint64_t>(s));
             const CodePatch ref = squarePatch(l);
-            const auto faults = sampler.sampleStaticFaults(ref, k);
-            const auto a = applyStrategy(Strategy::Ascs, l, 0, faults);
-            const auto d = applyStrategy(Strategy::SurfDeformer, l, 0,
-                                         faults);
+            const auto faults =
+                sampler.sampleStaticFaultsChecked(ref, k).value();
+            const auto a =
+                applyStrategyChecked(Strategy::Ascs, l, 0, faults).value();
+            const auto d =
+                applyStrategyChecked(Strategy::SurfDeformer, l, 0, faults)
+                    .value();
             ok_ascs += (a.alive && a.minDist() >= static_cast<size_t>(target));
             ok_sd += (d.alive && d.minDist() >= static_cast<size_t>(target));
         }

@@ -24,24 +24,28 @@ main()
                 "D=4\n");
     std::printf("  lambda        = %.4f (paper ~0.14)\n",
                 model.lambdaForPatch(27));
-    std::printf("  Delta_d       = %d  (paper: 4)\n", gen.chooseDeltaD(27));
+    std::printf("  Delta_d       = %d  (paper: 4)\n",
+                gen.chooseDeltaDChecked(27).value());
     std::printf("  p_block       = %.4f (paper ~0.0089 < 0.01)\n\n",
                 gen.blockProbability(27, 4));
 
     std::printf("%4s | %8s %10s\n", "d", "Delta_d", "p_block");
-    for (int d = 9; d <= 51; d += 6)
-        std::printf("%4d | %8d %10.4f\n", d, gen.chooseDeltaD(d),
-                    gen.blockProbability(d, gen.chooseDeltaD(d)));
+    for (int d = 9; d <= 51; d += 6) {
+        const int delta = gen.chooseDeltaDChecked(d).value();
+        std::printf("%4d | %8d %10.4f\n", d, delta,
+                    gen.blockProbability(d, delta));
+    }
 
     std::printf("\nInter-space overhead at N=100 logical qubits:\n");
     std::printf("%-16s %6s %14s %10s\n", "scheme", "space", "phys qubits",
                 "vs LS");
     const int d = 27;
-    const auto ls = gen.plan(100, d, InterspaceScheme::LatticeSurgery);
+    const auto ls =
+        gen.planChecked(100, d, InterspaceScheme::LatticeSurgery).value();
     for (auto scheme :
          {InterspaceScheme::LatticeSurgery, InterspaceScheme::Q3de,
           InterspaceScheme::Q3deRevised, InterspaceScheme::SurfDeformer}) {
-        const auto p = gen.plan(100, d, scheme);
+        const auto p = gen.planChecked(100, d, scheme).value();
         const char *name;
         switch (scheme) {
           case InterspaceScheme::LatticeSurgery: name = "LatticeSurgery"; break;

@@ -445,7 +445,7 @@ struct SnapshotFixture
         cfg.batchShots = 64;
         cfg.seed = 99;
         cfg.cache = &cache;
-        runScenarioExperiment(cfg);
+        runScenarioExperimentChecked(cfg).value();
         char tmpl[] = "/tmp/surf_bench_snapshot_XXXXXX";
         const char *d = ::mkdtemp(tmpl);
         if (!d) {

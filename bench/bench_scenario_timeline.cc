@@ -78,7 +78,7 @@ run(const ScenarioConfig &cfg)
 {
     Timed out;
     const auto t0 = std::chrono::steady_clock::now();
-    out.result = runScenarioExperiment(cfg);
+    out.result = runScenarioExperimentChecked(cfg).value();
     out.seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count();

@@ -25,7 +25,7 @@ main()
     for (const Strategy s :
          {Strategy::LatticeSurgery, Strategy::Ascs, Strategy::Q3de,
           Strategy::SurfDeformer}) {
-        const auto out = applyStrategy(s, d, 4, sites);
+        const auto out = applyStrategyChecked(s, d, 4, sites).value();
         std::printf("%-16s: distance %zu/%zu, %zu data qubits, "
                     "%zu residual defects, %d layers grown\n",
                     strategyName(s), out.distX, out.distZ,

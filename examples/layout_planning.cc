@@ -50,7 +50,8 @@ main()
     for (const Strategy s :
          {Strategy::LatticeSurgery, Strategy::Q3deRevised,
           Strategy::SurfDeformer}) {
-        const auto plan = gen.plan(prog.numQubits, d, schemeOf(s));
+        const auto plan =
+            gen.planChecked(prog.numQubits, d, schemeOf(s)).value();
         std::printf("  %-16s: %.3e physical qubits (Delta_d=%d, "
                     "p_block=%.4f)\n",
                     strategyName(s),

@@ -105,14 +105,4 @@ applyStrategyChecked(Strategy s, int d, int delta_d,
         std::to_string(static_cast<int>(s)));
 }
 
-StrategyOutcome
-applyStrategy(Strategy s, int d, int delta_d, const std::set<Coord> &defects)
-{
-    StatusOr<StrategyOutcome> out = applyStrategyChecked(s, d, delta_d,
-                                                         defects);
-    if (!out.ok())
-        SURF_FATAL("applyStrategy: ", out.status().str());
-    return std::move(out.value());
-}
-
 } // namespace surf

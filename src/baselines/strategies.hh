@@ -67,11 +67,6 @@ struct StrategyOutcome
 StatusOr<StrategyOutcome> applyStrategyChecked(Strategy s, int d, int delta_d,
                                                const std::set<Coord> &defects);
 
-/** applyStrategyChecked; dies with a fatal error on invalid input
- *  (legacy entry — new callers want the checked variant). */
-StrategyOutcome applyStrategy(Strategy s, int d, int delta_d,
-                              const std::set<Coord> &defects);
-
 } // namespace surf
 
 #endif // SURF_BASELINES_STRATEGIES_HH

@@ -43,15 +43,6 @@ LayoutGenerator::chooseDeltaDChecked(int d, double alpha_block) const
 }
 
 int
-LayoutGenerator::chooseDeltaD(int d, double alpha_block) const
-{
-    StatusOr<int> delta = chooseDeltaDChecked(d, alpha_block);
-    if (!delta.ok())
-        SURF_FATAL(delta.status().str());
-    return *delta;
-}
-
-int
 LayoutGenerator::interspace(int d, int delta_d, InterspaceScheme scheme)
 {
     switch (scheme) {
@@ -104,16 +95,6 @@ LayoutGenerator::planChecked(int num_logical, int d, InterspaceScheme scheme,
     const long h = static_cast<long>(out.gridRows) * (d + s) + s;
     out.physicalQubits = static_cast<size_t>(2L * w * h);
     return out;
-}
-
-LayoutPlan
-LayoutGenerator::plan(int num_logical, int d, InterspaceScheme scheme,
-                      double alpha_block) const
-{
-    StatusOr<LayoutPlan> out = planChecked(num_logical, d, scheme, alpha_block);
-    if (!out.ok())
-        SURF_FATAL(out.status().str());
-    return *out;
 }
 
 } // namespace surf

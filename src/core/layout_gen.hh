@@ -98,10 +98,6 @@ class LayoutGenerator
      */
     StatusOr<int> chooseDeltaDChecked(int d, double alpha_block = 0.01) const;
 
-    /** chooseDeltaDChecked; dies with a fatal error when unsatisfiable
-     *  (legacy entry — new callers want the checked variant). */
-    int chooseDeltaD(int d, double alpha_block = 0.01) const;
-
     /**
      * Assemble the full layout plan: logical tiles on a near-square grid
      * with the scheme's inter-space, physical qubits = 2 per lattice site
@@ -112,11 +108,6 @@ class LayoutGenerator
     StatusOr<LayoutPlan> planChecked(int num_logical, int d,
                                      InterspaceScheme scheme,
                                      double alpha_block = 0.01) const;
-
-    /** planChecked; dies with a fatal error on invalid input (legacy
-     *  entry — new callers want the checked variant). */
-    LayoutPlan plan(int num_logical, int d, InterspaceScheme scheme,
-                    double alpha_block = 0.01) const;
 
     /** Inter-space width in data-qubit units for a scheme. */
     static int interspace(int d, int delta_d, InterspaceScheme scheme);

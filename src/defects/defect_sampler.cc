@@ -150,13 +150,4 @@ DefectSampler::sampleStaticFaultsChecked(const CodePatch &patch, int k)
     return out;
 }
 
-std::set<Coord>
-DefectSampler::sampleStaticFaults(const CodePatch &patch, int k)
-{
-    StatusOr<std::set<Coord>> out = sampleStaticFaultsChecked(patch, k);
-    if (!out.ok())
-        SURF_FATAL("sampleStaticFaults: ", out.status().str());
-    return std::move(out.value());
-}
-
 } // namespace surf

@@ -101,10 +101,6 @@ class DefectSampler
     StatusOr<std::set<Coord>> sampleStaticFaultsChecked(const CodePatch &patch,
                                                         int k);
 
-    /** sampleStaticFaultsChecked; dies with a fatal error on invalid k
-     *  (legacy entry — new callers want the checked variant). */
-    std::set<Coord> sampleStaticFaults(const CodePatch &patch, int k);
-
     Rng &rng() { return rng_; }
 
   private:

@@ -113,15 +113,6 @@ sampleFabDefectsChecked(const CodePatch &patch, const FabDefectModel &model)
     return out;
 }
 
-FabDefectSample
-sampleFabDefects(const CodePatch &patch, const FabDefectModel &model)
-{
-    StatusOr<FabDefectSample> out = sampleFabDefectsChecked(patch, model);
-    if (!out.ok())
-        SURF_FATAL("sampleFabDefects: ", out.status().str());
-    return std::move(out.value());
-}
-
 std::set<Coord>
 fabEffectiveSites(const FabDefectSample &sample)
 {
@@ -157,15 +148,6 @@ adaptFabDefectsChecked(Strategy s, int d, int deltaD,
                    : 0)
             : static_cast<size_t>(d);
     return adapt;
-}
-
-FabAdaptation
-adaptFabDefects(Strategy s, int d, int deltaD, const FabDefectSample &sample)
-{
-    StatusOr<FabAdaptation> out = adaptFabDefectsChecked(s, d, deltaD, sample);
-    if (!out.ok())
-        SURF_FATAL("adaptFabDefects: ", out.status().str());
-    return std::move(out.value());
 }
 
 } // namespace surf

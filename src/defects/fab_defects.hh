@@ -84,11 +84,6 @@ void sampleFabInto(FabDefectSample &out, const CodePatch &patch,
 StatusOr<FabDefectSample> sampleFabDefectsChecked(const CodePatch &patch,
                                                   const FabDefectModel &model);
 
-/** sampleFabDefectsChecked; dies with a fatal error on invalid rates
- *  (legacy entry — new callers want the checked variant). */
-FabDefectSample sampleFabDefects(const CodePatch &patch,
-                                 const FabDefectModel &model);
-
 /**
  * The lattice sites a sample disables: the defective qubits plus the
  * data endpoint of every defective coupler (a check that cannot touch
@@ -121,11 +116,6 @@ struct FabAdaptation
  */
 StatusOr<FabAdaptation> adaptFabDefectsChecked(Strategy s, int d, int deltaD,
                                                const FabDefectSample &sample);
-
-/** adaptFabDefectsChecked; dies with a fatal error on invalid input
- *  (legacy entry — new callers want the checked variant). */
-FabAdaptation adaptFabDefects(Strategy s, int d, int deltaD,
-                              const FabDefectSample &sample);
 
 } // namespace surf
 

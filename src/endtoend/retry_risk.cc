@@ -109,7 +109,8 @@ measuredDistanceLoss(Strategy s, int d_cal, int delta_d, int samples,
     pool.parallelFor(centers.size(), [&](size_t i, size_t) {
         const auto sites =
             DefectSampler::regionSites(centers[i], region_diameter);
-        const auto out = applyStrategy(s, d_cal, delta_d, sites);
+        const auto out =
+            applyStrategyChecked(s, d_cal, delta_d, sites).value();
         // A destroyed patch counts the full distance as lost.
         losses[i] = out.alive ? static_cast<double>(d_cal) -
                                     static_cast<double>(out.minDist())
@@ -135,7 +136,8 @@ estimateRetryRisk(const BenchmarkProgram &program, const RetryRiskConfig &cfg)
     if (program.numT > 0)
         tiles += std::max(1, program.numQubits / 10);
     const auto plan =
-        gen.plan(tiles, cfg.d, schemeOf(cfg.strategy), cfg.alphaBlock);
+        gen.planChecked(tiles, cfg.d, schemeOf(cfg.strategy), cfg.alphaBlock)
+            .value();
     out.physicalQubits = plan.physicalQubits;
     out.deltaD = plan.deltaD;
 
@@ -222,7 +224,7 @@ crossCheckRetryRisk(const ScenarioCrossCheckConfig &cfg)
     sc.maxShotsPerTimeline = cfg.shotsPerTimeline;
     sc.seed = cfg.seed;
     sc.threads = cfg.threads;
-    const ScenarioResult res = runScenarioExperiment(sc);
+    const ScenarioResult res = runScenarioExperimentChecked(sc).value();
     out.shots = res.shots;
     out.failures = res.failures;
     out.measuredPShot = res.pShot;

@@ -16,6 +16,12 @@
  * and Q3DE's fixed layout additionally stalls when the expected number of
  * concurrently-blocked tiles saturates the routing fabric (OverRuntime,
  * the paper's Table-II failure mode).
+ *
+ * These estimators return plain numbers, not StatusOr: an invalid
+ * configuration (unknown strategy, code distance out of range, an
+ * unsatisfiable alphaBlock, a rejected scenario config) surfaces as a
+ * StatusError exception carrying the Status of the checked entry point
+ * that refused it. They never end the process.
  */
 
 #ifndef SURF_ENDTOEND_RETRY_RISK_HH

@@ -41,15 +41,6 @@ PauliString::parse(const std::string &text)
 }
 
 PauliString
-PauliString::fromString(const std::string &text)
-{
-    StatusOr<PauliString> p = parse(text);
-    if (!p.ok())
-        SURF_FATAL(p.status().str());
-    return std::move(*p);
-}
-
-PauliString
 PauliString::single(size_t n, size_t q, Pauli p)
 {
     PauliString out(n);

@@ -56,10 +56,6 @@ class PauliString
      */
     static StatusOr<PauliString> parse(const std::string &text);
 
-    /** Parse; dies with a fatal error on a bad character (legacy entry —
-     *  new callers want parse()). */
-    static PauliString fromString(const std::string &text);
-
     /** Weight-1 operator P on qubit q of an n-qubit register. */
     static PauliString single(size_t n, size_t q, Pauli p);
 

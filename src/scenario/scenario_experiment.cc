@@ -430,8 +430,13 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         tlc = std::make_shared<const CachedTimeline>(
             buildStitchedTimeline(plan, cfg, cache, pool, bi, &tl.ledger));
     }
-    if (!tlc->alive)
-        return deadTimeline(cfg, plan.numEvents);
+    if (!tlc->alive) {
+        // Keep what the build tallied (its cache storms) before the
+        // seam that killed the timeline.
+        TimelineStats dead = deadTimeline(cfg, plan.numEvents);
+        dead.ledger = std::move(tl.ledger);
+        return dead;
+    }
     const Circuit &ckt = tlc->circuit;
     const size_t n_epochs = tlc->epochs.size();
     tl.epochs.resize(n_epochs);
@@ -1052,15 +1057,6 @@ runScenarioExperimentChecked(const ScenarioConfig &userCfg)
         // as values.
         return e.status();
     }
-}
-
-ScenarioResult
-runScenarioExperiment(const ScenarioConfig &cfg)
-{
-    StatusOr<ScenarioResult> result = runScenarioExperimentChecked(cfg);
-    if (!result.ok())
-        SURF_FATAL("scenario experiment: ", result.status().str());
-    return std::move(result.value());
 }
 
 } // namespace surf

@@ -203,8 +203,8 @@ struct ScenarioResult
 /**
  * Validate a scenario configuration: finite probabilities in range,
  * positive shot/round/window counts, a sane code distance, known enum
- * values and a well-formed fault plan. Everything runScenarioExperiment
- * would otherwise die on becomes an INVALID_ARGUMENT here.
+ * values and a well-formed fault plan. Each malformed field comes back
+ * as INVALID_ARGUMENT, before any circuit is built.
  */
 Status validateScenarioConfig(const ScenarioConfig &cfg);
 
@@ -227,13 +227,10 @@ Status validateDefectStream(const std::vector<DefectEvent> &events,
  */
 StatusOr<ScenarioResult> runScenarioExperimentChecked(const ScenarioConfig &cfg);
 
-/** Run the scenario sweep; dies with a fatal error on invalid input
- *  (legacy entry — new callers want runScenarioExperimentChecked). */
-ScenarioResult runScenarioExperiment(const ScenarioConfig &cfg);
-
 /**
  * Run one explicitly-planned timeline (the engine behind
- * runScenarioExperiment; runMemoryExperiment is the one-epoch case).
+ * runScenarioExperimentChecked; runMemoryExperiment is the one-epoch
+ * case).
  * @param batchSeedBase first per-batch sampling seed (incremented batch
  *        by batch, exactly like the memory pipeline)
  * @param failuresSoFar early-stop tally carried across timelines

@@ -14,14 +14,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::fflush(stderr);
-    std::exit(1);
-}
-
-void
 warn(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());

@@ -1,8 +1,10 @@
 /**
  * @file
- * Error-reporting helpers in the gem5 style: panic() for internal
- * invariant violations (bugs), fatal() for unrecoverable user errors,
- * warn()/inform() for status messages that do not stop execution.
+ * Error-reporting helpers in the gem5 style: SURF_PANIC / SURF_ASSERT
+ * for internal invariant violations (bugs), warn()/inform() for status
+ * messages that do not stop execution. User errors are not reported
+ * here: they come back to the caller as a Status (util/status.hh), and
+ * the library never ends the process for them.
  */
 
 #ifndef SURF_UTIL_LOGGING_HH
@@ -15,9 +17,6 @@ namespace surf {
 
 /** Print "panic: <msg>" with location and abort(). Use for internal bugs. */
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
-
-/** Print "fatal: <msg>" and exit(1). Use for unrecoverable user errors. */
-[[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 
 /** Print "warn: <msg>" to stderr. */
 void warn(const std::string &msg);
@@ -43,9 +42,6 @@ concat(Args &&...args)
 
 #define SURF_PANIC(...) \
     ::surf::panicImpl(__FILE__, __LINE__, ::surf::detail::concat(__VA_ARGS__))
-
-#define SURF_FATAL(...) \
-    ::surf::fatalImpl(__FILE__, __LINE__, ::surf::detail::concat(__VA_ARGS__))
 
 /** Assert a condition that should hold regardless of user input. */
 #define SURF_ASSERT(cond, ...)                                           \

@@ -1,19 +1,19 @@
 /**
  * @file
- * Structured error propagation for user-facing entry points. The repo's
- * historical error discipline is gem5-style: SURF_PANIC for internal
- * bugs (abort), SURF_FATAL for user errors (exit). That is fine for a
- * batch CLI but hostile to a long-running service: a malformed scenario
- * config, a corrupted defect stream or an inconsistent epoch plan must
- * come back to the caller as a diagnosable value, not a process exit.
+ * The library's one error path for user errors. A malformed scenario
+ * config, a corrupted defect stream, an inconsistent epoch plan or a bad
+ * strategy argument comes back to the caller as a diagnosable value; the
+ * library never ends the host process for it. SURF_PANIC / SURF_ASSERT
+ * (util/logging.hh) remain for genuine invariant violations (bugs).
  *
  * Status is a tiny absl-shaped result type: a code plus a human-readable
  * message. StatusOr<T> carries either a value or a non-OK Status.
  * StatusError wraps a Status in an exception for the layers where
  * threading a return value is impractical (deep inside cache build
  * callbacks, worker-pool tasks); the checked entry points catch it at
- * the boundary and hand the Status back. SURF_PANIC remains the right
- * tool for genuine invariant violations.
+ * the boundary and hand the Status back. A caller that prefers an
+ * exception unwraps with value() or operator*, which throw StatusError
+ * carrying the message when the result is not OK.
  */
 
 #ifndef SURF_UTIL_STATUS_HH
@@ -137,7 +137,7 @@ class StatusError : public std::runtime_error
     Status status_;
 };
 
-/** Value-or-Status. Accessing value() on a non-OK result is a bug. */
+/** Value-or-Status. value() on a non-OK result throws StatusError. */
 template <typename T>
 class StatusOr
 {

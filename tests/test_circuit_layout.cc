@@ -106,7 +106,8 @@ strikePlan()
     const std::set<Coord> active[3] = {{}, strike, {}};
     for (int e = 0; e < 3; ++e) {
         const StrategyOutcome oc =
-            applyStrategy(Strategy::SurfDeformer, 5, 2, active[e]);
+            applyStrategyChecked(Strategy::SurfDeformer, 5, 2, active[e])
+                .value();
         EXPECT_TRUE(oc.alive);
         Epoch ep;
         ep.startRound = bounds[e];

@@ -74,7 +74,7 @@ TEST(DefectSampler, StaticFaultsAreDistinctQubits)
 {
     DefectSampler sampler(DefectModelParams{}, 3);
     const CodePatch p = squarePatch(7);
-    const auto faults = sampler.sampleStaticFaults(p, 12);
+    const auto faults = sampler.sampleStaticFaultsChecked(p, 12).value();
     EXPECT_EQ(faults.size(), 12u);
 }
 
@@ -119,21 +119,23 @@ TEST(Strategies, CharacteristicBehaviors)
     const auto sites = DefectSampler::regionSites({8, 8}, 3);
     const int d = 9;
 
-    const auto ls = applyStrategy(Strategy::LatticeSurgery, d, 4, sites);
+    const auto ls =
+        applyStrategyChecked(Strategy::LatticeSurgery, d, 4, sites).value();
     EXPECT_EQ(ls.residualDefects.size(), sites.size());
     EXPECT_EQ(ls.grownLayers, 0);
 
-    const auto ascs = applyStrategy(Strategy::Ascs, d, 4, sites);
+    const auto ascs = applyStrategyChecked(Strategy::Ascs, d, 4, sites).value();
     EXPECT_TRUE(ascs.residualDefects.empty());
     EXPECT_LT(ascs.minDist(), static_cast<size_t>(d)); // lost distance
     EXPECT_EQ(ascs.grownLayers, 0);
 
-    const auto q3 = applyStrategy(Strategy::Q3de, d, 4, sites);
+    const auto q3 = applyStrategyChecked(Strategy::Q3de, d, 4, sites).value();
     EXPECT_FALSE(q3.residualDefects.empty());
     EXPECT_EQ(q3.grownLayers, 2 * d); // fixed doubling
     EXPECT_EQ(q3.minDist(), static_cast<size_t>(2 * d));
 
-    const auto sd = applyStrategy(Strategy::SurfDeformer, d, 4, sites);
+    const auto sd =
+        applyStrategyChecked(Strategy::SurfDeformer, d, 4, sites).value();
     EXPECT_TRUE(sd.residualDefects.empty());
     EXPECT_GE(sd.minDist(), static_cast<size_t>(d)); // restored
     EXPECT_GT(sd.grownLayers, 0);
@@ -142,10 +144,9 @@ TEST(Strategies, CharacteristicBehaviors)
 
 TEST(Strategies, CheckedEntryRejectsMalformedInput)
 {
-    // The checked entry turns every abort-on-malformed shape into an
+    // The checked entry turns every malformed shape into an
     // INVALID_ARGUMENT: unknown strategy values, out-of-range distances,
-    // negative growth budgets. Well-formed input matches the legacy
-    // entry exactly.
+    // negative growth budgets. Well-formed input is accepted.
     EXPECT_EQ(applyStrategyChecked(static_cast<Strategy>(200), 5, 2, {})
                   .status()
                   .code(),
@@ -163,14 +164,9 @@ TEST(Strategies, CheckedEntryRejectsMalformedInput)
                   .code(),
               StatusCode::kInvalidArgument);
 
-    const auto ok =
-        applyStrategyChecked(Strategy::SurfDeformer, 5, 2, {Coord{5, 5}});
-    ASSERT_TRUE(ok.ok());
-    const auto legacy =
-        applyStrategy(Strategy::SurfDeformer, 5, 2, {Coord{5, 5}});
-    EXPECT_EQ(ok->distX, legacy.distX);
-    EXPECT_EQ(ok->distZ, legacy.distZ);
-    EXPECT_EQ(ok->alive, legacy.alive);
+    EXPECT_TRUE(
+        applyStrategyChecked(Strategy::SurfDeformer, 5, 2, {Coord{5, 5}})
+            .ok());
 }
 
 TEST(DefectSampler, CheckedStaticFaultsRejectsBadCounts)
@@ -193,9 +189,11 @@ TEST(Strategies, SurfDeformerBeatsAscsOnDistance)
     for (int s = 0; s < 6; ++s) {
         DefectSampler sampler(DefectModelParams{}, 100 + s);
         const CodePatch ref = squarePatch(9);
-        const auto faults = sampler.sampleStaticFaults(ref, 6);
-        const auto a = applyStrategy(Strategy::Ascs, 9, 4, faults);
-        const auto d = applyStrategy(Strategy::SurfDeformer, 9, 4, faults);
+        const auto faults = sampler.sampleStaticFaultsChecked(ref, 6).value();
+        const auto a =
+            applyStrategyChecked(Strategy::Ascs, 9, 4, faults).value();
+        const auto d =
+            applyStrategyChecked(Strategy::SurfDeformer, 9, 4, faults).value();
         EXPECT_GE(d.minDist(), a.minDist()) << "seed " << s;
     }
 }

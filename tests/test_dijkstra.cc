@@ -161,8 +161,9 @@ TEST(DijkstraOracle, DefectiveDeformedAndFabAdaptedPatches)
         {7, burst},
     };
     for (const Case &c : cases) {
-        const auto out = applyStrategy(Strategy::SurfDeformer, c.d, 2,
-                                       c.sites);
+        const auto out =
+            applyStrategyChecked(Strategy::SurfDeformer, c.d, 2, c.sites)
+                .value();
         ASSERT_TRUE(out.alive);
         NoiseParams noise;
         noise.p = 3e-3;
@@ -211,7 +212,8 @@ TEST(DijkstraOracle, StitchedTimelineAndStandaloneSegments)
     std::vector<StrategyOutcome> outcomes;
     for (const auto &sites : active) {
         outcomes.push_back(
-            applyStrategy(Strategy::SurfDeformer, 5, 2, sites));
+            applyStrategyChecked(Strategy::SurfDeformer, 5, 2, sites)
+                .value());
         ASSERT_TRUE(outcomes.back().alive);
     }
     NoiseParams noise;

@@ -232,7 +232,8 @@ TEST(GraphDistanceOracle, FlatKernelMatchesReference)
         for (int set = 0; set < 26; ++set) {
             const std::set<Coord> defects = fuzzDefects(d, rng);
             for (const Strategy s : {Strategy::Ascs, Strategy::SurfDeformer})
-                patches.push_back(applyStrategy(s, d, 2, defects).patch);
+                patches.push_back(
+                    applyStrategyChecked(s, d, 2, defects).value().patch);
             for (CodePatch &c : candidatePatches(d, defects, rng))
                 patches.push_back(std::move(c));
         }

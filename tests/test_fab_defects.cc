@@ -2,9 +2,9 @@
  * @file
  * Tests for fabrication-defect adaptation (src/defects/fab_defects) and
  * its scenario-engine wiring: deterministic chip sampling, the bandage
- * super-stabilizer adapter cross-checked against applyStrategy and a
- * noiseless tableau oracle, the zero-rate "costs nothing when off"
- * contract, thread-count invariance with broken chips, the dead-patch
+ * super-stabilizer adapter cross-checked against applyStrategyChecked
+ * and a noiseless tableau oracle, the zero-rate "costs nothing when
+ * off" contract, thread-count invariance with broken chips, the dead-patch
  * yield contract (tallied, never aborting), and kill/resume
  * checkpointing with fab counters.
  */
@@ -144,8 +144,9 @@ TEST(FabSampler, RejectsMalformedRates)
 TEST(FabAdapter, MatchesApplyStrategyAndValidates)
 {
     // The adapter is a thin deterministic wrapper over the strategy
-    // layer: its patch must equal applyStrategy on the effective defect
-    // set, structure for structure, and pass code validation.
+    // layer: its patch must equal applyStrategyChecked on the effective
+    // defect set, structure for structure, and pass code validation. It
+    // rejects what the strategy layer rejects.
     const CodePatch patch = squarePatch(5);
     int exercised = 0;
     for (uint64_t seed = 1; seed <= 12; ++seed) {
@@ -176,6 +177,16 @@ TEST(FabAdapter, MatchesApplyStrategyAndValidates)
         ++exercised;
     }
     EXPECT_GE(exercised, 3) << "rate too low to exercise the adapter";
+
+    const FabDefectSample none;
+    EXPECT_EQ(adaptFabDefectsChecked(Strategy::SurfDeformer, 1, 2, none)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(adaptFabDefectsChecked(static_cast<Strategy>(99), 5, 2, none)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
 }
 
 TEST(FabAdapter, AdaptedPatchIsNoiselesslyDeterministic)

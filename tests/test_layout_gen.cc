@@ -19,7 +19,7 @@ TEST(LayoutGen, PaperWorkedExample)
     const DefectModelParams model; // defaults are the paper's numbers
     LayoutGenerator gen(model);
     EXPECT_NEAR(model.lambdaForPatch(27), 0.14, 0.005);
-    EXPECT_EQ(gen.chooseDeltaD(27, 0.01), 4);
+    EXPECT_EQ(gen.chooseDeltaDChecked(27, 0.01).value(), 4);
     EXPECT_NEAR(gen.blockProbability(27, 4), 0.0089, 0.0015);
     EXPECT_GT(gen.blockProbability(27, 3), 0.01);
 }
@@ -28,8 +28,10 @@ TEST(LayoutGen, DeltaDGrowsWithDistance)
 {
     LayoutGenerator gen{DefectModelParams{}};
     // Larger patches catch more cosmic rays, so need more headroom.
-    EXPECT_LE(gen.chooseDeltaD(9), gen.chooseDeltaD(27));
-    EXPECT_LE(gen.chooseDeltaD(27), gen.chooseDeltaD(81));
+    EXPECT_LE(gen.chooseDeltaDChecked(9).value(),
+              gen.chooseDeltaDChecked(27).value());
+    EXPECT_LE(gen.chooseDeltaDChecked(27).value(),
+              gen.chooseDeltaDChecked(81).value());
 }
 
 TEST(LayoutGen, BlockProbabilityMonotonicInDeltaD)
@@ -67,9 +69,12 @@ TEST(LayoutGen, SchemeInterspaces)
 TEST(LayoutGen, PlanQubitCounting)
 {
     LayoutGenerator gen{DefectModelParams{}};
-    const auto ls = gen.plan(400, 19, InterspaceScheme::LatticeSurgery);
-    const auto sd = gen.plan(400, 19, InterspaceScheme::SurfDeformer);
-    const auto q3r = gen.plan(400, 19, InterspaceScheme::Q3deRevised);
+    const auto ls =
+        gen.planChecked(400, 19, InterspaceScheme::LatticeSurgery).value();
+    const auto sd =
+        gen.planChecked(400, 19, InterspaceScheme::SurfDeformer).value();
+    const auto q3r =
+        gen.planChecked(400, 19, InterspaceScheme::Q3deRevised).value();
     EXPECT_EQ(ls.gridCols, 20);
     EXPECT_EQ(ls.gridRows, 20);
     // Surf-Deformer costs ~20% more than the plain LS layout at equal d
@@ -88,7 +93,9 @@ TEST(LayoutGen, PlanQubitCounting)
 TEST(LayoutGen, PlanReportsAchievedBlockProbability)
 {
     LayoutGenerator gen{DefectModelParams{}};
-    const auto plan = gen.plan(100, 27, InterspaceScheme::SurfDeformer, 0.01);
+    const auto plan =
+        gen.planChecked(100, 27, InterspaceScheme::SurfDeformer, 0.01)
+            .value();
     EXPECT_EQ(plan.deltaD, 4);
     EXPECT_LE(plan.pBlock, 0.01);
 }
@@ -97,18 +104,7 @@ TEST(LayoutGen, CheckedEntriesRejectBadInputAsStatus)
 {
     LayoutGenerator gen{DefectModelParams{}};
 
-    // Agreement with the legacy entry on valid input.
-    StatusOr<int> delta = gen.chooseDeltaDChecked(27, 0.01);
-    ASSERT_TRUE(delta.ok());
-    EXPECT_EQ(*delta, gen.chooseDeltaD(27, 0.01));
-    StatusOr<LayoutPlan> plan =
-        gen.planChecked(100, 27, InterspaceScheme::SurfDeformer, 0.01);
-    ASSERT_TRUE(plan.ok());
-    EXPECT_EQ(plan->physicalQubits,
-              gen.plan(100, 27, InterspaceScheme::SurfDeformer, 0.01)
-                  .physicalQubits);
-
-    // Out-of-range parameters come back as INVALID_ARGUMENT, not exit().
+    // Out-of-range parameters come back as INVALID_ARGUMENT.
     EXPECT_EQ(gen.chooseDeltaDChecked(2, 0.01).status().code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(gen.chooseDeltaDChecked(27, 0.0).status().code(),

@@ -13,7 +13,7 @@ namespace {
 
 TEST(PauliString, FromStringRoundTrip)
 {
-    const auto p = PauliString::fromString("+XIZY");
+    const auto p = PauliString::parse("+XIZY").value();
     EXPECT_EQ(p.numQubits(), 4u);
     EXPECT_EQ(p.pauliAt(0), Pauli::X);
     EXPECT_EQ(p.pauliAt(1), Pauli::I);
@@ -25,15 +25,15 @@ TEST(PauliString, FromStringRoundTrip)
 
 TEST(PauliString, NegativeSign)
 {
-    const auto p = PauliString::fromString("-ZZ");
+    const auto p = PauliString::parse("-ZZ").value();
     EXPECT_EQ(p.str(), "-ZZ");
 }
 
 TEST(PauliString, SingleQubitProducts)
 {
-    const auto X = PauliString::fromString("X");
-    const auto Y = PauliString::fromString("Y");
-    const auto Z = PauliString::fromString("Z");
+    const auto X = PauliString::parse("X").value();
+    const auto Y = PauliString::parse("Y").value();
+    const auto Z = PauliString::parse("Z").value();
     // XY = iZ, YX = -iZ, ZX = iY, XZ = -iY, YZ = iX, ZY = -iX.
     EXPECT_EQ((X * Y).str(), "+iZ");
     EXPECT_EQ((Y * X).str(), "-iZ");
@@ -49,9 +49,9 @@ TEST(PauliString, SingleQubitProducts)
 
 TEST(PauliString, CommutationRules)
 {
-    const auto X = PauliString::fromString("X");
-    const auto Y = PauliString::fromString("Y");
-    const auto Z = PauliString::fromString("Z");
+    const auto X = PauliString::parse("X").value();
+    const auto Y = PauliString::parse("Y").value();
+    const auto Z = PauliString::parse("Z").value();
     EXPECT_FALSE(X.commutesWith(Z));
     EXPECT_FALSE(X.commutesWith(Y));
     EXPECT_FALSE(Y.commutesWith(Z));
@@ -59,8 +59,8 @@ TEST(PauliString, CommutationRules)
 
     // Two overlapping weight-2 operators sharing two anti-commuting slots
     // commute overall.
-    const auto xx = PauliString::fromString("XX");
-    const auto zz = PauliString::fromString("ZZ");
+    const auto xx = PauliString::parse("XX").value();
+    const auto zz = PauliString::parse("ZZ").value();
     EXPECT_TRUE(xx.commutesWith(zz));
 }
 
@@ -110,10 +110,10 @@ TEST(PauliString, CommutationMatchesPhaseDifference)
 
 TEST(PauliString, CssTypePredicates)
 {
-    EXPECT_TRUE(PauliString::fromString("XXIX").isCssType(PauliType::X));
-    EXPECT_FALSE(PauliString::fromString("XXIX").isCssType(PauliType::Z));
-    EXPECT_TRUE(PauliString::fromString("ZIZ").isCssType(PauliType::Z));
-    EXPECT_FALSE(PauliString::fromString("YZ").isCssType(PauliType::Z));
+    EXPECT_TRUE(PauliString::parse("XXIX").value().isCssType(PauliType::X));
+    EXPECT_FALSE(PauliString::parse("XXIX").value().isCssType(PauliType::Z));
+    EXPECT_TRUE(PauliString::parse("ZIZ").value().isCssType(PauliType::Z));
+    EXPECT_FALSE(PauliString::parse("YZ").value().isCssType(PauliType::Z));
     // Identity is both.
     EXPECT_TRUE(PauliString(3).isCssType(PauliType::X));
     EXPECT_TRUE(PauliString(3).isCssType(PauliType::Z));
@@ -121,11 +121,10 @@ TEST(PauliString, CssTypePredicates)
 
 TEST(PauliString, ParseRejectsBadCharactersAsStatus)
 {
-    // The checked entry surfaces malformed text as INVALID_ARGUMENT
-    // (fromString remains the fatal legacy wrapper).
+    // Malformed text comes back as INVALID_ARGUMENT.
     StatusOr<PauliString> ok = PauliString::parse("-XIZZY");
     ASSERT_TRUE(ok.ok());
-    EXPECT_EQ(ok->str(), PauliString::fromString("-XIZZY").str());
+    EXPECT_EQ(ok->str(), "-XIZZY");
 
     for (const char *bad : {"XQZ", "xz", "+X Z", "ZZ?"}) {
         StatusOr<PauliString> p = PauliString::parse(bad);

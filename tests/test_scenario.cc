@@ -36,7 +36,8 @@ Epoch
 makeEpoch(Strategy strategy, int d, int delta_d, uint64_t start,
           uint64_t rounds, const std::set<Coord> &active)
 {
-    const StrategyOutcome oc = applyStrategy(strategy, d, delta_d, active);
+    const StrategyOutcome oc =
+        applyStrategyChecked(strategy, d, delta_d, active).value();
     EXPECT_TRUE(oc.alive);
     Epoch e;
     e.startRound = start;
@@ -135,7 +136,7 @@ TEST(ScenarioEngine, ZeroDefectScenarioReproducesMemoryExperiment)
         sc.batchShots = 1024;
         sc.seed = 2024;
         sc.threads = 2;
-        const auto scen = runScenarioExperiment(sc);
+        const auto scen = runScenarioExperimentChecked(sc).value();
         ASSERT_EQ(scen.timelines.size(), 1u);
         EXPECT_EQ(scen.timelines[0].epochs.size(), 1u)
             << "window " << window << ": constant windows must merge";
@@ -362,11 +363,11 @@ TEST(ScenarioEngine, CacheEvictionNeverChangesResults)
     sc.numTimelines = 2;
     sc.maxShotsPerTimeline = 128;
     sc.batchShots = 128;
-    const ScenarioResult free_cache = runScenarioExperiment(sc);
+    const ScenarioResult free_cache = runScenarioExperimentChecked(sc).value();
     DeformedCodeCache tiny;
     tiny.setBudget(1);
     sc.cache = &tiny;
-    const ScenarioResult tiny_cache = runScenarioExperiment(sc);
+    const ScenarioResult tiny_cache = runScenarioExperimentChecked(sc).value();
     EXPECT_EQ(tiny_cache.failures, free_cache.failures);
     EXPECT_GT(tiny_cache.cacheEvictions, 0u);
 }
@@ -485,10 +486,10 @@ TEST(ScenarioEngine, PrefetchedColdBuildsKeepCountersAndResults)
         {"budget 1", true, 1, nullptr, false, 3, 25, 24, 1, 0},
         {"epoch storms", true, 0, "storm.epochs=2", false, 3, 25, 23, 2, 12},
         {"dies mid-timeline", true, 0, nullptr, true, 8, 24, 0, 24, 0},
-        // The storm before the dead epoch's build still fires. It shows
-        // in the evictions only: a dead timeline returns no ledger.
+        // The storms of the dying timeline's build, up to its dead
+        // epoch, stay in the ledger the dead timeline returns.
         {"dies under epoch storms", true, 0, "storm.epochs=2", true, 3, 29,
-         28, 1, 12},
+         28, 1, 14},
         {"uncached", false, 0, nullptr, false, 0, 0, 0, 0, 0},
     };
     const std::vector<uint64_t> failures = {18, 22, 16, 13};
@@ -772,7 +773,7 @@ TEST(ScenarioEngine, SampledTimelinesRunEndToEnd)
     sc.maxShotsPerTimeline = 256;
     sc.batchShots = 128;
     sc.seed = 99;
-    const auto res = runScenarioExperiment(sc);
+    const auto res = runScenarioExperimentChecked(sc).value();
     EXPECT_EQ(res.timelines.size(), 4u);
     EXPECT_EQ(res.shots, 4u * 256u);
     EXPECT_GT(res.totalEpochs, 4u)
@@ -780,7 +781,7 @@ TEST(ScenarioEngine, SampledTimelinesRunEndToEnd)
     EXPECT_GT(res.cacheHits, 0u);
     // Bit-identical across thread counts through the public API as well.
     sc.threads = 8;
-    const auto res8 = runScenarioExperiment(sc);
+    const auto res8 = runScenarioExperimentChecked(sc).value();
     EXPECT_EQ(res8.failures, res.failures);
     EXPECT_EQ(res8.totalEpochs, res.totalEpochs);
 }

@@ -26,10 +26,10 @@ TEST(Tableau, BellPairCorrelations)
     sim.h(0);
     sim.cx(0, 1);
     // ZZ and XX are stabilizers with +1 expectation; single Z is random.
-    EXPECT_EQ(sim.expectation(PauliString::fromString("ZZ")), 1);
-    EXPECT_EQ(sim.expectation(PauliString::fromString("XX")), 1);
-    EXPECT_EQ(sim.expectation(PauliString::fromString("ZI")), 0);
-    EXPECT_EQ(sim.expectation(PauliString::fromString("YY")), -1);
+    EXPECT_EQ(sim.expectation(PauliString::parse("ZZ").value()), 1);
+    EXPECT_EQ(sim.expectation(PauliString::parse("XX").value()), 1);
+    EXPECT_EQ(sim.expectation(PauliString::parse("ZI").value()), 0);
+    EXPECT_EQ(sim.expectation(PauliString::parse("YY").value()), -1);
     const bool a = sim.measureZ(0);
     const bool b = sim.measureZ(1);
     EXPECT_EQ(a, b);

@@ -116,8 +116,9 @@ TEST(SparseMatching, BitIdenticalToDenseOnDeformedPatchBothBases)
 {
     // A Surf-Deformer-deformed patch (removal + enlargement around a
     // burst region) exercises irregular boundaries and seamed weights.
-    const auto out = applyStrategy(Strategy::SurfDeformer, 5, 2,
-                                   {{5, 5}, {6, 6}});
+    const auto out = applyStrategyChecked(Strategy::SurfDeformer, 5, 2,
+                                          {{5, 5}, {6, 6}})
+                         .value();
     ASSERT_TRUE(out.alive);
     for (PauliType basis : {PauliType::Z, PauliType::X}) {
         MemorySpec spec;
@@ -742,8 +743,9 @@ TEST(SparseMatching, SharedScratchMatchesFreshScratch)
         cases.push_back(std::move(c));
     }
     {
-        const auto out = applyStrategy(Strategy::SurfDeformer, 5, 2,
-                                       {{5, 5}, {6, 6}});
+        const auto out = applyStrategyChecked(Strategy::SurfDeformer, 5, 2,
+                                              {{5, 5}, {6, 6}})
+                             .value();
         ASSERT_TRUE(out.alive);
         MemorySpec spec;
         spec.rounds = 5;
@@ -808,7 +810,7 @@ TEST(SparseMatching, UnionFindUnchangedByBackendChoice)
     // its predictions must be identical however the MWPM graphs are
     // built, and across scratch reuse after the workspace rework.
     const auto out =
-        applyStrategy(Strategy::SurfDeformer, 5, 2, {{4, 5}});
+        applyStrategyChecked(Strategy::SurfDeformer, 5, 2, {{4, 5}}).value();
     ASSERT_TRUE(out.alive);
     MemorySpec spec;
     spec.rounds = 4;
@@ -969,8 +971,9 @@ TEST(SparseBlossom, WeightEqualsDenseOnRandomDems)
 
 TEST(SparseBlossom, WeightEqualsDenseOnDeformedPatchBothBases)
 {
-    const auto out = applyStrategy(Strategy::SurfDeformer, 5, 2,
-                                   {{5, 5}, {6, 6}});
+    const auto out = applyStrategyChecked(Strategy::SurfDeformer, 5, 2,
+                                          {{5, 5}, {6, 6}})
+                         .value();
     ASSERT_TRUE(out.alive);
     for (PauliType basis : {PauliType::Z, PauliType::X}) {
         MemorySpec spec;
@@ -1010,7 +1013,8 @@ TEST(SparseBlossom, BurstSyndromeWeightEqualityAtHighDefectCounts)
     // 16..96 fired detectors (the paper's cosmic-ray events light up
     // whole regions). Weight equality with the dense blossom must hold
     // at every size, through the Sparse backend's dispatch as well.
-    const auto out = applyStrategy(Strategy::SurfDeformer, 9, 2, {{8, 9}});
+    const auto out =
+        applyStrategyChecked(Strategy::SurfDeformer, 9, 2, {{8, 9}}).value();
     ASSERT_TRUE(out.alive);
     MemorySpec spec;
     spec.rounds = 9;
@@ -1071,7 +1075,7 @@ TEST(SparseBlossom, ScenarioFailureCountsIdenticalAcrossBackends)
          {MatchingBackend::Dense, MatchingBackend::Sparse,
           MatchingBackend::SparseBlossom}) {
         cfg.matching = b;
-        const ScenarioResult res = runScenarioExperiment(cfg);
+        const ScenarioResult res = runScenarioExperimentChecked(cfg).value();
         EXPECT_GT(res.shots, 0u);
         std::vector<uint64_t> mism;
         for (const auto &tl : res.timelines)

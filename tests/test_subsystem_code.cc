@@ -20,11 +20,11 @@ SubsystemCode
 fourQubitCode()
 {
     SubsystemCode code(4);
-    code.addStabilizer(PauliString::fromString("XXXX"));
-    code.addStabilizer(PauliString::fromString("ZIZI"));
-    code.addStabilizer(PauliString::fromString("IZIZ"));
-    code.addLogicalPair(PauliString::fromString("XIXI"),
-                        PauliString::fromString("ZZII"));
+    code.addStabilizer(PauliString::parse("XXXX").value());
+    code.addStabilizer(PauliString::parse("ZIZI").value());
+    code.addStabilizer(PauliString::parse("IZIZ").value());
+    code.addLogicalPair(PauliString::parse("XIXI").value(),
+                        PauliString::parse("ZZII").value());
     return code;
 }
 
@@ -38,15 +38,15 @@ TEST(SubsystemCode, FourQubitCodeValidates)
 TEST(SubsystemCode, DetectsNonCommutingStabilizers)
 {
     SubsystemCode code(2);
-    code.addStabilizer(PauliString::fromString("XI"));
-    code.addLogicalPair(PauliString::fromString("IX"),
-                        PauliString::fromString("IZ"));
+    code.addStabilizer(PauliString::parse("XI").value());
+    code.addLogicalPair(PauliString::parse("IX").value(),
+                        PauliString::parse("IZ").value());
     EXPECT_TRUE(code.validate().ok);
 
     SubsystemCode bad(2);
-    bad.addStabilizer(PauliString::fromString("XX"));
-    bad.addLogicalPair(PauliString::fromString("XI"),
-                       PauliString::fromString("ZI"));
+    bad.addStabilizer(PauliString::parse("XX").value());
+    bad.addLogicalPair(PauliString::parse("XI").value(),
+                       PauliString::parse("ZI").value());
     const auto r = bad.validate();
     EXPECT_FALSE(r.ok);
 }
@@ -54,10 +54,10 @@ TEST(SubsystemCode, DetectsNonCommutingStabilizers)
 TEST(SubsystemCode, DetectsDependentGenerators)
 {
     SubsystemCode code(3);
-    code.addStabilizer(PauliString::fromString("ZZI"));
-    code.addStabilizer(PauliString::fromString("IZZ"));
+    code.addStabilizer(PauliString::parse("ZZI").value());
+    code.addStabilizer(PauliString::parse("IZZ").value());
     // The product of the two above: dependent.
-    code.addStabilizer(PauliString::fromString("ZIZ"));
+    code.addStabilizer(PauliString::parse("ZIZ").value());
     // Make counting work: n-k-l = 3 requires k=l=0... with k=0 there is no
     // logical pair; validation must flag dependence (or counting).
     const auto r = code.validate();
@@ -67,11 +67,11 @@ TEST(SubsystemCode, DetectsDependentGenerators)
 TEST(SubsystemCode, DetectsBadLogicalPair)
 {
     SubsystemCode code(2);
-    code.addStabilizer(PauliString::fromString("ZZ"));
+    code.addStabilizer(PauliString::parse("ZZ").value());
     // XI commutes with ZI? No: XI vs ZI anti-commute -- but the pair
     // below COMMUTES with each other, which is the failure mode tested.
-    code.addLogicalPair(PauliString::fromString("XX"),
-                        PauliString::fromString("XX"));
+    code.addLogicalPair(PauliString::parse("XX").value(),
+                        PauliString::parse("XX").value());
     const auto r = code.validate();
     EXPECT_FALSE(r.ok);
 }
@@ -81,20 +81,22 @@ TEST(SubsystemCode, BaconShorStyleGaugeCode)
     // A 2x2 Bacon-Shor-like subsystem code: 4 qubits, 1 logical, 1 gauge.
     // Stabilizers: XXXX, ZZZZ. Gauge pair: XXII / ZIZI.
     SubsystemCode code(4);
-    code.addStabilizer(PauliString::fromString("XXXX"));
-    code.addStabilizer(PauliString::fromString("ZZZZ"));
-    code.addLogicalPair(PauliString::fromString("XIXI"),
-                        PauliString::fromString("ZZII"));
-    code.addGaugePair(PauliString::fromString("XXII"),
-                      PauliString::fromString("ZIZI"));
+    code.addStabilizer(PauliString::parse("XXXX").value());
+    code.addStabilizer(PauliString::parse("ZZZZ").value());
+    code.addLogicalPair(PauliString::parse("XIXI").value(),
+                        PauliString::parse("ZZII").value());
+    code.addGaugePair(PauliString::parse("XXII").value(),
+                      PauliString::parse("ZIZI").value());
     const auto r = code.validate();
     EXPECT_TRUE(r.ok) << r.reason;
 
     // Measurement set: measure the gauge operators; stabilizers inferred.
     const auto meas = code.validateMeasurementSet(
         {},
-        {PauliString::fromString("XXII"), PauliString::fromString("IIXX"),
-         PauliString::fromString("ZIZI"), PauliString::fromString("IZIZ")});
+        {PauliString::parse("XXII").value(),
+         PauliString::parse("IIXX").value(),
+         PauliString::parse("ZIZI").value(),
+         PauliString::parse("IZIZ").value()});
     EXPECT_TRUE(meas.ok) << meas.reason;
 }
 
@@ -104,7 +106,7 @@ TEST(SubsystemCode, MeasurementSetRejectsLogicalLeak)
     // Measuring the logical Z would destroy the superposition: Definition 4
     // condition (2) must reject it (it is not in the gauge group).
     const auto r = code.validateMeasurementSet(
-        {}, {PauliString::fromString("ZZII")});
+        {}, {PauliString::parse("ZZII").value()});
     EXPECT_FALSE(r.ok);
 }
 
@@ -113,12 +115,13 @@ TEST(SubsystemCode, MeasurementSetRequiresRecoverability)
     const auto code = fourQubitCode();
     // Measuring only one stabilizer leaves the others unrecoverable.
     const auto r = code.validateMeasurementSet(
-        {PauliString::fromString("XXXX")}, {});
+        {PauliString::parse("XXXX").value()}, {});
     EXPECT_FALSE(r.ok);
     // Measuring all generators passes.
     const auto ok = code.validateMeasurementSet(
-        {PauliString::fromString("XXXX"), PauliString::fromString("ZIZI"),
-         PauliString::fromString("IZIZ")},
+        {PauliString::parse("XXXX").value(),
+         PauliString::parse("ZIZI").value(),
+         PauliString::parse("IZIZ").value()},
         {});
     EXPECT_TRUE(ok.ok) << ok.reason;
 }
@@ -126,12 +129,12 @@ TEST(SubsystemCode, MeasurementSetRequiresRecoverability)
 TEST(SubsystemCode, GroupMembership)
 {
     const auto code = fourQubitCode();
-    EXPECT_TRUE(code.inStabilizerGroup(PauliString::fromString("ZZZZ")));
-    EXPECT_FALSE(code.inStabilizerGroup(PauliString::fromString("ZIIZ")));
+    EXPECT_TRUE(code.inStabilizerGroup(PauliString::parse("ZZZZ").value()));
+    EXPECT_FALSE(code.inStabilizerGroup(PauliString::parse("ZIIZ").value()));
     EXPECT_TRUE(code.inCentralizerOfStabilizers(
-        PauliString::fromString("ZIIZ")));
+        PauliString::parse("ZIIZ").value()));
     EXPECT_FALSE(code.inCentralizerOfStabilizers(
-        PauliString::fromString("ZIII")));
+        PauliString::parse("ZIII").value()));
 }
 
 TEST(SubsystemCode, ExactCssDistanceFourQubit)

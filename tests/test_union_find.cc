@@ -141,7 +141,8 @@ oracleCorpus()
             {{6, 7}}, {{4, 5}, {8, 9}}, {{7, 6}, {7, 8}, {5, 6}}};
         for (size_t i = 0; i < strikes.size(); ++i) {
             const auto out =
-                applyStrategy(Strategy::SurfDeformer, 7, 2, strikes[i]);
+                applyStrategyChecked(Strategy::SurfDeformer, 7, 2, strikes[i])
+                    .value();
             EXPECT_TRUE(out.alive) << "strike set " << i;
             if (out.alive)
                 corpus.push_back(memoryCase(
@@ -154,9 +155,11 @@ oracleCorpus()
             m.couplerRate = 0.05;
             m.seed = seed;
             const int d = seed == 6 ? 7 : 5;
-            const FabAdaptation fab = adaptFabDefects(
-                Strategy::SurfDeformer, d, seed == 6 ? 0 : 2,
-                sampleFabDefects(squarePatch(d), m));
+            const FabAdaptation fab =
+                adaptFabDefectsChecked(
+                    Strategy::SurfDeformer, d, seed == 6 ? 0 : 2,
+                    sampleFabDefectsChecked(squarePatch(d), m).value())
+                    .value();
             if (fab.outcome.alive)
                 corpus.push_back(memoryCase(
                     "fab chip seed " + std::to_string(seed),
@@ -214,8 +217,11 @@ TEST(UnionFind, HaltsOnBoundaryFreeComponentOfAFabricatedChip)
     m.qubitRate = 0.34;
     m.couplerRate = 0.05;
     m.seed = 6;
-    const FabAdaptation fab = adaptFabDefects(
-        Strategy::SurfDeformer, 7, 0, sampleFabDefects(squarePatch(7), m));
+    const FabAdaptation fab =
+        adaptFabDefectsChecked(
+            Strategy::SurfDeformer, 7, 0,
+            sampleFabDefectsChecked(squarePatch(7), m).value())
+            .value();
     ASSERT_TRUE(fab.outcome.alive);
     MemorySpec spec;
     spec.basis = PauliType::X;
@@ -282,7 +288,7 @@ TEST(UnionFind, SharedScratchAcrossDecoderSizesMatchesFreshScratch)
     // patch shot by shot: each result must equal a fresh scratch's, and
     // the shared scratch must be clean after every decode.
     const auto deformed =
-        applyStrategy(Strategy::SurfDeformer, 5, 2, {{4, 5}});
+        applyStrategyChecked(Strategy::SurfDeformer, 5, 2, {{4, 5}}).value();
     ASSERT_TRUE(deformed.alive);
     const std::vector<Case> cases = {
         memoryCase("d=3", squarePatch(3), PauliType::Z, 3, 1e-2, 150, 1),
