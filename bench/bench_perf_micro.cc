@@ -3,7 +3,7 @@
  * Google-benchmark micro-benchmarks of the performance-critical kernels:
  * frame-simulator sampling, DEM extraction, MWPM decoding, cold Dijkstra
  * rows, deformation, graph distance computation, epoch planning, a warm
- * scenario pass, and deformed-code cache snapshot save/load.
+ * scenario pass, deformed-code cache snapshot save/load, and CRC32.
  */
 
 #include <benchmark/benchmark.h>
@@ -21,6 +21,7 @@
 #include "lattice/distance.hh"
 #include "lattice/rotated.hh"
 #include "persist/cache_snapshot.hh"
+#include "persist/snapshot.hh"
 #include "scenario/scenario_experiment.hh"
 #include "sim/dem.hh"
 #include "sim/frame.hh"
@@ -515,6 +516,24 @@ BM_SnapshotLoad(benchmark::State &state)
                             static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    // The snapshot checksum over one random buffer: 4 KiB (a small
+    // record) and 32 MiB (about a scenario-d7 snapshot).
+    std::string buf(static_cast<size_t>(state.range(0)), '\0');
+    uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (char &c : buf) {
+        x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+        c = static_cast<char>(x);
+    }
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(32 << 20);
 
 } // namespace
 

@@ -38,9 +38,11 @@ main(int argc, char **argv)
 
     const size_t threads =
         cfg.threads ? cfg.threads : ThreadPool::hardwareThreads();
-    std::printf("memory-Z, %d rounds, p = %.0e, MWPM decoding, %lu "
-                "shots per configuration, %zu decode thread%s\n\n",
-                cfg.spec.rounds, cfg.noise.p,
+    // cfg.decoder is Auto: MWPM, union-find above mwpmDefectCap.
+    std::printf("memory-Z, %d rounds, p = %.0e, MWPM decoding (union-find "
+                "above %zu fired detectors), %lu shots per configuration, "
+                "%zu decode thread%s\n\n",
+                cfg.spec.rounds, cfg.noise.p, cfg.mwpmDefectCap,
                 static_cast<unsigned long>(cfg.maxShots), threads,
                 threads == 1 ? "" : "s");
     const auto t_start = std::chrono::steady_clock::now();

@@ -254,10 +254,7 @@ saveRunCheckpoint(const std::string &path, uint64_t configSignature,
 StatusOr<RunCheckpoint>
 loadRunCheckpoint(const std::string &path)
 {
-    StatusOr<std::string> bytes = readFileBytes(path);
-    if (!bytes.ok())
-        return bytes.status();
-    StatusOr<SnapshotReader> reader = SnapshotReader::open(std::move(*bytes));
+    StatusOr<SnapshotReader> reader = SnapshotReader::openFile(path);
     if (!reader.ok())
         return reader.status();
     SnapshotReader &snap = reader.value();

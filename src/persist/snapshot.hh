@@ -21,18 +21,22 @@
  * A reader that sees an unknown version rejects the whole file with
  * CORRUPT_SNAPSHOT — version skew degrades to a cold build, by design.
  *
- * The writer frames each record in place in its one file buffer (type
- * and a placeholder length go in first, the payload is encoded straight
- * after them, then the length is patched and the CRC appended), and
- * finish() writes that buffer as is: a save touches each byte about
- * once. Loads read the file into one buffer sized from fstat and decode
- * records as views into it.
+ * The writer frames each record in place in its buffer (type and a
+ * placeholder length go in first, the payload is encoded straight after
+ * them, then the length is patched and the CRC appended). A writer
+ * opened on its file streams: finished records leave the buffer for the
+ * temp file once it holds kSnapshotStreamBytes, so a save touches about
+ * one record of memory however large the file, and each byte once. The
+ * file reader streams the same way, one record at a time through a
+ * buffer reused across records. Whole-file buffers (the default writer,
+ * SnapshotReader::open) remain for small files and for tests that edit
+ * bytes.
  *
  * Fault injection (faultinject/fault_plan.hh `snap.*` clauses) mutates
- * a copy of the finished byte buffer right before it hits the disk —
- * the only case in which finish() copies: deterministic torn-write
- * truncation, seeded single-bit flips, and a stale version stamp — so
- * every recovery path is replayable bit-for-bit.
+ * a copy of a whole buffered file right before it hits the disk —
+ * deterministic torn-write truncation, seeded single-bit flips, and a
+ * stale version stamp — so every recovery path is replayable
+ * bit-for-bit.
  */
 
 #ifndef SURF_PERSIST_SNAPSHOT_HH
@@ -41,6 +45,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/status.hh"
@@ -60,11 +65,25 @@ inline constexpr uint32_t kSnapshotFormatVersion = 1;
 inline constexpr uint32_t kSnapshotAbiVersion = 4;
 /** Header size: magic (8) | format u32 | abi u32 | header crc32. */
 inline constexpr size_t kSnapshotHeaderBytes = 8 + 4 + 4 + 4;
+/** Record framing around a payload: type u8 | length u64 | crc32 u32. */
+inline constexpr size_t kSnapshotRecordFrameBytes = 1 + 8 + 4;
+/** A streaming SnapshotWriter writes its buffer out once it holds this
+ *  many bytes of finished records. */
+inline constexpr size_t kSnapshotStreamBytes = size_t{1} << 20;
 
-/** CRC32 (IEEE 802.3, reflected 0xEDB88320) of a byte range, eight
- *  bytes per step (slice-by-8); chain calls by passing the previous
- *  result as `seed`. */
+/** CRC32 (IEEE 802.3, reflected 0xEDB88320) of a byte range; chain
+ *  calls by passing the previous result as `seed`. On x86-64 CPUs with
+ *  PCLMULQDQ (checked once at run time) ranges of 64 bytes or more fold
+ *  16 bytes per carry-less multiply, with a Barrett reduction to 32
+ *  bits; shorter ranges, the last 0-15 bytes and other CPUs take
+ *  crc32SliceBy8(). Both give the same value for every input. */
 uint32_t crc32(const void *data, size_t n, uint32_t seed = 0);
+
+/** The portable kernel behind crc32(): eight bytes per step through
+ *  eight 256-entry tables (slice-by-8), same values and seed contract.
+ *  Callable directly so tests cover it on CPUs that take the PCLMULQDQ
+ *  path. */
+uint32_t crc32SliceBy8(const void *data, size_t n, uint32_t seed = 0);
 
 /**
  * Write `bytes` to `path` atomically: temp file in the same directory,
@@ -74,11 +93,28 @@ uint32_t crc32(const void *data, size_t n, uint32_t seed = 0);
  */
 Status atomicWriteFile(const std::string &path, const std::string &bytes);
 
-/** Read a whole file into a buffer sized once from fstat. A missing
- *  file is NOT_FOUND-shaped: callers treat it as "no snapshot yet",
- *  which is kDataLoss here to keep the code set small — the loader maps
- *  it to a silent cold start. */
-StatusOr<std::string> readFileBytes(const std::string &path);
+/** An owned POSIX file descriptor (-1: none), closed on destruction. */
+class UniqueFd
+{
+  public:
+    UniqueFd() = default;
+    explicit UniqueFd(int fd) : fd_(fd) {}
+    UniqueFd(UniqueFd &&o) noexcept : fd_(std::exchange(o.fd_, -1)) {}
+    UniqueFd &
+    operator=(UniqueFd &&o) noexcept
+    {
+        std::swap(fd_, o.fd_);
+        return *this;
+    }
+    ~UniqueFd();
+
+    int get() const { return fd_; }
+    /** Give up ownership without closing. */
+    int release() { return std::exchange(fd_, -1); }
+
+  private:
+    int fd_ = -1;
+};
 
 /** Append little-endian scalars / length-prefixed blobs to a buffer. */
 class ByteWriter
@@ -258,28 +294,44 @@ class ByteReader
 };
 
 /**
- * Buffered snapshot writer: the header and every record are framed in
- * place in one buffer. beginRecord() appends the record's type and a
- * placeholder length and hands out the buffer itself, so the payload is
- * encoded straight into its final position; endRecord() patches the
- * length and appends the CRC. finish() writes the buffer atomically
- * without copying it. An optional FaultInjector mutates a copy of the
- * finished buffer first — torn truncation, seeded bit flips, a stale
- * version stamp — which is how the corruption-recovery tests and the
- * corrupted-snapshot CI smoke manufacture their inputs deterministically.
+ * Snapshot writer: the header and every record are framed in place in
+ * one buffer. beginRecord() appends the record's type and a placeholder
+ * length and hands out the buffer itself, so the payload is encoded
+ * straight into its final position; endRecord() patches the length and
+ * appends the CRC.
+ *
+ * The default writer buffers the whole file, and finish() writes it
+ * atomically without copying it — or, given a FaultInjector, mutates a
+ * copy first (torn truncation, seeded bit flips, a stale version stamp),
+ * which is how the corruption-recovery tests and the corrupted-snapshot
+ * CI smoke manufacture their inputs deterministically. A writer
+ * constructed on its path streams instead: the buffer holds about one
+ * record, and finish() makes the streamed file visible under that path
+ * as atomically (fsync, rename, fsync the directory).
  */
 class SnapshotWriter
 {
   public:
+    /** Buffer the whole file until finish(). */
     SnapshotWriter();
+    /** Stream to `path`: its temp file is created now, and endRecord()
+     *  writes the finished records out once they fill
+     *  kSnapshotStreamBytes, starting their device writeback (Linux) so
+     *  the closing fsync overlaps the encoding. finish() must name the
+     *  same path and take no FaultInjector; a writer destroyed
+     *  unfinished removes its temp file and leaves `path` as it was. */
+    explicit SnapshotWriter(const std::string &path);
+    SnapshotWriter(const SnapshotWriter &) = delete;
+    SnapshotWriter &operator=(const SnapshotWriter &) = delete;
+    ~SnapshotWriter();
 
     /** Begin a record of `type`; append its payload to the returned
      *  buffer (through a ByteWriter), then call endRecord(). */
     std::string &beginRecord(uint8_t type);
     void endRecord();
 
-    /** Bytes accumulated so far (header + records, the open one too). */
-    size_t bytesBuffered() const { return buf_.size(); }
+    /** Bytes of the file so far (header + records, the open one too). */
+    size_t bytesWritten() const { return flushed_ + buf_.size(); }
 
     /**
      * Seal and atomically write the snapshot. `inject` (nullable)
@@ -292,9 +344,18 @@ class SnapshotWriter
                   uint64_t faultSalt = 0);
 
   private:
+    /** Streaming: write the buffer out to the temp file and empty it. */
+    void flush();
+
     std::string buf_;         ///< header + records, framed in place
     size_t record_start_ = 0; ///< offset of the open record's type byte
     bool in_record_ = false;
+    // Streaming only (tmp_ non-empty): the target's temp file and the
+    // bytes written to it; the first write error is kept for finish().
+    std::string tmp_;
+    UniqueFd fd_;
+    size_t flushed_ = 0;
+    Status status_;
 };
 
 /**
@@ -314,9 +375,15 @@ class SnapshotReader
     /** Validate the header of `bytes` (moved in). */
     static StatusOr<SnapshotReader> open(std::string bytes);
 
+    /** Validate the header of the file at `path` and stream its records:
+     *  next() reads one record at a time into a buffer reused across
+     *  records. A missing or unreadable file is kDataLoss. */
+    static StatusOr<SnapshotReader> openFile(const std::string &path);
+
     /**
      * Fetch the next record. Returns true with type/payload set, or
-     * false at end-of-file — clean or corrupt; check truncated().
+     * false at end-of-file — clean or corrupt; check truncated(). The
+     * payload view is valid until the next call.
      */
     bool next(uint8_t &type, ByteReader &payload);
 
@@ -324,10 +391,17 @@ class SnapshotReader
     bool truncated() const { return truncated_; }
     /** Total records handed out. */
     size_t recordsRead() const { return records_; }
-    size_t fileBytes() const { return bytes_.size(); }
+    size_t fileBytes() const { return size_; }
 
   private:
-    std::string bytes_;
+    /** The `n` bytes at file offset pos_: a view into the whole buffer,
+     *  or (streaming) read into the record buffer after the `have`
+     *  bytes of this record it already holds; nullptr past EOF. */
+    const char *fetch(size_t have, size_t n);
+
+    std::string bytes_; ///< whole file, or the current record streaming
+    UniqueFd fd_;       ///< streaming source; -1 for an in-memory file
+    size_t size_ = 0;   ///< file size (fstat when streaming)
     size_t pos_ = 0;
     size_t records_ = 0;
     bool truncated_ = false;

@@ -149,21 +149,31 @@ class StatusOr
     const Status &status() const { return status_; }
 
     T &
-    value()
+    value() &
     {
         if (!has_value_)
             throw StatusError(status_);
         return value_;
     }
     const T &
-    value() const
+    value() const &
     {
         if (!has_value_)
             throw StatusError(status_);
         return value_;
     }
-    T &operator*() { return value(); }
-    const T &operator*() const { return value(); }
+    /** Unwrapping a temporary moves the value out, so
+     *  `T x = f().value()` does not copy it. */
+    T
+    value() &&
+    {
+        if (!has_value_)
+            throw StatusError(status_);
+        return std::move(value_);
+    }
+    T &operator*() & { return value(); }
+    const T &operator*() const & { return value(); }
+    T operator*() && { return std::move(*this).value(); }
     T *operator->() { return &value(); }
     const T *operator->() const { return &value(); }
 

@@ -1,9 +1,10 @@
 /**
  * @file
  * Reference CRC32 for the tests: the plain bytewise table loop (IEEE
- * 802.3, reflected polynomial 0xEDB88320), kept as an oracle for the
- * slice-by-8 crc32() in persist/snapshot.cc. One table lookup per input
- * byte, no word loads, no alignment or endianness concerns.
+ * 802.3, reflected polynomial 0xEDB88320), kept as an oracle for both
+ * kernels of crc32() in persist/snapshot.cc (carry-less multiply and
+ * slice-by-8). One table lookup per input byte, no word loads, no
+ * alignment or endianness concerns.
  */
 
 #ifndef SURF_TESTS_CRC_REFERENCE_HH

@@ -15,11 +15,13 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <dirent.h>
 #include <stdlib.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -76,9 +78,9 @@ mustPlan(const std::string &spec)
 std::string
 slurp(const std::string &path)
 {
-    StatusOr<std::string> bytes = readFileBytes(path);
-    EXPECT_TRUE(bytes.ok()) << bytes.status().str();
-    return bytes.ok() ? std::move(*bytes) : std::string();
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "cannot open " << path;
+    return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 void
@@ -269,6 +271,94 @@ TEST(SnapshotContainer, HeaderValidation)
     EXPECT_TRUE(flipped->truncated());
 }
 
+TEST(SnapshotContainer, StreamedFileMatchesBuffered)
+{
+    // Records from empty to 1.5x the stream threshold: the streaming
+    // writer flushes after some records and not others.
+    std::mt19937_64 rng(20261019);
+    std::vector<std::string> records;
+    for (const size_t len :
+         {size_t{0}, size_t{1}, size_t{100}, kSnapshotStreamBytes - 13,
+          kSnapshotStreamBytes, 3 * kSnapshotStreamBytes / 2, size_t{4096},
+          size_t{7}}) {
+        std::string r(len, '\0');
+        for (char &c : r)
+            c = static_cast<char>(rng());
+        records.push_back(std::move(r));
+    }
+    TempDir dir;
+    const std::string buffered = dir.file("buffered.snap");
+    const std::string streamed = dir.file("streamed.snap");
+    SnapshotWriter a;
+    SnapshotWriter b(streamed);
+    for (size_t i = 0; i < records.size(); ++i)
+        for (SnapshotWriter *w : {&a, &b}) {
+            ByteWriter(w->beginRecord(static_cast<uint8_t>(i)))
+                .bytes(records[i].data(), records[i].size());
+            w->endRecord();
+        }
+    EXPECT_EQ(a.bytesWritten(), b.bytesWritten());
+    ASSERT_TRUE(a.finish(buffered).ok());
+    ASSERT_TRUE(b.finish(streamed).ok());
+    const std::string bytes = slurp(buffered);
+    EXPECT_EQ(bytes.size(), a.bytesWritten());
+    EXPECT_EQ(slurp(streamed), bytes);
+
+    // The file reader hands out the same records; a torn file ends
+    // iteration after its intact prefix.
+    const size_t last = records.size() - 1;
+    for (const auto &[keep, intact] :
+         {std::pair{bytes.size(), records.size()},
+          std::pair{bytes.size() - 1, last},
+          std::pair{bytes.size() - records[last].size() - 5, last},
+          std::pair{kSnapshotHeaderBytes + 5, size_t{0}}}) {
+        spit(streamed, bytes.substr(0, keep));
+        StatusOr<SnapshotReader> r = SnapshotReader::openFile(streamed);
+        ASSERT_TRUE(r.ok()) << r.status().str();
+        EXPECT_EQ(r->fileBytes(), keep);
+        uint8_t type = 0;
+        ByteReader payload(nullptr, 0);
+        size_t i = 0;
+        while (r->next(type, payload)) {
+            ASSERT_LT(i, records.size());
+            EXPECT_EQ(type, i);
+            const size_t n = payload.remaining();
+            EXPECT_EQ(std::string(payload.bytes(n), n), records[i]);
+            ++i;
+        }
+        EXPECT_EQ(i, intact) << "kept " << keep << " bytes";
+        EXPECT_EQ(r->truncated(), keep != bytes.size());
+    }
+    EXPECT_EQ(SnapshotReader::openFile(dir.file("none.snap")).status().code(),
+              StatusCode::kDataLoss);
+    spit(streamed, bytes.substr(0, kSnapshotHeaderBytes - 1));
+    EXPECT_EQ(SnapshotReader::openFile(streamed).status().code(),
+              StatusCode::kCorruptSnapshot);
+
+    // A streaming writer destroyed unfinished, after it flushed, leaves
+    // the target as it was and no temp file; one whose temp file cannot
+    // be created fails at finish().
+    spit(streamed, "previous");
+    {
+        SnapshotWriter w(streamed);
+        ByteWriter(w.beginRecord(1))
+            .bytes(records[5].data(), records[5].size());
+        w.endRecord();
+        EXPECT_GT(w.bytesWritten(), kSnapshotStreamBytes);
+    }
+    EXPECT_EQ(slurp(streamed), "previous");
+    size_t entries = 0;
+    if (DIR *d = ::opendir(dir.path.c_str())) {
+        while (const dirent *e = ::readdir(d))
+            entries += e->d_name[0] != '.';
+        ::closedir(d);
+    }
+    EXPECT_EQ(entries, 2u); // buffered.snap, streamed.snap
+    SnapshotWriter orphan(dir.file("missing/dir.snap"));
+    EXPECT_EQ(orphan.finish(dir.file("missing/dir.snap")).code(),
+              StatusCode::kDataLoss);
+}
+
 TEST(SnapshotContainer, Crc32MatchesBytewiseReference)
 {
     EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
@@ -281,13 +371,19 @@ TEST(SnapshotContainer, Crc32MatchesBytewiseReference)
     for (uint8_t &b : buf)
         b = static_cast<uint8_t>(rng());
 
-    // Every length across the 8-byte steps and the bytewise tail, from
-    // every start alignment.
+    // Every length across the 64-byte folds, the 16-byte blocks, the
+    // 8-byte steps and the bytewise tail, from every start alignment;
+    // the slice-by-8 kernel too, which hosts with PCLMULQDQ only run on
+    // short ranges and tails inside crc32().
     for (size_t off = 0; off <= kMaxOffset; ++off)
-        for (size_t len = 0; len <= kMaxLen; ++len)
-            ASSERT_EQ(crc32(buf.data() + off, len),
-                      testref::referenceCrc32(buf.data() + off, len))
+        for (size_t len = 0; len <= kMaxLen; ++len) {
+            const uint32_t want =
+                testref::referenceCrc32(buf.data() + off, len);
+            ASSERT_EQ(crc32(buf.data() + off, len), want)
                 << "offset " << off << " length " << len;
+            ASSERT_EQ(crc32SliceBy8(buf.data() + off, len), want)
+                << "slice-by-8, offset " << off << " length " << len;
+        }
 
     // Chaining: crc32(b, crc32(a)) is the CRC of a followed by b, for any
     // split and any seed.
@@ -301,6 +397,43 @@ TEST(SnapshotContainer, Crc32MatchesBytewiseReference)
         ASSERT_EQ(crc32(p, len, seed), want) << "seed " << seed;
         ASSERT_EQ(crc32(p + cut, len - cut, crc32(p, cut, seed)), want)
             << "split " << cut << " of " << len;
+    }
+
+    // Chained splits with the cut at every byte of the first three fold
+    // blocks and of the last three, so each half starts or ends inside,
+    // on and across a 64-byte block.
+    for (const size_t len : {64, 65, 79, 127, 128, 143, 191, 192, 257, 1000,
+                             4097}) {
+        const auto seed = static_cast<uint32_t>(rng());
+        const uint8_t *p = buf.data() + len % (kMaxOffset + 1);
+        const uint32_t want = testref::referenceCrc32(p, len, seed);
+        for (size_t cut = 0; cut <= len; ++cut) {
+            if (cut > 192 && cut + 192 < len)
+                continue;
+            ASSERT_EQ(crc32(p + cut, len - cut, crc32(p, cut, seed)), want)
+                << "split " << cut << " of " << len;
+            ASSERT_EQ(crc32SliceBy8(p + cut, len - cut,
+                                    crc32SliceBy8(p, cut, seed)),
+                      want)
+                << "slice-by-8 split " << cut << " of " << len;
+        }
+    }
+
+    // Multi-MiB ranges (many iterations of the four-lane fold) from all
+    // 16 start offsets, whole and chained at a random cut.
+    std::vector<uint8_t> big((3u << 20) + 13 + kMaxOffset);
+    for (uint8_t &b : big)
+        b = static_cast<uint8_t>(rng());
+    for (size_t off = 0; off <= kMaxOffset; ++off) {
+        const size_t len = big.size() - kMaxOffset - off % 7;
+        const uint8_t *p = big.data() + off;
+        const auto seed = static_cast<uint32_t>(rng());
+        const uint32_t want = testref::referenceCrc32(p, len, seed);
+        ASSERT_EQ(crc32(p, len, seed), want) << "offset " << off;
+        ASSERT_EQ(crc32SliceBy8(p, len, seed), want) << "offset " << off;
+        const size_t cut = rng() % (len + 1);
+        ASSERT_EQ(crc32(p + cut, len - cut, crc32(p, cut, seed)), want)
+            << "offset " << off << " split " << cut;
     }
 }
 

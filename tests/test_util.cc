@@ -300,6 +300,50 @@ TEST(Status, StatusOrRoundTrips)
     EXPECT_THROW(bad.value(), StatusError);
 }
 
+/** Counts its copies; moves are free. */
+struct CopyCounted
+{
+    static inline int copies = 0;
+    CopyCounted() = default;
+    CopyCounted(const CopyCounted &) { ++copies; }
+    CopyCounted(CopyCounted &&) noexcept = default;
+    CopyCounted &
+    operator=(const CopyCounted &)
+    {
+        ++copies;
+        return *this;
+    }
+    CopyCounted &operator=(CopyCounted &&) noexcept = default;
+};
+
+StatusOr<CopyCounted>
+makeCopyCounted()
+{
+    return CopyCounted{};
+}
+
+TEST(Status, StatusOrMovesOutOfTemporaries)
+{
+    CopyCounted::copies = 0;
+    CopyCounted a = makeCopyCounted().value();
+    CopyCounted b = *makeCopyCounted();
+    EXPECT_EQ(CopyCounted::copies, 0);
+
+    // An lvalue unwrap still copies and leaves the held value in place.
+    StatusOr<CopyCounted> held = makeCopyCounted();
+    CopyCounted c = held.value();
+    CopyCounted d = *held;
+    EXPECT_EQ(CopyCounted::copies, 2);
+    EXPECT_TRUE(held.ok());
+    const CopyCounted &ref = held.value();
+    EXPECT_EQ(&ref, &*held);
+
+    EXPECT_THROW(
+        (void)StatusOr<CopyCounted>(Status::dataLoss("gone")).value(),
+        StatusError);
+    (void)a, (void)b, (void)c, (void)d;
+}
+
 TEST(Deadline, VirtualClockIsDeterministic)
 {
     DecodeDeadline dl;
