@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <iterator>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -159,42 +157,6 @@ readDem(ByteReader &r, DetectorErrorModel &dem)
     return true;
 }
 
-/** Forward iterator over the little-endian f32s of an unaligned byte
- *  view: a vector assigned from a pair of them writes each element once,
- *  where resize() + memcpy would zero-fill it first. */
-struct F32Cursor
-{
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = float;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const float *;
-    using reference = float;
-
-    const char *p;
-
-    float
-    operator*() const
-    {
-        float v;
-        std::memcpy(&v, p, sizeof v);
-        return v;
-    }
-    F32Cursor &
-    operator++()
-    {
-        p += sizeof(float);
-        return *this;
-    }
-    F32Cursor
-    operator++(int)
-    {
-        const F32Cursor old = *this;
-        p += sizeof(float);
-        return old;
-    }
-    bool operator==(const F32Cursor &) const = default;
-};
-
 struct SavedRow
 {
     int src;
@@ -270,9 +232,9 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
         SavedRow sr;
         sr.src = static_cast<int>(src);
         const size_t n = static_cast<size_t>(len);
-        const char *dist = r.bytes(n * sizeof(float));
-        sr.row.dist.assign(F32Cursor{dist},
-                           F32Cursor{dist + n * sizeof(float)});
+        sr.row.dist.reserve(n);
+        for (size_t k = 0; k < n; ++k)
+            sr.row.dist.push_back(r.f32());
         const char *par = r.bytes(n);
         sr.row.par.assign(par, par + n);
         rows.push_back(std::move(sr));
@@ -390,17 +352,12 @@ saveCacheSnapshot(const DeformedCodeCache &cache, const std::string &path,
                   const FaultInjector *inject, uint64_t faultSalt)
 {
     SnapshotSaveStats stats;
-    // Stream to the file unless injected faults need the whole buffer.
-    std::optional<SnapshotWriter> snap;
-    if (inject)
-        snap.emplace();
-    else
-        snap.emplace(path);
+    SnapshotWriter snap(path, inject, faultSalt);
     // Segments first: timeline restore resolves its epoch pins against
     // segments already in the cache, in one forward pass.
     cache.forEachSegment([&](const std::string &key, const CachedSegment &seg,
                              double cost) {
-        writeSegmentRecord(*snap, key, seg, cost, stats.rows);
+        writeSegmentRecord(snap, key, seg, cost, stats.rows);
         ++stats.segments;
     });
     cache.forEachTimeline([&](const std::string &key,
@@ -413,11 +370,11 @@ saveCacheSnapshot(const DeformedCodeCache &cache, const std::string &path,
                 ++stats.skippedTimelines;
                 return;
             }
-        writeTimelineRecord(*snap, key, tl, cost);
+        writeTimelineRecord(snap, key, tl, cost);
         ++stats.timelines;
     });
-    stats.fileBytes = snap->bytesWritten();
-    if (Status s = snap->finish(path, inject, faultSalt); !s.ok())
+    stats.fileBytes = snap.bytesWritten();
+    if (Status s = snap.finish(); !s.ok())
         return s;
     return stats;
 }

@@ -234,7 +234,7 @@ saveRunCheckpoint(const std::string &path, uint64_t configSignature,
                   const std::vector<TimelineStats> &completed,
                   const FaultInjector *inject, uint64_t faultSalt)
 {
-    SnapshotWriter snap;
+    SnapshotWriter snap(path, inject, faultSalt);
     {
         std::string &payload = snap.beginRecord(kRecMeta);
         ByteWriter w(payload);
@@ -248,7 +248,7 @@ saveRunCheckpoint(const std::string &path, uint64_t configSignature,
         writeTimelineStats(w, tl);
         snap.endRecord();
     }
-    return snap.finish(path, inject, faultSalt);
+    return snap.finish();
 }
 
 StatusOr<RunCheckpoint>

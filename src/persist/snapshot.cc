@@ -279,40 +279,22 @@ UniqueFd::~UniqueFd()
         ::close(fd_);
 }
 
-Status
-atomicWriteFile(const std::string &path, const std::string &bytes)
+SnapshotWriter::SnapshotWriter(const std::string &path,
+                               const FaultInjector *inject, uint64_t faultSalt)
+    : path_(path), tmp_(tempPathFor(path)),
+      fd_(::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)),
+      inject_(inject), fault_salt_(faultSalt)
 {
-    const std::string tmp = tempPathFor(path);
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0)
-        return ioError("snapshot: cannot create", tmp);
-    if (!writeAll(fd, bytes.data(), bytes.size())) {
-        Status s = ioError("snapshot: write failed on", tmp);
-        ::close(fd);
-        ::unlink(tmp.c_str());
-        return s;
-    }
-    return commitTempFile(fd, tmp, path);
-}
-
-SnapshotWriter::SnapshotWriter()
-{
+    if (fd_.get() < 0)
+        status_ = ioError("snapshot: cannot create", tmp_);
+    // Streaming reuses one flush's worth plus the largest record.
+    if (!inject_)
+        buf_.reserve(2 * kSnapshotStreamBytes);
     ByteWriter w(buf_);
     w.bytes(kMagic, sizeof kMagic);
     w.u32(kSnapshotFormatVersion);
     w.u32(kSnapshotAbiVersion);
     w.u32(crc32(buf_.data(), buf_.size()));
-}
-
-SnapshotWriter::SnapshotWriter(const std::string &path)
-    : SnapshotWriter()
-{
-    tmp_ = tempPathFor(path);
-    fd_ = UniqueFd(::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
-    if (fd_.get() < 0)
-        status_ = ioError("snapshot: cannot create", tmp_);
-    // One flush's worth plus the largest record, reused throughout.
-    buf_.reserve(2 * kSnapshotStreamBytes);
 }
 
 SnapshotWriter::~SnapshotWriter()
@@ -344,7 +326,7 @@ SnapshotWriter::endRecord()
     const uint32_t crc =
         crc32(buf_.data() + record_start_, buf_.size() - record_start_);
     ByteWriter(buf_).u32(crc);
-    if (!tmp_.empty() && buf_.size() >= kSnapshotStreamBytes)
+    if (!inject_ && buf_.size() >= kSnapshotStreamBytes)
         flush();
 }
 
@@ -367,40 +349,15 @@ SnapshotWriter::flush()
 }
 
 Status
-SnapshotWriter::finish(const std::string &path, const FaultInjector *inject,
-                       uint64_t faultSalt)
+SnapshotWriter::finish()
 {
     SURF_ASSERT(!in_record_, "finish with a record still open");
-    if (!tmp_.empty()) {
-        SURF_ASSERT(tempPathFor(path) == tmp_ && !inject,
-                    "a streaming writer finishes its own path, unmutated");
-        flush();
-        if (!status_.ok())
-            return status_; // the destructor removes the temp file
-        return commitTempFile(fd_.release(), tmp_, path);
-    }
-    if (!inject)
-        return atomicWriteFile(path, buf_);
-    // Injected faults mutate a copy; the writer's own bytes stay sealed.
-    std::string bytes = buf_;
-    inject->mutateSnapshotBytes(faultSalt, bytes);
-    return atomicWriteFile(path, bytes);
-}
-
-StatusOr<SnapshotReader>
-SnapshotReader::open(std::string bytes)
-{
-    if (bytes.size() < kHeaderBytes)
-        return Status::corruptSnapshot(
-            "snapshot header truncated (" + std::to_string(bytes.size()) +
-            " bytes)");
-    if (Status s = checkHeader(bytes.data()); !s.ok())
-        return s;
-    SnapshotReader out;
-    out.size_ = bytes.size();
-    out.bytes_ = std::move(bytes);
-    out.pos_ = kHeaderBytes;
-    return out;
+    if (inject_)
+        inject_->mutateSnapshotBytes(fault_salt_, buf_);
+    flush();
+    if (!status_.ok())
+        return status_; // the destructor removes the temp file
+    return commitTempFile(fd_.release(), tmp_, path_);
 }
 
 StatusOr<SnapshotReader>
@@ -429,10 +386,8 @@ SnapshotReader::openFile(const std::string &path)
 const char *
 SnapshotReader::fetch(size_t have, size_t n)
 {
-    if (fd_.get() < 0)
-        return bytes_.data() + pos_;
-    // Streaming: the record buffer only grows, to the largest record,
-    // which next() bounds by the file size before asking.
+    // The record buffer only grows, to the largest record, which next()
+    // bounds by the file size before asking.
     if (bytes_.size() < n)
         bytes_.resize(n);
     if (!readAll(fd_.get(), bytes_.data() + have, n - have))

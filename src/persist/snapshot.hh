@@ -23,19 +23,17 @@
  *
  * The writer frames each record in place in its buffer (type and a
  * placeholder length go in first, the payload is encoded straight after
- * them, then the length is patched and the CRC appended). A writer
- * opened on its file streams: finished records leave the buffer for the
- * temp file once it holds kSnapshotStreamBytes, so a save touches about
- * one record of memory however large the file, and each byte once. The
- * file reader streams the same way, one record at a time through a
- * buffer reused across records. Whole-file buffers (the default writer,
- * SnapshotReader::open) remain for small files and for tests that edit
- * bytes.
+ * them, then the length is patched and the CRC appended). The writer
+ * streams: finished records leave the buffer for the temp file once it
+ * holds kSnapshotStreamBytes, so a save touches about one record of
+ * memory however large the file, and each byte once. The reader streams
+ * the same way, one record at a time through a buffer reused across
+ * records.
  *
- * Fault injection (faultinject/fault_plan.hh `snap.*` clauses) mutates
- * a copy of a whole buffered file right before it hits the disk —
- * deterministic torn-write truncation, seeded single-bit flips, and a
- * stale version stamp — so every recovery path is replayable
+ * Fault injection (faultinject/fault_plan.hh `snap.*` clauses) makes the
+ * writer buffer the whole file and mutates it right before it hits the
+ * disk — deterministic torn-write truncation, seeded single-bit flips,
+ * and a stale version stamp — so every recovery path is replayable
  * bit-for-bit.
  */
 
@@ -84,14 +82,6 @@ uint32_t crc32(const void *data, size_t n, uint32_t seed = 0);
  *  Callable directly so tests cover it on CPUs that take the PCLMULQDQ
  *  path. */
 uint32_t crc32SliceBy8(const void *data, size_t n, uint32_t seed = 0);
-
-/**
- * Write `bytes` to `path` atomically: temp file in the same directory,
- * write, fsync, rename over `path`, fsync the directory. On any failure
- * the temp file is unlinked and the previous `path` contents (if any)
- * are untouched.
- */
-Status atomicWriteFile(const std::string &path, const std::string &bytes);
 
 /** An owned POSIX file descriptor (-1: none), closed on destruction. */
 class UniqueFd
@@ -298,29 +288,30 @@ class ByteReader
  * one buffer. beginRecord() appends the record's type and a placeholder
  * length and hands out the buffer itself, so the payload is encoded
  * straight into its final position; endRecord() patches the length and
- * appends the CRC.
+ * appends the CRC. The file goes to a temp file beside `path`, and
+ * finish() makes it visible under `path` atomically (fsync, rename,
+ * fsync the directory); a writer destroyed unfinished removes its temp
+ * file and leaves `path` as it was.
  *
- * The default writer buffers the whole file, and finish() writes it
- * atomically without copying it — or, given a FaultInjector, mutates a
- * copy first (torn truncation, seeded bit flips, a stale version stamp),
- * which is how the corruption-recovery tests and the corrupted-snapshot
- * CI smoke manufacture their inputs deterministically. A writer
- * constructed on its path streams instead: the buffer holds about one
- * record, and finish() makes the streamed file visible under that path
- * as atomically (fsync, rename, fsync the directory).
+ * Without a FaultInjector the writer streams: the buffer holds about
+ * one record, and endRecord() writes the finished records out once they
+ * fill kSnapshotStreamBytes, starting their device writeback (Linux) so
+ * the closing fsync overlaps the encoding. With one, it buffers the
+ * whole file so that finish() can apply the plan's snap.* faults to it
+ * (torn truncation, seeded bit flips, a stale version stamp), which is
+ * how the corruption-recovery tests and the corrupted-snapshot CI smoke
+ * manufacture their inputs deterministically.
  */
 class SnapshotWriter
 {
   public:
-    /** Buffer the whole file until finish(). */
-    SnapshotWriter();
-    /** Stream to `path`: its temp file is created now, and endRecord()
-     *  writes the finished records out once they fill
-     *  kSnapshotStreamBytes, starting their device writeback (Linux) so
-     *  the closing fsync overlaps the encoding. finish() must name the
-     *  same path and take no FaultInjector; a writer destroyed
-     *  unfinished removes its temp file and leaves `path` as it was. */
-    explicit SnapshotWriter(const std::string &path);
+    /** Write to `path`; its temp file is created now (a failure shows at
+     *  finish()). `inject` (nullable) selects the buffered mode;
+     *  `faultSalt` decorrelates the fault decision streams of different
+     *  snapshot files. */
+    explicit SnapshotWriter(const std::string &path,
+                            const FaultInjector *inject = nullptr,
+                            uint64_t faultSalt = 0);
     SnapshotWriter(const SnapshotWriter &) = delete;
     SnapshotWriter &operator=(const SnapshotWriter &) = delete;
     ~SnapshotWriter();
@@ -333,29 +324,24 @@ class SnapshotWriter
     /** Bytes of the file so far (header + records, the open one too). */
     size_t bytesWritten() const { return flushed_ + buf_.size(); }
 
-    /**
-     * Seal and atomically write the snapshot. `inject` (nullable)
-     * applies the plan's snap.* faults to a copy of the final buffer;
-     * `faultSalt` decorrelates the decision streams of different
-     * snapshot files.
-     */
-    Status finish(const std::string &path,
-                  const FaultInjector *inject = nullptr,
-                  uint64_t faultSalt = 0);
+    /** Seal the snapshot (applying the injector's faults, if any) and
+     *  commit it atomically to the constructor's path. */
+    Status finish();
 
   private:
-    /** Streaming: write the buffer out to the temp file and empty it. */
+    /** Write the buffer out to the temp file and empty it. */
     void flush();
 
-    std::string buf_;         ///< header + records, framed in place
+    std::string path_;
+    std::string tmp_;         ///< temp file beside path_
+    UniqueFd fd_;
+    const FaultInjector *inject_;
+    uint64_t fault_salt_;
+    std::string buf_;         ///< unflushed header + records, in place
     size_t record_start_ = 0; ///< offset of the open record's type byte
     bool in_record_ = false;
-    // Streaming only (tmp_ non-empty): the target's temp file and the
-    // bytes written to it; the first write error is kept for finish().
-    std::string tmp_;
-    UniqueFd fd_;
-    size_t flushed_ = 0;
-    Status status_;
+    size_t flushed_ = 0;      ///< bytes already in the temp file
+    Status status_;           ///< first create/write error, for finish()
 };
 
 /**
@@ -369,11 +355,8 @@ class SnapshotWriter
 class SnapshotReader
 {
   public:
-    /** Empty reader (StatusOr storage); use open() to get a real one. */
+    /** Empty reader (StatusOr storage); use openFile() to get a real one. */
     SnapshotReader() = default;
-
-    /** Validate the header of `bytes` (moved in). */
-    static StatusOr<SnapshotReader> open(std::string bytes);
 
     /** Validate the header of the file at `path` and stream its records:
      *  next() reads one record at a time into a buffer reused across
@@ -394,14 +377,14 @@ class SnapshotReader
     size_t fileBytes() const { return size_; }
 
   private:
-    /** The `n` bytes at file offset pos_: a view into the whole buffer,
-     *  or (streaming) read into the record buffer after the `have`
-     *  bytes of this record it already holds; nullptr past EOF. */
+    /** The first `n` bytes of the record at file offset pos_, read into
+     *  the record buffer after the `have` of them it already holds;
+     *  nullptr past EOF. */
     const char *fetch(size_t have, size_t n);
 
-    std::string bytes_; ///< whole file, or the current record streaming
-    UniqueFd fd_;       ///< streaming source; -1 for an in-memory file
-    size_t size_ = 0;   ///< file size (fstat when streaming)
+    std::string bytes_; ///< the current record
+    UniqueFd fd_;
+    size_t size_ = 0;   ///< file size at openFile()
     size_t pos_ = 0;
     size_t records_ = 0;
     bool truncated_ = false;

@@ -184,7 +184,7 @@ TEST(SnapshotContainer, WriterReaderRoundTrip)
     TempDir dir;
     const std::string path = dir.file("basic.snap");
 
-    SnapshotWriter w;
+    SnapshotWriter w(path);
     {
         std::string &payload = w.beginRecord(1);
         ByteWriter bw(payload);
@@ -197,9 +197,9 @@ TEST(SnapshotContainer, WriterReaderRoundTrip)
         bw.str("second record");
         w.endRecord();
     }
-    ASSERT_TRUE(w.finish(path).ok());
+    ASSERT_TRUE(w.finish().ok());
 
-    StatusOr<SnapshotReader> reader = SnapshotReader::open(slurp(path));
+    StatusOr<SnapshotReader> reader = SnapshotReader::openFile(path);
     ASSERT_TRUE(reader.ok()) << reader.status().str();
     uint8_t type = 0;
     ByteReader payload(nullptr, 0);
@@ -218,20 +218,26 @@ TEST(SnapshotContainer, HeaderValidation)
 {
     TempDir dir;
     const std::string path = dir.file("hdr.snap");
-    SnapshotWriter w;
+    SnapshotWriter w(path);
     {
         std::string &payload = w.beginRecord(1);
         ByteWriter bw(payload);
         bw.u64(1);
         w.endRecord();
     }
-    ASSERT_TRUE(w.finish(path).ok());
+    ASSERT_TRUE(w.finish().ok());
     const std::string good = slurp(path);
     ASSERT_GE(good.size(), kSnapshotHeaderBytes);
+    // Each edited copy of the file is read back from disk.
+    const std::string edited = dir.file("edited.snap");
+    const auto openEdited = [&](const std::string &bytes) {
+        spit(edited, bytes);
+        return SnapshotReader::openFile(edited);
+    };
 
     // Too short for a header.
     for (size_t n = 0; n < kSnapshotHeaderBytes; ++n) {
-        StatusOr<SnapshotReader> r = SnapshotReader::open(good.substr(0, n));
+        StatusOr<SnapshotReader> r = openEdited(good.substr(0, n));
         EXPECT_FALSE(r.ok());
         EXPECT_EQ(r.status().code(), StatusCode::kCorruptSnapshot);
     }
@@ -239,8 +245,7 @@ TEST(SnapshotContainer, HeaderValidation)
     // Bad magic.
     std::string bad = good;
     bad[0] ^= 0xff;
-    EXPECT_EQ(SnapshotReader::open(bad).status().code(),
-              StatusCode::kCorruptSnapshot);
+    EXPECT_EQ(openEdited(bad).status().code(), StatusCode::kCorruptSnapshot);
 
     // Version skew with a *recomputed* header CRC: must fail on the
     // version check, not the checksum (a well-formed alien file).
@@ -249,21 +254,20 @@ TEST(SnapshotContainer, HeaderValidation)
     std::memcpy(&bad[8], &alien, sizeof alien);
     uint32_t crc = crc32(bad.data(), 16);
     std::memcpy(&bad[16], &crc, sizeof crc);
-    StatusOr<SnapshotReader> stale = SnapshotReader::open(bad);
+    StatusOr<SnapshotReader> stale = openEdited(bad);
     EXPECT_FALSE(stale.ok());
     EXPECT_EQ(stale.status().code(), StatusCode::kCorruptSnapshot);
 
     // Header CRC damage alone.
     bad = good;
     bad[17] ^= 0x01;
-    EXPECT_EQ(SnapshotReader::open(bad).status().code(),
-              StatusCode::kCorruptSnapshot);
+    EXPECT_EQ(openEdited(bad).status().code(), StatusCode::kCorruptSnapshot);
 
     // A flipped payload bit fails that record's CRC: the reader reports
     // a truncated (prefix-only) stream instead of crashing or lying.
     bad = good;
     bad[kSnapshotHeaderBytes + 10] ^= 0x40;
-    StatusOr<SnapshotReader> flipped = SnapshotReader::open(bad);
+    StatusOr<SnapshotReader> flipped = openEdited(bad);
     ASSERT_TRUE(flipped.ok());
     uint8_t type = 0;
     ByteReader payload(nullptr, 0);
@@ -289,7 +293,8 @@ TEST(SnapshotContainer, StreamedFileMatchesBuffered)
     TempDir dir;
     const std::string buffered = dir.file("buffered.snap");
     const std::string streamed = dir.file("streamed.snap");
-    SnapshotWriter a;
+    const FaultInjector none; // buffers the file, injects nothing
+    SnapshotWriter a(buffered, &none);
     SnapshotWriter b(streamed);
     for (size_t i = 0; i < records.size(); ++i)
         for (SnapshotWriter *w : {&a, &b}) {
@@ -298,8 +303,8 @@ TEST(SnapshotContainer, StreamedFileMatchesBuffered)
             w->endRecord();
         }
     EXPECT_EQ(a.bytesWritten(), b.bytesWritten());
-    ASSERT_TRUE(a.finish(buffered).ok());
-    ASSERT_TRUE(b.finish(streamed).ok());
+    ASSERT_TRUE(a.finish().ok());
+    ASSERT_TRUE(b.finish().ok());
     const std::string bytes = slurp(buffered);
     EXPECT_EQ(bytes.size(), a.bytesWritten());
     EXPECT_EQ(slurp(streamed), bytes);
@@ -355,8 +360,7 @@ TEST(SnapshotContainer, StreamedFileMatchesBuffered)
     }
     EXPECT_EQ(entries, 2u); // buffered.snap, streamed.snap
     SnapshotWriter orphan(dir.file("missing/dir.snap"));
-    EXPECT_EQ(orphan.finish(dir.file("missing/dir.snap")).code(),
-              StatusCode::kDataLoss);
+    EXPECT_EQ(orphan.finish().code(), StatusCode::kDataLoss);
 }
 
 TEST(SnapshotContainer, Crc32MatchesBytewiseReference)
@@ -457,7 +461,7 @@ TEST(CacheSnapshot, FixtureReSavesByteIdentical)
     const std::string original = slurp(fixture);
     ASSERT_FALSE(original.empty());
 
-    StatusOr<SnapshotReader> reader = SnapshotReader::open(original);
+    StatusOr<SnapshotReader> reader = SnapshotReader::openFile(fixture);
     ASSERT_TRUE(reader.ok()) << reader.status().str();
     uint8_t type = 0;
     ByteReader payload(nullptr, 0);
@@ -782,10 +786,10 @@ TEST(LoaderFuzz, SemanticMismatchRejectedByDigest)
                           Case{"control", tag, digest, true}}) {
         SCOPED_TRACE(c.what);
         const std::string path = dir.file("record.snap");
-        SnapshotWriter w;
+        SnapshotWriter w(path);
         writeSegmentRecordByHand(w, "segment-key", c.tag, backend, dem,
                                  c.digest);
-        ASSERT_TRUE(w.finish(path).ok());
+        ASSERT_TRUE(w.finish().ok());
 
         DeformedCodeCache fresh;
         StatusOr<SnapshotRestoreStats> loaded = loadCacheSnapshot(fresh, path);
@@ -807,14 +811,14 @@ TEST(LoaderFuzz, UnknownRecordTypeSkipped)
 {
     TempDir dir;
     const std::string path = dir.file("future.snap");
-    SnapshotWriter w;
+    SnapshotWriter w(path);
     {
         std::string &payload = w.beginRecord(200); // from the future
         ByteWriter bw(payload);
         bw.u64(0);
         w.endRecord();
     }
-    ASSERT_TRUE(w.finish(path).ok());
+    ASSERT_TRUE(w.finish().ok());
     DeformedCodeCache fresh;
     StatusOr<SnapshotRestoreStats> loaded = loadCacheSnapshot(fresh, path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().str();
@@ -917,12 +921,12 @@ TEST(LoaderFuzz, LyingElementCountsRejectedWithoutHugeReservations)
     for (const Case &c : cases) {
         const std::string path = dir.file("lying.snap");
         {
-            SnapshotWriter w;
+            SnapshotWriter w(path);
             ByteWriter bw(w.beginRecord(c.type));
             c.head(bw);
             bw.bytes(zeros.data(), zeros.size());
             w.endRecord();
-            ASSERT_TRUE(w.finish(path).ok());
+            ASSERT_TRUE(w.finish().ok());
         }
         EXPECT_EXIT(loadOneRejectedUnderCappedMemory(path),
                     ::testing::ExitedWithCode(0), "")
