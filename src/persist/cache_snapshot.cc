@@ -232,9 +232,9 @@ restoreSegmentRecord(ByteReader &r, DeformedCodeCache &cache,
         SavedRow sr;
         sr.src = static_cast<int>(src);
         const size_t n = static_cast<size_t>(len);
-        sr.row.dist.reserve(n);
-        for (size_t k = 0; k < n; ++k)
-            sr.row.dist.push_back(r.f32());
+        sr.row.dist.resize(n);
+        std::memcpy(sr.row.dist.data(), r.bytes(n * sizeof(float)),
+                    n * sizeof(float));
         const char *par = r.bytes(n);
         sr.row.par.assign(par, par + n);
         rows.push_back(std::move(sr));
