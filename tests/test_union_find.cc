@@ -1,12 +1,15 @@
-// Union-find decoder: equivalence with the full-scan reference oracle,
-// termination on boundary-free components, and scratch reuse across
-// decoders of different sizes.
+// Union-find decoder: equivalence with the full-scan reference oracle
+// (memory experiments and random graphs), termination on boundary-free
+// components, scratch reuse across decoders of different sizes, and one
+// decoder shared by several threads.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/strategies.hh"
@@ -165,6 +168,12 @@ oracleCorpus()
                     "fab chip seed " + std::to_string(seed),
                     fab.outcome.patch, basis, 4, 8e-3, 96, 70 + seed));
         }
+        // The union-find benchmark point (k p50 ~176 over both bases),
+        // and a dense point where many unions land in one round.
+        corpus.push_back(memoryCase("workload d=13 p=5e-3", squarePatch(13),
+                                    basis, 13, 5e-3, 64, 130));
+        corpus.push_back(memoryCase("dense d=9 p=1.5e-2", squarePatch(9),
+                                    basis, 9, 1.5e-2, 96, 150));
     }
     return corpus;
 }
@@ -185,6 +194,145 @@ TEST(UnionFind, MatchesFullScanReferenceOnEveryShot)
     }
     EXPECT_EQ(mismatches, 0u) << "over " << shots << " decodes";
     EXPECT_GT(shots, 10000u);
+}
+
+/** The edge probability whose quantized weight is `units` growth units
+ *  (the decoders round 4 ln((1 - p) / p) and clamp p to [1e-14, 0.5)). */
+double
+probOfUnits(int units)
+{
+    return 1.0 / (1.0 + std::exp(units / 4.0));
+}
+
+/**
+ * A random graph of `n` detectors (some of the other tag, which the
+ * decoder must ignore) split into a few components, each a random
+ * spanning tree plus extra and parallel edges. Only some components get
+ * boundary edges. Weights come from a handful of values in [1, 129], so
+ * many edges tie and fuse in the same round.
+ */
+DetectorErrorModel
+randomGraphDem(Rng &rng, int n)
+{
+    DetectorErrorModel dem;
+    dem.numDetectors = static_cast<size_t>(n);
+    for (int d = 0; d < n; ++d)
+        dem.detectorTag.push_back(rng.bernoulli(0.1) ? 0 : 1);
+    std::vector<int> nodes;
+    for (int d = 0; d < n; ++d)
+        if (dem.detectorTag[static_cast<size_t>(d)] == 1)
+            nodes.push_back(d);
+    for (size_t i = nodes.size(); i > 1; --i)
+        std::swap(nodes[i - 1], nodes[rng.below(i)]);
+
+    std::vector<int> weights(1 + rng.below(4));
+    for (int &w : weights)
+        w = 1 + static_cast<int>(rng.below(rng.bernoulli(0.3) ? 129 : 12));
+    const auto edge = [&](int a, int b) {
+        const int units = weights[rng.below(weights.size())];
+        dem.edges[1].push_back(
+            {a, b, probOfUnits(units), rng.bernoulli(0.5)});
+    };
+    const size_t comps = 1 + rng.below(4);
+    size_t begin = 0;
+    for (size_t c = 0; c < comps && begin < nodes.size(); ++c) {
+        const size_t end = c + 1 == comps
+                               ? nodes.size()
+                               : begin + 1 + rng.below(nodes.size() - begin);
+        const std::vector<int> comp(nodes.begin() + static_cast<long>(begin),
+                                    nodes.begin() + static_cast<long>(end));
+        for (size_t i = 1; i < comp.size(); ++i)
+            edge(comp[rng.below(i)], comp[i]);
+        const size_t extra = rng.below(2 * comp.size() + 1);
+        for (size_t i = 0; comp.size() > 1 && i < extra; ++i) {
+            const int a = comp[rng.below(comp.size())];
+            const int b = comp[rng.below(comp.size())];
+            if (a != b)
+                edge(a, b);
+        }
+        if (rng.bernoulli(0.7)) {
+            const size_t nb = 1 + rng.below(comp.size());
+            for (size_t i = 0; i < nb; ++i)
+                edge(rng.bernoulli(0.5) ? -1 : comp[rng.below(comp.size())],
+                     rng.bernoulli(0.5) ? -1 : comp[rng.below(comp.size())]);
+        }
+        begin = end;
+    }
+    // Shuffle so that edge ids do not follow the construction order.
+    std::vector<DemEdge> &es = dem.edges[1];
+    for (size_t i = es.size(); i > 1; --i)
+        std::swap(es[i - 1], es[rng.below(i)]);
+    return dem;
+}
+
+TEST(UnionFind, MatchesReferenceOnRandomGraphs)
+{
+    // Small random graphs reach corners the memory experiments rarely
+    // do: several fusions in one round, an even cluster absorbed mid-round
+    // with open edges on both sides of the fusing edge's id, weights up to
+    // the 129-unit maximum, and odd clusters trapped in components with no
+    // boundary edge.
+    Rng rng(2026);
+    UfScratch sc;
+    size_t decodes = 0, mismatches = 0;
+    for (int g = 0; g < 400; ++g) {
+        const int n = 8 + static_cast<int>(rng.below(53));
+        const DetectorErrorModel dem = randomGraphDem(rng, n);
+        const UnionFindDecoder uf(dem, 1);
+        const ReferenceUnionFind ref(dem, 1);
+        for (int s = 0; s < 40; ++s) {
+            const double density = (1 + rng.below(8)) / 16.0;
+            Shot shot;
+            for (int d = 0; d < n; ++d)
+                if (rng.bernoulli(density))
+                    shot.push_back(static_cast<uint32_t>(d));
+            const bool got = uf.decode(shot.data(), shot.size(), sc);
+            const bool want = ref.decode(shot.data(), shot.size());
+            if (got != want) {
+                ++mismatches;
+                ADD_FAILURE() << "graph " << g << " (" << n << " detectors)"
+                              << " shot " << s;
+            }
+            ASSERT_TRUE(sc.clean()) << "graph " << g << " shot " << s;
+            ++decodes;
+        }
+    }
+    EXPECT_EQ(mismatches, 0u) << "over " << decodes << " decodes";
+}
+
+TEST(UnionFind, SharedDecoderAcrossThreadsMatchesSerial)
+{
+    // The decoder is immutable: four threads, each with its own scratch,
+    // decode every shot of one shared decoder and must reproduce the
+    // serial predictions.
+    const Case c = memoryCase("d=9 p=1e-2", squarePatch(9), PauliType::Z, 9,
+                              1e-2, 256, 9);
+    const UnionFindDecoder uf(c.dem, c.tag);
+    UfScratch serial_sc;
+    std::vector<uint8_t> serial;
+    for (const Shot &shot : c.shots)
+        serial.push_back(uf.decode(shot.data(), shot.size(), serial_sc));
+
+    constexpr size_t kThreads = 4;
+    std::vector<std::vector<uint8_t>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            UfScratch sc;
+            // Each thread walks the shots from its own offset, so the
+            // threads decode different shots at the same time.
+            const size_t n = c.shots.size();
+            got[t].assign(n, 2);
+            for (size_t i = 0; i < n; ++i) {
+                const size_t s = (i + t * n / kThreads) % n;
+                const Shot &shot = c.shots[s];
+                got[t][s] = uf.decode(shot.data(), shot.size(), sc);
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (size_t t = 0; t < kThreads; ++t)
+        EXPECT_EQ(got[t], serial) << "thread " << t;
 }
 
 TEST(UnionFind, HaltsOnOddDefectsWithoutBoundaryEdge)
