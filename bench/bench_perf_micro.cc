@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark micro-benchmarks of the performance-critical kernels:
- * frame-simulator sampling, DEM extraction, MWPM decoding, cold Dijkstra
- * rows, deformation, graph distance computation, epoch planning, a warm
- * scenario pass, deformed-code cache snapshot save/load, and CRC32.
+ * frame-simulator sampling, DEM extraction, MWPM and union-find decoding,
+ * cold Dijkstra rows, deformation, graph distance computation, epoch
+ * planning, a warm scenario pass, deformed-code cache snapshot save/load,
+ * and CRC32.
  */
 
 #include <benchmark/benchmark.h>
@@ -11,12 +12,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
 #include "core/deformation_unit.hh"
 #include "decode/memory_experiment.hh"
 #include "decode/mwpm.hh"
+#include "decode/union_find.hh"
 #include "defects/defect_sampler.hh"
 #include "lattice/distance.hh"
 #include "lattice/rotated.hh"
@@ -195,6 +198,34 @@ BM_RowsDecode(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RowsDecode)->Arg(7)->Arg(9);
+
+void
+BM_UnionFindDecode(benchmark::State &state)
+{
+    // Union-find decode (arg: distance): Z memory at p = 5e-3 over d
+    // rounds, 256 pre-sampled shots cut down to the decoder's Z-check
+    // detectors, one scratch.
+    const int d = static_cast<int>(state.range(0));
+    const auto built = standardCircuit(d, 5e-3);
+    const auto dem = buildDem(built.circuit, PauliType::Z);
+    const UnionFindDecoder decoder(dem, 1);
+    FrameSimulator sim(built.circuit, 256, 7);
+    const SparseSyndromes syndromes = sim.sparseFiredDetectors();
+    std::vector<std::vector<uint32_t>> shots(256);
+    for (size_t s = 0; s < 256; ++s)
+        for (uint32_t id : syndromes.shotVector(s))
+            if (dem.detectorTag[id] == 1)
+                shots[s].push_back(id);
+    UfScratch scratch;
+    size_t shot = 0;
+    for (auto _ : state) {
+        const std::vector<uint32_t> &s = shots[shot % 256];
+        benchmark::DoNotOptimize(decoder.decode(s.data(), s.size(), scratch));
+        ++shot;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UnionFindDecode)->Arg(9)->Arg(13);
 
 void
 BM_DecodingGraphBuild(benchmark::State &state)

@@ -4,16 +4,21 @@
 #include <climits>
 #include <cmath>
 
+#include "util/logging.hh"
+
 namespace surf {
 
 namespace {
 
 using Node = UfScratch::Node;
 
+/** Every quantized weight is at most this (see UfScratch::kBuckets). */
+constexpr int kMaxUnits = UfScratch::kBuckets - 1;
+
 Node
 cleanNode(int v)
 {
-    return {v, 1, v, v, -1, 0, 0, 0, 0, 0};
+    return {v, 1, v, v, -1, 0, 0, 0, 0};
 }
 
 int
@@ -43,37 +48,16 @@ touchNode(UfScratch &sc, int v)
     }
 }
 
-/** Record edge `e` before its first modification this decode. */
-void
+/** Edge `e`'s state, listed for the reset before its first change. */
+UfScratch::Edge &
 touchEdge(UfScratch &sc, int e)
 {
-    const size_t i = static_cast<size_t>(e);
-    if (sc.growth[i] == 0 && !sc.closed[i])
+    UfScratch::Edge &s = sc.edge[static_cast<size_t>(e)];
+    if (!s.touched) {
+        s.touched = 1;
         sc.touchedEdges.push_back(e);
-}
-
-void
-closeEdge(UfScratch &sc, int e)
-{
-    touchEdge(sc, e);
-    sc.closed[static_cast<size_t>(e)] = 1;
-}
-
-void
-setBit(std::vector<uint64_t> &bits, int e)
-{
-    bits[static_cast<size_t>(e) >> 6] |= uint64_t{1} << (e & 63);
-}
-
-/** Visit the set bits of `bits` in ascending order without clearing. */
-template <class Fn>
-void
-forEachBit(const std::vector<uint64_t> &bits, size_t words, Fn &&fn)
-{
-    for (size_t w = 0; w < words; ++w)
-        for (uint64_t x = bits[w]; x; x &= x - 1)
-            fn(static_cast<int>(w * 64 + static_cast<size_t>(
-                                             __builtin_ctzll(x))));
+    }
+    return s;
 }
 
 } // namespace
@@ -97,6 +81,7 @@ UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel &dem, uint8_t tag)
         const double w = std::log((1.0 - p) / p);
         const int units = std::max<int>(1, static_cast<int>(
                                                std::llround(4.0 * w)));
+        SURF_ASSERT(units <= kMaxUnits, "edge weight ", units, " units");
         edges_.push_back({a, b, units, e.flipsObs});
         ++incOffset_[static_cast<size_t>(a) + 1];
         ++incOffset_[static_cast<size_t>(b) + 1];
@@ -120,12 +105,10 @@ UfScratch::clean() const
     for (size_t v = 0; v < node.size(); ++v)
         if (!(node[v] == cleanNode(static_cast<int>(v))))
             return false;
-    return std::all_of(growth.begin(), growth.end(),
-                       [](int g) { return g == 0; }) &&
-           std::all_of(closed.begin(), closed.end(),
-                       [](uint8_t c) { return c == 0; }) &&
-           std::all_of(cand.begin(), cand.end(),
-                       [](uint64_t w) { return w == 0; }) &&
+    return std::all_of(edge.begin(), edge.end(),
+                       [](const Edge &e) { return e == Edge{}; }) &&
+           std::all_of(bucket.begin(), bucket.end(),
+                       [](const std::vector<int> &b) { return b.empty(); }) &&
            touchedNodes.empty() && touchedEdges.empty() && forest.empty();
 }
 
@@ -146,13 +129,8 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
     const size_t n = static_cast<size_t>(numNodes_) + 1;
     for (size_t v = sc.node.size(); v < n; ++v)
         sc.node.push_back(cleanNode(static_cast<int>(v)));
-    if (sc.growth.size() < edges_.size()) {
-        sc.growth.resize(edges_.size(), 0);
-        sc.closed.resize(edges_.size(), 0);
-    }
-    const size_t words = (edges_.size() + 63) / 64;
-    if (sc.cand.size() < words)
-        sc.cand.resize(words, 0);
+    if (sc.edge.size() < edges_.size())
+        sc.edge.resize(edges_.size(), UfScratch::Edge{});
 
     for (size_t i = 0; i < n_fired; ++i) {
         const int l = local_of_[fired[i]];
@@ -161,16 +139,14 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
             sc.node[static_cast<size_t>(l)].defect ^= 1;
         }
     }
-    sc.active.clear();
+    bool any = false;
     for (int v : sc.touchedNodes) {
         Node &x = sc.node[static_cast<size_t>(v)];
-        if (x.defect) {
-            x.parity = 1;
-            sc.active.push_back(v);
-        }
+        x.parity = x.defect;
+        any |= x.defect;
     }
     bool obs = false;
-    if (!sc.active.empty()) {
+    if (any) {
         touchNode(sc, numNodes_);
         sc.node[static_cast<size_t>(numNodes_)].boundary = 1;
         grow(sc);
@@ -179,10 +155,8 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
 
     for (int v : sc.touchedNodes)
         sc.node[static_cast<size_t>(v)] = cleanNode(v);
-    for (int e : sc.touchedEdges) {
-        sc.growth[static_cast<size_t>(e)] = 0;
-        sc.closed[static_cast<size_t>(e)] = 0;
-    }
+    for (int e : sc.touchedEdges)
+        sc.edge[static_cast<size_t>(e)] = UfScratch::Edge{};
     sc.touchedNodes.clear();
     sc.touchedEdges.clear();
     sc.forest.clear();
@@ -194,153 +168,170 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
  * active endpoint cluster grows by the number of its active endpoints, in
  * ascending edge id, and an edge that reaches its weight fuses its two
  * clusters at once (later edges of the round see the merged cluster).
- * Only the open edges of active clusters are visited: they are gathered
- * into the candidate bitset at the start of a round, and when an active
- * cluster absorbs an even one mid-round the absorbed nodes' open edges
- * past the current id join the round. Rounds in which no candidate can
- * fuse leave every cluster as it is, so a run of them is applied in one
- * step.
+ *
+ * Between unions an open edge grows at a constant rate, so it carries
+ * (growth, settled round, rate) and one fuse event, (due round, id), in
+ * the bucket of its due round; events run in ascending (round, id),
+ * which is the order above. A union at event (round, pos) flips the
+ * activity of one or both merged clusters and re-rates the open edges of
+ * the flipped ones: an edge with id < pos already grew this round at its
+ * old rate, one with id > pos grows this round at its new rate. A
+ * re-rated edge whose due round moves leaves a stale entry behind, which
+ * is dropped when popped; edges found cluster-internal close. Growth ends
+ * when the queue is empty (an odd cluster in a component without a
+ * boundary edge stops once it has no open edge left).
  */
 void
 UnionFindDecoder::grow(UfScratch &sc) const
 {
     std::vector<Node> &nd = sc.node;
-    std::vector<uint64_t> &bits = sc.cand;
-    const size_t words = (edges_.size() + 63) / 64;
-    const auto activeEnds = [&](int e) {
-        const Edge &ed = edges_[static_cast<size_t>(e)];
-        return int{isActive(nd[static_cast<size_t>(find(nd, ed.a))])} +
-               int{isActive(nd[static_cast<size_t>(find(nd, ed.b))])};
+    int round = 0;           // round of the event being processed
+    int pos = INT_MAX;       // its edge id (round 0 is over)
+    size_t next = 0;         // next entry of the current round's bucket
+    size_t pending = 0;      // queued entries, stale ones included
+
+    // Put edge `e` in the queue for round `due`.
+    const auto schedule = [&](int e, int due) {
+        std::vector<int> &b = sc.bucket[static_cast<size_t>(due) %
+                                        UfScratch::kBuckets];
+        if (due == round) // later in the current round: keep it sorted
+            b.insert(std::upper_bound(b.begin() + static_cast<long>(next),
+                                      b.end(), e),
+                     e);
+        else
+            b.push_back(e);
+        ++pending;
     };
 
-    // Add the open edges of root `r`'s cluster to the candidates, close
-    // edges that became internal, and unlink nodes left with no open
-    // edge from the cluster's boundary list (they never regain one).
-    // `skip` drops to the number of whole rounds a candidate can grow
-    // before it fuses.
-    const auto gather = [&](int r, int &skip) {
-        bool any = false;
-        int prev = r, v = r;
+    // Re-rate open edge `e`, met from node `v` of the cluster of root
+    // `r` (active if `self`), after the activity of that cluster
+    // changed. False if `e` turned out cluster-internal (it is closed).
+    const auto rerate = [&](int e, int v, int r, int self) {
+        const Edge &ed = edges_[static_cast<size_t>(e)];
+        const int u = find(nd, ed.a + ed.b - v); // the far end's root
+        if (u == r) {
+            touchEdge(sc, e).closed = 1;
+            return false;
+        }
+        const int rate = self + int{isActive(nd[static_cast<size_t>(u)])};
+        if (rate == sc.edge[static_cast<size_t>(e)].rate)
+            return true;
+        UfScratch::Edge &s = touchEdge(sc, e);
+        // Settle the growth at the old rate up to the last round it
+        // applied to, then schedule the fuse at the new rate.
+        const int at = e < pos ? round : round - 1;
+        s.growth =
+            static_cast<uint8_t>(s.growth + s.rate * (at - s.settled));
+        s.settled = at;
+        s.rate = static_cast<uint8_t>(rate);
+        if (rate == 0) {
+            s.due = 0;
+            return true;
+        }
+        // Rounds to go at the new rate; `left` > 0 as the edge is open.
+        const int left = ed.units - s.growth;
+        const int due = at + (rate == 1 ? left : (left + 1) / 2);
+        if (due != s.due) {
+            s.due = due;
+            schedule(e, due);
+        }
+        return true;
+    };
+
+    // Re-rate the open edges of the circular list starting at `start`
+    // (a cluster merged into root `r`), unlinking nodes left with no open
+    // edge (they never regain one).
+    const auto walk = [&](int start, int r) {
+        const int self = isActive(nd[static_cast<size_t>(r)]);
+        int prev = start, v = start;
         do {
             bool open = false;
             const size_t vi = static_cast<size_t>(v);
             for (int i = incOffset_[vi]; i < incOffset_[vi + 1]; ++i) {
                 const int e = incEdges_[static_cast<size_t>(i)];
-                const size_t ei = static_cast<size_t>(e);
-                if (sc.closed[ei])
-                    continue;
-                const Edge &ed = edges_[ei];
-                const int u = find(nd, ed.a + ed.b - v); // the far end
-                if (u == r) {
-                    closeEdge(sc, e);
-                    continue;
-                }
-                setBit(bits, e);
-                open = true;
-                const int add = 1 + int{isActive(nd[static_cast<size_t>(u)])};
-                skip = std::min(skip, (ed.units - sc.growth[ei] - 1) / add);
+                if (!sc.edge[static_cast<size_t>(e)].closed)
+                    open |= rerate(e, v, r, self);
             }
-            const int next = nd[vi].next;
-            if (open || v == r)
+            const int nx = nd[vi].next;
+            if (open || v == start)
                 prev = v;
             else
-                nd[static_cast<size_t>(prev)].next = next;
-            any |= open;
-            v = next;
-        } while (v != r);
-        return any;
+                nd[static_cast<size_t>(prev)].next = nx;
+            v = nx;
+        } while (v != start);
     };
 
-    // Add the open edges with id > `after` of root `x`'s cluster.
-    const auto gatherAfter = [&](int x, int after) {
-        int v = x;
-        do {
-            const size_t vi = static_cast<size_t>(v);
-            for (int i = incOffset_[vi + 1]; i-- > incOffset_[vi];) {
-                const int e = incEdges_[static_cast<size_t>(i)];
-                if (e <= after)
-                    break;
-                if (!sc.closed[static_cast<size_t>(e)])
-                    setBit(bits, e);
-            }
-            v = nd[vi].next;
-        } while (v != x);
-    };
-
-    const auto unite = [&](int ra, int rb, int e) {
+    const auto unite = [&](int ra, int rb) {
         Node &a = nd[static_cast<size_t>(ra)], &b = nd[static_cast<size_t>(rb)];
-        // An active cluster absorbing an even one reactivates the latter.
-        if ((a.parity ^ b.parity) && !(a.boundary | b.boundary))
-            gatherAfter(isActive(a) ? rb : ra, e);
+        const bool wasA = isActive(a), wasB = isActive(b);
         touchNode(sc, ra);
         touchNode(sc, rb);
         const bool aBig = a.size >= b.size; // union by size
+        const int root = aBig ? ra : rb;
         Node &big = aBig ? a : b, &small = aBig ? b : a;
-        small.parent = aBig ? ra : rb;
+        small.parent = root;
         big.size += small.size;
         big.parity ^= small.parity;
         big.boundary |= small.boundary;
         big.minNode = std::min(big.minNode, small.minNode);
+        const bool now = isActive(big);
+        if (wasA != now)
+            walk(ra, root);
+        if (wasB != now)
+            walk(rb, root);
         std::swap(big.next, small.next); // splice the circular lists
     };
 
-    for (;;) {
-        // Every cluster active now contains a root that was active at the
-        // previous round's start: refresh that list to distinct roots.
-        size_t k = 0;
-        for (size_t i = 0; i < sc.active.size(); ++i) {
-            const int r = find(nd, sc.active[i]);
-            Node &x = nd[static_cast<size_t>(r)];
-            if (x.mark || !isActive(x))
+    // Round 0: every defect is an active singleton cluster, so an edge
+    // grows by one per defect end; an edge joining two defects is met
+    // from both.
+    for (int v : sc.touchedNodes) {
+        const size_t vi = static_cast<size_t>(v);
+        if (!nd[vi].defect)
+            continue;
+        for (int i = incOffset_[vi]; i < incOffset_[vi + 1]; ++i) {
+            const int e = incEdges_[static_cast<size_t>(i)];
+            const Edge &ed = edges_[static_cast<size_t>(e)];
+            const int far = ed.a + ed.b - v;
+            const int rate = 1 + nd[static_cast<size_t>(far)].defect;
+            UfScratch::Edge &s = touchEdge(sc, e);
+            if (s.rate == rate)
                 continue;
-            x.mark = 1;
-            sc.active[k++] = r;
+            s.rate = static_cast<uint8_t>(rate);
+            s.due = rate == 1 ? ed.units : (ed.units + 1) / 2;
+            schedule(e, s.due);
         }
-        sc.active.resize(k);
-        bool any = false;
-        int skip = INT_MAX;
-        for (int r : sc.active) {
-            nd[static_cast<size_t>(r)].mark = 0;
-            any |= gather(r, skip);
-        }
-        // No open edge on any active cluster: growth is over (an odd
-        // cluster in a component without a boundary edge stops here).
-        if (!any)
-            return;
+    }
 
-        // No cluster changes in the next `skip` rounds: apply them at once.
-        if (skip > 0)
-            forEachBit(bits, words, [&](int e) {
-                touchEdge(sc, e);
-                sc.growth[static_cast<size_t>(e)] += skip * activeEnds(e);
-            });
-
-        for (size_t w = 0; w < words; ++w) {
-            while (bits[w]) {
-                const int e = static_cast<int>(
-                    w * 64 + static_cast<size_t>(__builtin_ctzll(bits[w])));
-                bits[w] &= bits[w] - 1;
-                const Edge &ed = edges_[static_cast<size_t>(e)];
-                const int ra = find(nd, ed.a), rb = find(nd, ed.b);
-                if (ra == rb) {
-                    closeEdge(sc, e);
-                    continue;
-                }
-                const int add =
-                    int{isActive(nd[static_cast<size_t>(ra)])} +
-                    int{isActive(nd[static_cast<size_t>(rb)])};
-                if (add == 0)
-                    continue;
-                touchEdge(sc, e);
-                int &g = sc.growth[static_cast<size_t>(e)];
-                g += add;
-                if (g < ed.units)
-                    continue;
-                sc.closed[static_cast<size_t>(e)] = 1;
-                sc.forest.push_back(e);
-                unite(ra, rb, e);
-            }
+    while (pending > 0) {
+        ++round;
+        std::vector<int> &b =
+            sc.bucket[static_cast<size_t>(round) % UfScratch::kBuckets];
+        // Most entries went stale when their clusters paired up: drop
+        // them before sorting the round into edge-id order.
+        const size_t queued = b.size();
+        std::erase_if(b, [&](int e) {
+            const UfScratch::Edge &s = sc.edge[static_cast<size_t>(e)];
+            return s.closed || s.due != round;
+        });
+        pending -= queued - b.size();
+        std::sort(b.begin(), b.end());
+        for (next = 0; next < b.size();) {
+            const int e = b[next++];
+            --pending;
+            UfScratch::Edge &s = sc.edge[static_cast<size_t>(e)];
+            if (s.closed || s.due != round)
+                continue; // stale
+            s.closed = 1;
+            const Edge &ed = edges_[static_cast<size_t>(e)];
+            const int ra = find(nd, ed.a), rb = find(nd, ed.b);
+            if (ra == rb)
+                continue;
+            pos = e;
+            sc.forest.push_back(e);
+            unite(ra, rb);
         }
+        b.clear();
     }
 }
 

@@ -5,17 +5,21 @@
  * an ablation decoder, as the fast path for very high defect densities
  * and as the deadline ladder's floor.
  *
- * Growth is event driven: only the open edges of active (odd, boundary
- * free) clusters are visited, runs of rounds in which no edge can fuse
- * are applied in one step, and the scratch is reset from touched lists.
- * A decode therefore costs roughly O(cluster boundary x fusing rounds +
- * touched nodes and edges), independent of the graph size except for an
- * O(edges / 64) bitset scan per fusing round.
+ * Growth is event driven. Every open edge with an active (odd, boundary
+ * free) endpoint cluster grows at a constant rate between unions, so its
+ * fuse round is known in advance and sits in a bucket queue of rounds;
+ * a union re-rates only the open edges of the clusters whose activity it
+ * flips, found on their boundary lists, and the scratch is reset from
+ * touched lists. A decode therefore costs roughly O(boundary edges of
+ * the flipped clusters per union + queued events + touched nodes and
+ * edges), with no per-round pass over the active clusters and no work
+ * proportional to the graph size.
  */
 
 #ifndef SURF_DECODE_UNION_FIND_HH
 #define SURF_DECODE_UNION_FIND_HH
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -26,17 +30,23 @@ namespace surf {
 
 /**
  * Reusable per-thread workspace for the union-find decoder: cluster
- * state, growth counters, the candidate-edge bitset and the peeling
- * forest keep their heap buffers between decodes. One scratch per worker
- * thread; it may be shared across decoders of different sizes (the
- * arrays only grow, and every decode restores the slots it touched, so
- * a smaller graph reuses a clean prefix). The decoder itself is
- * immutable and shareable.
+ * state, per-edge growth, the event queue and the peeling forest keep
+ * their heap buffers between decodes. One scratch per worker thread; it
+ * may be shared across decoders of different sizes (the arrays only
+ * grow, and every decode restores the slots it touched, so a smaller
+ * graph reuses a clean prefix). The decoder itself is immutable and
+ * shareable.
  */
 struct UfScratch
 {
+    /** An edge weighs at most 129 growth units (p is clamped to
+     *  >= 1e-14) and fuses within that many rounds of its last re-rating,
+     *  so the fuse rounds queued at any time span fewer than 130 rounds:
+     *  one bucket per round, used circularly. */
+    static constexpr int kBuckets = 130;
+
     /** Per-node union-find state. Between decodes node v holds
-     *  {v, 1, v, v, -1, 0, 0, 0, 0, 0}. */
+     *  {v, 1, v, v, -1, 0, 0, 0, 0}. */
     struct Node
     {
         int parent;  ///< union-find parent (self for a root)
@@ -48,16 +58,30 @@ struct UfScratch
         uint8_t parity;   ///< cluster defect parity (roots only)
         uint8_t boundary; ///< cluster holds the boundary node (roots only)
         uint8_t touched;  ///< listed in touchedNodes
-        uint8_t mark;     ///< transient dedup flag
 
         bool operator==(const Node &) const = default;
     };
 
+    /** Per-edge growth state; all zero between decodes. */
+    struct Edge
+    {
+        int settled;  ///< last round accounted for in `growth`
+        int due;      ///< round of the pending fuse event, 0 if none
+        uint8_t growth;  ///< growth units up to and including `settled`
+                         ///< (below the edge's weight while it is open)
+        uint8_t rate;    ///< active endpoint clusters: growth per round
+        uint8_t closed;  ///< fused or cluster-internal
+        uint8_t touched; ///< listed in touchedEdges
+
+        bool operator==(const Edge &) const = default;
+    };
+
     std::vector<Node> node;
-    std::vector<int> growth;       ///< per-edge growth units
-    std::vector<uint8_t> closed;   ///< per edge: fused or cluster-internal
-    std::vector<uint64_t> cand;    ///< candidate-edge bitset (all zero idle)
-    std::vector<int> touchedNodes, touchedEdges, active, forest;
+    std::vector<Edge> edge;
+    /** Fuse events: bucket r % kBuckets holds the edge ids due in round r
+     *  (stale entries included; they are dropped when popped). */
+    std::array<std::vector<int>, kBuckets> bucket;
+    std::vector<int> touchedNodes, touchedEdges, forest;
     /** Peeling buffers, rebuilt each decode (no reset needed). */
     std::vector<int> forestNodes, adjOff, order, parentEdge;
     std::vector<std::pair<int, int>> adj; ///< (edge, other end) per slot
