@@ -51,31 +51,45 @@ writeCircuit(ByteWriter &w, const Circuit &c)
 /** Replay a serialized circuit through Circuit::appendRaw, which
  *  re-validates every instruction against the bookkeeping built so far —
  *  a detector referencing a future measurement, an odd pairwise list or
- *  a bad noise probability rejects the record, never aborts. */
+ *  a bad noise probability rejects the record, never aborts. A first
+ *  pass over the instruction headers sums the target counts, so the
+ *  circuit reserves its arrays once and each target list is copied
+ *  once, from the record bytes into the circuit. */
 bool
 readCircuit(ByteReader &r, Circuit &out)
 {
     const uint64_t n = r.u64();
     if (!r.ok() || n > r.remaining() / kMinInstructionBytes)
         return false;
-    out.reserve(static_cast<size_t>(n));
-    std::vector<uint32_t> targets; // aligned copy of one target list
+    // Header fields are read and bound-checked in both passes.
+    const auto header = [](ByteReader &in, uint8_t &op, double &arg,
+                           uint32_t &aux, uint64_t &nt) {
+        op = in.u8();
+        arg = in.f64();
+        aux = in.u32();
+        nt = in.u64();
+        return in.ok() && op <= kMaxOp &&
+               nt <= in.remaining() / sizeof(uint32_t);
+    };
+    uint8_t op;
+    double arg;
+    uint32_t aux;
+    uint64_t nt, total = 0;
+    ByteReader scan = r;
     for (uint64_t i = 0; i < n; ++i) {
-        Instruction ins;
-        const uint8_t op = r.u8();
-        ins.arg = r.f64();
-        ins.aux = r.u32();
-        const uint64_t nt = r.u64();
-        if (!r.ok() || op > kMaxOp || nt > r.remaining() / sizeof(uint32_t))
+        if (!header(scan, op, arg, aux, nt))
             return false;
-        ins.op = static_cast<Op>(op);
-        const size_t target_bytes = static_cast<size_t>(nt) * sizeof(uint32_t);
-        const char *bytes = r.bytes(target_bytes);
-        targets.resize(static_cast<size_t>(nt));
-        if (target_bytes)
-            std::memcpy(targets.data(), bytes, target_bytes);
-        ins.targets = targets;
-        if (!out.appendRaw(ins))
+        scan.bytes(static_cast<size_t>(nt) * sizeof(uint32_t));
+        total += nt;
+    }
+    out.reserve(static_cast<size_t>(n), static_cast<size_t>(total));
+    for (uint64_t i = 0; i < n; ++i) {
+        if (!header(r, op, arg, aux, nt))
+            return false;
+        const char *targets =
+            r.bytes(static_cast<size_t>(nt) * sizeof(uint32_t));
+        if (!out.appendRaw(static_cast<Op>(op), arg, aux, targets,
+                           static_cast<size_t>(nt)))
             return false;
     }
     return true;

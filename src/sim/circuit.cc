@@ -1,6 +1,7 @@
 #include "sim/circuit.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -96,7 +97,25 @@ Circuit::appendFrameProbe(std::span<const uint32_t> qubits, PauliType basis,
 }
 
 bool
-Circuit::appendRaw(const Instruction &ins)
+Circuit::appendRaw(Op op, double arg, uint32_t aux, const char *target_bytes,
+                   size_t count)
+{
+    const size_t first = targets_.size();
+    targets_.resize(first + count);
+    if (count)
+        std::memcpy(targets_.data() + first, target_bytes,
+                    count * sizeof(uint32_t));
+    if (!accountRaw({op, {targets_.data() + first, count}, arg, aux})) {
+        targets_.resize(first);
+        return false;
+    }
+    records_.push_back({op, aux, arg, static_cast<uint32_t>(first),
+                        static_cast<uint32_t>(count)});
+    return true;
+}
+
+bool
+Circuit::accountRaw(const Instruction &ins)
 {
     switch (ins.op) {
       case Op::Detector:
@@ -143,7 +162,6 @@ Circuit::appendRaw(const Instruction &ins)
       default:
         return false; // unknown opcode byte in a snapshot
     }
-    push(ins.op, ins.targets, ins.arg, ins.aux);
     return true;
 }
 

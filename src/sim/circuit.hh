@@ -168,19 +168,27 @@ class Circuit
     /**
      * Replay one instruction verbatim (never coalesced), recomputing the
      * qubit / measurement / detector / observable / probe bookkeeping —
-     * the snapshot-restore path (persist/). Unlike the append* builders
-     * this never aborts: structural inconsistencies (a detector
-     * referencing a future measurement, an odd pairwise-target list, an
-     * out-of-range noise probability) return false, and the paranoid
-     * loader rejects the whole record instead of trusting it.
+     * the snapshot-restore path (persist/). Its `count` targets are the
+     * little-endian u32s at `target_bytes` (any alignment), copied once
+     * into the target array. Unlike the append* builders this never
+     * aborts: structural inconsistencies (a detector referencing a
+     * future measurement, an odd pairwise-target list, an out-of-range
+     * noise probability) return false, and the paranoid loader rejects
+     * the whole record instead of trusting it.
      * @return false when the instruction is inconsistent with the
      *         circuit built so far (the circuit is left unchanged)
      */
-    bool appendRaw(const Instruction &ins);
+    bool appendRaw(Op op, double arg, uint32_t aux, const char *target_bytes,
+                   size_t count);
 
-    /** Reserve room for `n` instructions (the restore path knows the
-     *  count up front). */
-    void reserve(size_t n) { records_.reserve(n); }
+    /** Reserve room for `n` instructions holding `targets` targets in
+     *  all (the restore path counts both up front). */
+    void
+    reserve(size_t n, size_t targets)
+    {
+        records_.reserve(n);
+        targets_.reserve(targets);
+    }
 
     /** Total number of independent noise sites: one per target of a
      *  single-qubit channel, one per pair of a DEPOLARIZE2. */
@@ -201,6 +209,9 @@ class Circuit
     }
     void push(Op op, std::span<const uint32_t> targets, double arg,
               uint32_t aux);
+    /** appendRaw's checks and bookkeeping for `ins`; false (nothing
+     *  counted) when it is inconsistent. */
+    bool accountRaw(const Instruction &ins);
 
     std::vector<Record> records_;
     std::vector<uint32_t> targets_;
