@@ -49,10 +49,10 @@ touchNode(UfScratch &sc, int v)
 }
 
 /** Edge `e`'s state, listed for the reset before its first change. */
-UfScratch::Edge &
+UfScratch::EdgeState &
 touchEdge(UfScratch &sc, int e)
 {
-    UfScratch::Edge &s = sc.edge[static_cast<size_t>(e)];
+    UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
     if (!s.touched) {
         s.touched = 1;
         sc.touchedEdges.push_back(e);
@@ -106,7 +106,7 @@ UfScratch::clean() const
         if (!(node[v] == cleanNode(static_cast<int>(v))))
             return false;
     return std::all_of(edge.begin(), edge.end(),
-                       [](const Edge &e) { return e == Edge{}; }) &&
+                       [](const EdgeState &e) { return e == EdgeState{}; }) &&
            std::all_of(bucket.begin(), bucket.end(),
                        [](const std::vector<int> &b) { return b.empty(); }) &&
            touchedNodes.empty() && touchedEdges.empty() && forest.empty();
@@ -130,7 +130,7 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
     for (size_t v = sc.node.size(); v < n; ++v)
         sc.node.push_back(cleanNode(static_cast<int>(v)));
     if (sc.edge.size() < edges_.size())
-        sc.edge.resize(edges_.size(), UfScratch::Edge{});
+        sc.edge.resize(edges_.size(), UfScratch::EdgeState{});
 
     for (size_t i = 0; i < n_fired; ++i) {
         const int l = local_of_[fired[i]];
@@ -156,7 +156,7 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
     for (int v : sc.touchedNodes)
         sc.node[static_cast<size_t>(v)] = cleanNode(v);
     for (int e : sc.touchedEdges)
-        sc.edge[static_cast<size_t>(e)] = UfScratch::Edge{};
+        sc.edge[static_cast<size_t>(e)] = UfScratch::EdgeState{};
     sc.touchedNodes.clear();
     sc.touchedEdges.clear();
     sc.forest.clear();
@@ -214,9 +214,7 @@ UnionFindDecoder::grow(UfScratch &sc) const
             return false;
         }
         const int rate = self + int{isActive(nd[static_cast<size_t>(u)])};
-        if (rate == sc.edge[static_cast<size_t>(e)].rate)
-            return true;
-        UfScratch::Edge &s = touchEdge(sc, e);
+        UfScratch::EdgeState &s = touchEdge(sc, e);
         // Settle the growth at the old rate up to the last round it
         // applied to, then schedule the fuse at the new rate.
         const int at = e < pos ? round : round - 1;
@@ -294,7 +292,7 @@ UnionFindDecoder::grow(UfScratch &sc) const
             const Edge &ed = edges_[static_cast<size_t>(e)];
             const int far = ed.a + ed.b - v;
             const int rate = 1 + nd[static_cast<size_t>(far)].defect;
-            UfScratch::Edge &s = touchEdge(sc, e);
+            UfScratch::EdgeState &s = touchEdge(sc, e);
             if (s.rate == rate)
                 continue;
             s.rate = static_cast<uint8_t>(rate);
@@ -311,7 +309,7 @@ UnionFindDecoder::grow(UfScratch &sc) const
         // them before sorting the round into edge-id order.
         const size_t queued = b.size();
         std::erase_if(b, [&](int e) {
-            const UfScratch::Edge &s = sc.edge[static_cast<size_t>(e)];
+            const UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
             return s.closed || s.due != round;
         });
         pending -= queued - b.size();
@@ -319,7 +317,7 @@ UnionFindDecoder::grow(UfScratch &sc) const
         for (next = 0; next < b.size();) {
             const int e = b[next++];
             --pending;
-            UfScratch::Edge &s = sc.edge[static_cast<size_t>(e)];
+            UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
             if (s.closed || s.due != round)
                 continue; // stale
             s.closed = 1;
