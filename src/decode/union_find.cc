@@ -18,7 +18,7 @@ constexpr int kMaxUnits = UfScratch::kBuckets - 1;
 Node
 cleanNode(int v)
 {
-    return {v, 1, v, v, -1, 0, 0, 0, 0};
+    return {v, 1, v, v, -1, 0, 0, 0, 0, UfScratch::kUnwalked};
 }
 
 int
@@ -103,13 +103,14 @@ bool
 UfScratch::clean() const
 {
     for (size_t v = 0; v < node.size(); ++v)
-        if (!(node[v] == cleanNode(static_cast<int>(v))))
+        if (!(node[v] == cleanNode(static_cast<int>(v))) ||
+            stoppedAt[v] != std::pair<int, int>{})
             return false;
     return std::all_of(edge.begin(), edge.end(),
                        [](const EdgeState &e) { return e == EdgeState{}; }) &&
            std::all_of(bucket.begin(), bucket.end(),
                        [](const std::vector<int> &b) { return b.empty(); }) &&
-           touchedNodes.empty() && touchedEdges.empty() && forest.empty();
+           now.empty() && touchedNodes.empty() && touchedEdges.empty() && forest.empty();
 }
 
 size_t
@@ -129,6 +130,8 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
     const size_t n = static_cast<size_t>(numNodes_) + 1;
     for (size_t v = sc.node.size(); v < n; ++v)
         sc.node.push_back(cleanNode(static_cast<int>(v)));
+    if (sc.stoppedAt.size() < n)
+        sc.stoppedAt.resize(n);
     if (sc.edge.size() < edges_.size())
         sc.edge.resize(edges_.size(), UfScratch::EdgeState{});
 
@@ -153,8 +156,10 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
         obs = peel(sc);
     }
 
-    for (int v : sc.touchedNodes)
+    for (int v : sc.touchedNodes) {
         sc.node[static_cast<size_t>(v)] = cleanNode(v);
+        sc.stoppedAt[static_cast<size_t>(v)] = {};
+    }
     for (int e : sc.touchedEdges)
         sc.edge[static_cast<size_t>(e)] = UfScratch::EdgeState{};
     sc.touchedNodes.clear();
@@ -180,27 +185,68 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
  * is dropped when popped; edges found cluster-internal close. Growth ends
  * when the queue is empty (an odd cluster in a component without a
  * boundary edge stops once it has no open edge left).
+ *
+ * Most defects pair up and go inactive long before their edges to
+ * non-defect nodes could fuse, so those edges get no state or event of
+ * their own until a walk re-rates them (UfScratch::Phase): the defect
+ * queues one wake-up at the smallest weight among them, and when its
+ * cluster first goes inactive it only records the event (kStopped).
  */
 void
 UnionFindDecoder::grow(UfScratch &sc) const
 {
     std::vector<Node> &nd = sc.node;
+    std::vector<int> &now = sc.now;
     int round = 0;           // round of the event being processed
     int pos = INT_MAX;       // its edge id (round 0 is over)
-    size_t next = 0;         // next entry of the current round's bucket
-    size_t pending = 0;      // queued entries, stale ones included
+    size_t next = 0;         // next entry of `now`
+    size_t pending = 0;      // bucket entries, stale ones included
 
-    // Put edge `e` in the queue for round `due`.
-    const auto schedule = [&](int e, int due) {
-        std::vector<int> &b = sc.bucket[static_cast<size_t>(due) %
-                                        UfScratch::kBuckets];
-        if (due == round) // later in the current round: keep it sorted
-            b.insert(std::upper_bound(b.begin() + static_cast<long>(next),
-                                      b.end(), e),
-                     e);
-        else
-            b.push_back(e);
+    const auto push = [&](int entry, int due) {
+        sc.bucket[static_cast<size_t>(due) % UfScratch::kBuckets].push_back(
+            entry);
         ++pending;
+    };
+    // The last round of edge `e`'s growth before event (t, p).
+    const auto lastRound = [](int e, int t, int p) {
+        return e < p ? t : t - 1;
+    };
+    // Growth up to round `at` of edge `e` while no walk re-rated it: one
+    // unit per round from its defect end `d` (if any) until d stopped.
+    const auto unwalkedGrowth = [&](int e, int d, int at) {
+        if (d < 0)
+            return 0;
+        if (nd[static_cast<size_t>(d)].phase == UfScratch::kStopped) {
+            const auto [t, p] = sc.stoppedAt[static_cast<size_t>(d)];
+            at = std::min(at, lastRound(e, t, p));
+        }
+        return at;
+    };
+    const auto defectEnd = [&](const Edge &ed) {
+        return nd[static_cast<size_t>(ed.a)].defect   ? ed.a
+               : nd[static_cast<size_t>(ed.b)].defect ? ed.b
+                                                       : -1;
+    };
+
+    // Queue the unwalked edges of still-active unwalked defect `v` whose
+    // weight is this round, and v's next wake-up.
+    const auto wake = [&](int v) {
+        const size_t vi = static_cast<size_t>(v);
+        if (nd[vi].phase != UfScratch::kUnwalked)
+            return; // stopped or walked: no unwalked edge grows from v
+        int soonest = INT_MAX;
+        for (int i = incOffset_[vi]; i < incOffset_[vi + 1]; ++i) {
+            const int e = incEdges_[static_cast<size_t>(i)];
+            if (sc.edge[static_cast<size_t>(e)].touched)
+                continue;
+            const int units = edges_[static_cast<size_t>(e)].units;
+            if (units == round)
+                now.push_back(e);
+            else if (units > round)
+                soonest = std::min(soonest, units);
+        }
+        if (soonest != INT_MAX)
+            push(~v, soonest);
     };
 
     // Re-rate open edge `e`, met from node `v` of the cluster of root
@@ -209,15 +255,21 @@ UnionFindDecoder::grow(UfScratch &sc) const
     const auto rerate = [&](int e, int v, int r, int self) {
         const Edge &ed = edges_[static_cast<size_t>(e)];
         const int u = find(nd, ed.a + ed.b - v); // the far end's root
+        const int at = lastRound(e, round, pos);
+        UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
+        if (!s.touched) {
+            s.growth =
+                static_cast<uint8_t>(unwalkedGrowth(e, defectEnd(ed), at));
+            s.settled = at;
+            touchEdge(sc, e);
+        }
         if (u == r) {
-            touchEdge(sc, e).closed = 1;
+            s.closed = 1;
             return false;
         }
         const int rate = self + int{isActive(nd[static_cast<size_t>(u)])};
-        UfScratch::EdgeState &s = touchEdge(sc, e);
         // Settle the growth at the old rate up to the last round it
         // applied to, then schedule the fuse at the new rate.
-        const int at = e < pos ? round : round - 1;
         s.growth =
             static_cast<uint8_t>(s.growth + s.rate * (at - s.settled));
         s.settled = at;
@@ -229,27 +281,44 @@ UnionFindDecoder::grow(UfScratch &sc) const
         // Rounds to go at the new rate; `left` > 0 as the edge is open.
         const int left = ed.units - s.growth;
         const int due = at + (rate == 1 ? left : (left + 1) / 2);
-        if (due != s.due) {
-            s.due = due;
-            schedule(e, due);
-        }
+        if (due == s.due)
+            return true;
+        s.due = due;
+        if (due == round) // later in the current round: keep it sorted
+            now.insert(std::upper_bound(now.begin() + static_cast<long>(next),
+                                        now.end(), e),
+                       e);
+        else
+            push(e, due);
         return true;
     };
 
     // Re-rate the open edges of the circular list starting at `start`
     // (a cluster merged into root `r`), unlinking nodes left with no open
-    // edge (they never regain one).
+    // edge (they never regain one). An unwalked defect whose cluster goes
+    // inactive only stops: its unwalked edges keep their implicit growth.
     const auto walk = [&](int start, int r) {
         const int self = isActive(nd[static_cast<size_t>(r)]);
         int prev = start, v = start;
         do {
             bool open = false;
             const size_t vi = static_cast<size_t>(v);
+            const bool stop =
+                !self && nd[vi].phase == UfScratch::kUnwalked;
             for (int i = incOffset_[vi]; i < incOffset_[vi + 1]; ++i) {
                 const int e = incEdges_[static_cast<size_t>(i)];
-                if (!sc.edge[static_cast<size_t>(e)].closed)
+                const UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
+                if (s.closed)
+                    continue;
+                if (stop && !s.touched)
+                    open = true;
+                else
                     open |= rerate(e, v, r, self);
             }
+            // Set after the loop: re-rating reads v's stop event.
+            if (stop)
+                sc.stoppedAt[vi] = {round, pos};
+            nd[vi].phase = stop ? UfScratch::kStopped : UfScratch::kWalked;
             const int nx = nd[vi].next;
             if (open || v == start)
                 prev = v;
@@ -272,56 +341,69 @@ UnionFindDecoder::grow(UfScratch &sc) const
         big.parity ^= small.parity;
         big.boundary |= small.boundary;
         big.minNode = std::min(big.minNode, small.minNode);
-        const bool now = isActive(big);
-        if (wasA != now)
+        const bool active = isActive(big);
+        if (wasA != active)
             walk(ra, root);
-        if (wasB != now)
+        if (wasB != active)
             walk(rb, root);
         std::swap(big.next, small.next); // splice the circular lists
     };
 
-    // Round 0: every defect is an active singleton cluster, so an edge
-    // grows by one per defect end; an edge joining two defects is met
-    // from both.
+    // Round 0: every defect is an active singleton cluster. An edge
+    // joining two defects gets its state and event now (it is met from
+    // both ends); the others wait for their defect's wake-up.
     for (int v : sc.touchedNodes) {
         const size_t vi = static_cast<size_t>(v);
         if (!nd[vi].defect)
             continue;
+        int soonest = INT_MAX;
         for (int i = incOffset_[vi]; i < incOffset_[vi + 1]; ++i) {
             const int e = incEdges_[static_cast<size_t>(i)];
             const Edge &ed = edges_[static_cast<size_t>(e)];
-            const int far = ed.a + ed.b - v;
-            const int rate = 1 + nd[static_cast<size_t>(far)].defect;
-            UfScratch::EdgeState &s = touchEdge(sc, e);
-            if (s.rate == rate)
+            if (!nd[static_cast<size_t>(ed.a + ed.b - v)].defect) {
+                soonest = std::min(soonest, ed.units);
                 continue;
-            s.rate = static_cast<uint8_t>(rate);
-            s.due = rate == 1 ? ed.units : (ed.units + 1) / 2;
-            schedule(e, s.due);
+            }
+            UfScratch::EdgeState &s = touchEdge(sc, e);
+            if (s.rate == 2)
+                continue;
+            s.rate = 2;
+            s.due = (ed.units + 1) / 2;
+            push(e, s.due);
         }
+        if (soonest != INT_MAX)
+            push(~v, soonest);
     }
 
     while (pending > 0) {
         ++round;
         std::vector<int> &b =
             sc.bucket[static_cast<size_t>(round) % UfScratch::kBuckets];
+        pending -= b.size();
         // Most entries went stale when their clusters paired up: drop
         // them before sorting the round into edge-id order.
-        const size_t queued = b.size();
-        std::erase_if(b, [&](int e) {
-            const UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
-            return s.closed || s.due != round;
-        });
-        pending -= queued - b.size();
-        std::sort(b.begin(), b.end());
-        for (next = 0; next < b.size();) {
-            const int e = b[next++];
-            --pending;
+        for (int x : b) {
+            if (x < 0) {
+                wake(~x);
+                continue;
+            }
+            const UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(x)];
+            if (!s.closed && s.due == round)
+                now.push_back(x);
+        }
+        b.clear();
+        std::sort(now.begin(), now.end());
+        for (next = 0; next < now.size();) {
+            const int e = now[next++];
             UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
-            if (s.closed || s.due != round)
-                continue; // stale
-            s.closed = 1;
             const Edge &ed = edges_[static_cast<size_t>(e)];
+            // A re-rated edge is due if its event is current; an unwalked
+            // one (queued by a wake-up) if its defect end is still active.
+            if (s.touched ? s.closed || s.due != round
+                          : nd[static_cast<size_t>(defectEnd(ed))].phase !=
+                                UfScratch::kUnwalked)
+                continue;
+            touchEdge(sc, e).closed = 1;
             const int ra = find(nd, ed.a), rb = find(nd, ed.b);
             if (ra == rb)
                 continue;
@@ -329,7 +411,7 @@ UnionFindDecoder::grow(UfScratch &sc) const
             sc.forest.push_back(e);
             unite(ra, rb);
         }
-        b.clear();
+        now.clear();
     }
 }
 

@@ -48,8 +48,19 @@ struct UfScratch
      *  one bucket per round, used circularly. */
     static constexpr int kBuckets = 130;
 
+    /** Node::phase values. An edge no walk has re-rated carries no
+     *  EdgeState: it grows one unit per round per defect end, from
+     *  round 0 until that end's cluster first goes inactive. */
+    enum Phase : uint8_t
+    {
+        kUnwalked = 0, ///< never walked (a defect: active since round 0)
+        kStopped = 1,  ///< an unwalked defect whose cluster went inactive
+                       ///< at stoppedAt[v]
+        kWalked = 2,   ///< walked: its open edges carry an EdgeState
+    };
+
     /** Per-node union-find state. Between decodes node v holds
-     *  {v, 1, v, v, -1, 0, 0, 0, 0}. */
+     *  {v, 1, v, v, -1, 0, 0, 0, 0, kUnwalked}. */
     struct Node
     {
         int parent;  ///< union-find parent (self for a root)
@@ -61,11 +72,13 @@ struct UfScratch
         uint8_t parity;   ///< cluster defect parity (roots only)
         uint8_t boundary; ///< cluster holds the boundary node (roots only)
         uint8_t touched;  ///< listed in touchedNodes
+        uint8_t phase;    ///< a Phase
 
         bool operator==(const Node &) const = default;
     };
 
-    /** Per-edge growth state; all zero between decodes. */
+    /** Per-edge growth state of a re-rated edge; all zero between
+     *  decodes and for edges no walk has re-rated (see Phase). */
     struct EdgeState
     {
         int settled;  ///< last round accounted for in `growth`
@@ -80,10 +93,16 @@ struct UfScratch
     };
 
     std::vector<Node> node;
+    /** Per node: the event (round, edge id) at which a kStopped node's
+     *  cluster went inactive; {0, 0} otherwise. */
+    std::vector<std::pair<int, int>> stoppedAt;
     std::vector<EdgeState> edge;
-    /** Fuse events: bucket r % kBuckets holds the edge ids due in round r
-     *  (stale entries included; they are dropped when popped). */
+    /** Fuse events: bucket r % kBuckets holds the edge ids due in round
+     *  r (stale entries included; they are dropped when popped) and, as
+     *  ~v, the wake-ups of unwalked defects v. */
     std::array<std::vector<int>, kBuckets> bucket;
+    /** The current round's events, in ascending edge id. */
+    std::vector<int> now;
     std::vector<int> touchedNodes, touchedEdges, forest;
     /** Peeling buffers, rebuilt each decode (no reset needed). */
     std::vector<int> forestNodes, adjOff, order, parentEdge;
