@@ -110,7 +110,8 @@ UfScratch::clean() const
                        [](const EdgeState &e) { return e == EdgeState{}; }) &&
            std::all_of(bucket.begin(), bucket.end(),
                        [](const std::vector<int> &b) { return b.empty(); }) &&
-           now.empty() && touchedNodes.empty() && touchedEdges.empty() && forest.empty();
+           now.empty() && touchedNodes.empty() && touchedEdges.empty() &&
+           forest.empty();
 }
 
 size_t
@@ -307,7 +308,8 @@ UnionFindDecoder::grow(UfScratch &sc) const
                 !self && nd[vi].phase == UfScratch::kUnwalked;
             for (int i = incOffset_[vi]; i < incOffset_[vi + 1]; ++i) {
                 const int e = incEdges_[static_cast<size_t>(i)];
-                const UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
+                const UfScratch::EdgeState &s =
+                    sc.edge[static_cast<size_t>(e)];
                 if (s.closed)
                     continue;
                 if (stop && !s.touched)

@@ -10,13 +10,17 @@
  * fuse round is known in advance and sits in a bucket queue of rounds;
  * a union re-rates only the open edges of the clusters whose activity it
  * flips, found on their boundary lists, and the scratch is reset from
- * touched lists. A decode therefore costs roughly O(edges of the
- * defects + boundary edges of the flipped clusters per union + queued
- * events + a sort of each round's live events by id), with no per-round
- * pass over the active clusters and no work proportional to the graph
- * size. At d=13, p=5e-3 (decoder basis, ~87 defects) that is ~920 edges
- * at the start, ~2000 edges walked in ~120 walks, ~1300 queued events of
- * which ~90 are live, and ~78 unions per decode.
+ * touched lists. A defect's edges to non-defect nodes carry no state
+ * until a walk re-rates them, and a defect whose cluster goes inactive
+ * first only records when (UfScratch::Phase). A decode therefore costs
+ * roughly O(edges of the defects + boundary edges of the flipped
+ * clusters per union + queued events + a sort of each round's live
+ * events by id), with no per-round pass over the active clusters and no
+ * work proportional to the graph size. At d=13, p=5e-3 (decoder basis,
+ * ~87 defects) a decode reads ~920 defect edges at the start, walks
+ * ~2000 edges in ~120 walks (~87 of them defects that only stop),
+ * re-rates ~890, queues ~620 events of which ~90 are live, and unites
+ * ~78 times.
  */
 
 #ifndef SURF_DECODE_UNION_FIND_HH
