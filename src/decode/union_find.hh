@@ -52,9 +52,10 @@ struct UfScratch
      *  one bucket per round, used circularly. */
     static constexpr int kBuckets = 130;
 
-    /** Node::phase values. An edge no walk has re-rated carries no
-     *  EdgeState: it grows one unit per round per defect end, from
-     *  round 0 until that end's cluster first goes inactive. */
+    /** Node::phase values. An edge from a defect to a non-defect node
+     *  carries no EdgeState until a walk re-rates it: it grows one unit
+     *  per round from round 0 until the defect's cluster first goes
+     *  inactive. */
     enum Phase : uint8_t
     {
         kUnwalked = 0, ///< never walked (a defect: active since round 0)
@@ -81,8 +82,8 @@ struct UfScratch
         bool operator==(const Node &) const = default;
     };
 
-    /** Per-edge growth state of a re-rated edge; all zero between
-     *  decodes and for edges no walk has re-rated (see Phase). */
+    /** Per-edge growth state; all zero between decodes and for the
+     *  defect edges that need none yet (see Phase). */
     struct EdgeState
     {
         int settled;  ///< last round accounted for in `growth`
