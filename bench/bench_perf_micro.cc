@@ -450,6 +450,31 @@ BM_ScenarioColdPass(benchmark::State &state)
 }
 BENCHMARK(BM_ScenarioColdPass)->Unit(benchmark::kMillisecond)->UseRealTime();
 
+void
+BM_MemoryColdCall(benchmark::State &state)
+{
+    // One cold runMemoryExperiment call (arg: distance): Z memory at
+    // p = 5e-3 over d rounds, 2048 shots on 2 threads, from stitching and
+    // the DEM build through sampling and decoding, as each call of a
+    // figure sweep pays it.
+    MemoryExperimentConfig cfg;
+    cfg.spec.rounds = static_cast<int>(state.range(0));
+    cfg.noise.p = 5e-3;
+    cfg.maxShots = 2048;
+    cfg.threads = 2;
+    const CodePatch patch = squarePatch(static_cast<int>(state.range(0)));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(runMemoryExperiment(patch, cfg).failures);
+        ++cfg.seed;
+    }
+    state.SetItemsProcessed(state.iterations() * 2048);
+}
+BENCHMARK(BM_MemoryColdCall)
+    ->Arg(9)
+    ->Arg(13)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 /** A deformed-code cache populated by a d=5 cosmic-ray scenario (segments,
  *  stitched timelines and the Dijkstra rows their decodes memoized), and
  *  a temp directory for its snapshot; built once per process. */

@@ -18,7 +18,7 @@ constexpr int kMaxUnits = UfScratch::kBuckets - 1;
 Node
 cleanNode(int v)
 {
-    return {v, 1, v, v, -1, 0, 0, 0, 0, UfScratch::kUnwalked};
+    return {v, 1, v, v, 0, 0, 0, 0, 0, 0, UfScratch::kUnwalked};
 }
 
 int
@@ -48,18 +48,6 @@ touchNode(UfScratch &sc, int v)
     }
 }
 
-/** Edge `e`'s state, listed for the reset before its first change. */
-UfScratch::EdgeState &
-touchEdge(UfScratch &sc, int e)
-{
-    UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
-    if (!s.touched) {
-        s.touched = 1;
-        sc.touchedEdges.push_back(e);
-    }
-    return s;
-}
-
 } // namespace
 
 UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel &dem, uint8_t tag)
@@ -86,8 +74,11 @@ UnionFindDecoder::UnionFindDecoder(const DetectorErrorModel &dem, uint8_t tag)
         ++incOffset_[static_cast<size_t>(a) + 1];
         ++incOffset_[static_cast<size_t>(b) + 1];
     }
-    for (size_t v = 0; v < n; ++v)
+    for (size_t v = 0; v < n; ++v) {
+        SURF_ASSERT(v + 1 == n || incOffset_[v + 1] <= UINT16_MAX,
+                    "detector with ", incOffset_[v + 1], " edges");
         incOffset_[v + 1] += incOffset_[v];
+    }
     // Filling in edge order keeps every node's edge ids ascending.
     incEdges_.resize(2 * edges_.size());
     std::vector<int> cursor(incOffset_.begin(), incOffset_.end() - 1);
@@ -104,14 +95,15 @@ UfScratch::clean() const
 {
     for (size_t v = 0; v < node.size(); ++v)
         if (!(node[v] == cleanNode(static_cast<int>(v))) ||
-            stoppedAt[v] != std::pair<int, int>{})
+            stoppedAt[v] != std::pair<int, int>{} ||
+            forestLink[v] != std::pair<int, int>{})
             return false;
     return std::all_of(edge.begin(), edge.end(),
                        [](const EdgeState &e) { return e == EdgeState{}; }) &&
            std::all_of(bucket.begin(), bucket.end(),
                        [](const std::vector<int> &b) { return b.empty(); }) &&
            now.empty() && touchedNodes.empty() && touchedEdges.empty() &&
-           forest.empty();
+           forest.empty() && leaves.empty();
 }
 
 size_t
@@ -131,8 +123,10 @@ UnionFindDecoder::decode(const uint32_t *fired, size_t n_fired,
     const size_t n = static_cast<size_t>(numNodes_) + 1;
     for (size_t v = sc.node.size(); v < n; ++v)
         sc.node.push_back(cleanNode(static_cast<int>(v)));
-    if (sc.stoppedAt.size() < n)
+    if (sc.stoppedAt.size() < n) {
         sc.stoppedAt.resize(n);
+        sc.forestLink.resize(n);
+    }
     if (sc.edge.size() < edges_.size())
         sc.edge.resize(edges_.size(), UfScratch::EdgeState{});
 
@@ -223,6 +217,33 @@ UnionFindDecoder::grow(UfScratch &sc) const
         }
         return at;
     };
+    // Edge `e`'s state, listed for the reset before its first change; a
+    // defect end counts it (open) among its rated edges.
+    const auto touchEdge = [&](int e) -> UfScratch::EdgeState & {
+        UfScratch::EdgeState &s = sc.edge[static_cast<size_t>(e)];
+        if (!s.touched) {
+            s.touched = 1;
+            sc.touchedEdges.push_back(e);
+            const Edge &ed = edges_[static_cast<size_t>(e)];
+            for (int v : {ed.a, ed.b}) {
+                Node &x = nd[static_cast<size_t>(v)];
+                if (x.defect) {
+                    ++x.ratedEdges;
+                    ++x.ratedOpen;
+                }
+            }
+        }
+        return s;
+    };
+    const auto close = [&](int e, UfScratch::EdgeState &s) {
+        s.closed = 1;
+        const Edge &ed = edges_[static_cast<size_t>(e)];
+        for (int v : {ed.a, ed.b}) {
+            Node &x = nd[static_cast<size_t>(v)];
+            if (x.defect)
+                --x.ratedOpen;
+        }
+    };
     const auto defectEnd = [&](const Edge &ed) {
         return nd[static_cast<size_t>(ed.a)].defect   ? ed.a
                : nd[static_cast<size_t>(ed.b)].defect ? ed.b
@@ -262,10 +283,10 @@ UnionFindDecoder::grow(UfScratch &sc) const
             s.growth =
                 static_cast<uint8_t>(unwalkedGrowth(e, defectEnd(ed), at));
             s.settled = at;
-            touchEdge(sc, e);
+            touchEdge(e);
         }
         if (u == r) {
-            s.closed = 1;
+            close(e, s);
             return false;
         }
         const int rate = self + int{isActive(nd[static_cast<size_t>(u)])};
@@ -297,7 +318,9 @@ UnionFindDecoder::grow(UfScratch &sc) const
     // Re-rate the open edges of the circular list starting at `start`
     // (a cluster merged into root `r`), unlinking nodes left with no open
     // edge (they never regain one). An unwalked defect whose cluster goes
-    // inactive only stops: its unwalked edges keep their implicit growth.
+    // inactive only stops: its unwalked edges keep their implicit growth,
+    // and with no rated edge open it has nothing to scan (only defects
+    // are ever unwalked in a cluster that was active).
     const auto walk = [&](int start, int r) {
         const int self = isActive(nd[static_cast<size_t>(r)]);
         int prev = start, v = start;
@@ -306,16 +329,21 @@ UnionFindDecoder::grow(UfScratch &sc) const
             const size_t vi = static_cast<size_t>(v);
             const bool stop =
                 !self && nd[vi].phase == UfScratch::kUnwalked;
-            for (int i = incOffset_[vi]; i < incOffset_[vi + 1]; ++i) {
-                const int e = incEdges_[static_cast<size_t>(i)];
-                const UfScratch::EdgeState &s =
-                    sc.edge[static_cast<size_t>(e)];
-                if (s.closed)
-                    continue;
-                if (stop && !s.touched)
-                    open = true;
-                else
-                    open |= rerate(e, v, r, self);
+            const int begin = incOffset_[vi], end = incOffset_[vi + 1];
+            if (stop && nd[vi].ratedOpen == 0) {
+                open = nd[vi].ratedEdges < end - begin; // an unwalked one
+            } else {
+                for (int i = begin; i < end; ++i) {
+                    const int e = incEdges_[static_cast<size_t>(i)];
+                    const UfScratch::EdgeState &s =
+                        sc.edge[static_cast<size_t>(e)];
+                    if (s.closed)
+                        continue;
+                    if (stop && !s.touched)
+                        open = true;
+                    else
+                        open |= rerate(e, v, r, self);
+                }
             }
             // Set after the loop: re-rating reads v's stop event.
             if (stop)
@@ -366,7 +394,7 @@ UnionFindDecoder::grow(UfScratch &sc) const
                 soonest = std::min(soonest, ed.units);
                 continue;
             }
-            UfScratch::EdgeState &s = touchEdge(sc, e);
+            UfScratch::EdgeState &s = touchEdge(e);
             if (s.rate == 2)
                 continue;
             s.rate = 2;
@@ -405,7 +433,7 @@ UnionFindDecoder::grow(UfScratch &sc) const
                           : nd[static_cast<size_t>(defectEnd(ed))].phase !=
                                 UfScratch::kUnwalked)
                 continue;
-            touchEdge(sc, e).closed = 1;
+            close(e, touchEdge(e));
             const int ra = find(nd, ed.a), rb = find(nd, ed.b);
             if (ra == rb)
                 continue;
@@ -421,80 +449,47 @@ UnionFindDecoder::grow(UfScratch &sc) const
  * Peeling over the spanning forest: an edge is in the correction iff the
  * subtree hanging off it has odd defect parity. The tree holding the
  * boundary is rooted there, every other tree at its smallest node id.
+ * Leaves are peeled off until only the roots remain: a node's last
+ * unpeeled edge is the XOR of its forest edge ids, and its `defect` bit
+ * has by then accumulated its peeled subtree's parity.
  */
 bool
 UnionFindDecoder::peel(UfScratch &sc) const
 {
     std::vector<Node> &nd = sc.node;
-    const auto slot = [&](int v) {
-        return static_cast<size_t>(nd[static_cast<size_t>(v)].slot);
-    };
-    sc.forestNodes.clear();
+    std::vector<std::pair<int, int>> &link = sc.forestLink;
     for (int e : sc.forest)
         for (int v : {edges_[static_cast<size_t>(e)].a,
                       edges_[static_cast<size_t>(e)].b}) {
-            Node &x = nd[static_cast<size_t>(v)];
-            if (x.slot < 0) {
-                x.slot = static_cast<int>(sc.forestNodes.size());
-                sc.forestNodes.push_back(v);
-            }
+            auto &[deg, ids] = link[static_cast<size_t>(v)];
+            ++deg;
+            ids ^= e;
         }
-    const size_t f = sc.forestNodes.size();
-    if (f == 0)
-        return false;
-
-    // CSR adjacency of the forest over its node slots.
-    sc.adjOff.assign(f + 1, 0);
-    for (int e : sc.forest) {
-        ++sc.adjOff[slot(edges_[static_cast<size_t>(e)].a) + 1];
-        ++sc.adjOff[slot(edges_[static_cast<size_t>(e)].b) + 1];
-    }
-    for (size_t i = 0; i < f; ++i)
-        sc.adjOff[i + 1] += sc.adjOff[i];
-    sc.adj.resize(2 * sc.forest.size());
-    sc.parentEdge.assign(sc.adjOff.begin(), sc.adjOff.end() - 1); // cursors
-    for (int e : sc.forest) {
-        const Edge &ed = edges_[static_cast<size_t>(e)];
-        sc.adj[static_cast<size_t>(sc.parentEdge[slot(ed.a)]++)] = {e, ed.b};
-        sc.adj[static_cast<size_t>(sc.parentEdge[slot(ed.b)]++)] = {e, ed.a};
-    }
-
-    // Breadth-first order from each root; parentEdge -2 = unvisited.
-    sc.parentEdge.assign(f, -2);
-    sc.order.clear();
-    const auto bfs = [&](int root) {
-        sc.parentEdge[slot(root)] = -1;
-        size_t h = sc.order.size();
-        sc.order.push_back(root);
-        for (; h < sc.order.size(); ++h) {
-            const size_t s = slot(sc.order[h]);
-            for (int i = sc.adjOff[s]; i < sc.adjOff[s + 1]; ++i) {
-                const auto [e, to] = sc.adj[static_cast<size_t>(i)];
-                if (sc.parentEdge[slot(to)] == -2) {
-                    sc.parentEdge[slot(to)] = e;
-                    sc.order.push_back(to);
-                }
-            }
-        }
+    const auto isRoot = [&](int v) {
+        const Node &r = nd[static_cast<size_t>(find(nd, v))];
+        return v == (r.boundary ? numNodes_ : r.minNode);
     };
-    if (nd[static_cast<size_t>(numNodes_)].slot >= 0)
-        bfs(numNodes_);
-    for (int v : sc.forestNodes)
-        if (sc.parentEdge[slot(v)] == -2)
-            bfs(nd[static_cast<size_t>(find(nd, v))].minNode);
-
-    sc.sub.resize(f);
-    for (size_t i = 0; i < f; ++i)
-        sc.sub[i] = nd[static_cast<size_t>(sc.forestNodes[i])].defect;
+    for (int e : sc.forest)
+        for (int v : {edges_[static_cast<size_t>(e)].a,
+                      edges_[static_cast<size_t>(e)].b})
+            if (link[static_cast<size_t>(v)].first == 1 && !isRoot(v))
+                sc.leaves.push_back(v);
     bool obs = false;
-    for (size_t i = sc.order.size(); i-- > 0;) {
-        const int v = sc.order[i];
-        const int e = sc.parentEdge[slot(v)];
-        if (e < 0 || !sc.sub[slot(v)])
-            continue;
+    while (!sc.leaves.empty()) {
+        const int v = sc.leaves.back();
+        sc.leaves.pop_back();
+        const int e = link[static_cast<size_t>(v)].second;
+        link[static_cast<size_t>(v)] = {};
         const Edge &ed = edges_[static_cast<size_t>(e)];
-        obs ^= ed.obs;
-        sc.sub[slot(ed.a + ed.b - v)] ^= 1;
+        const int u = ed.a + ed.b - v;
+        if (nd[static_cast<size_t>(v)].defect) {
+            obs ^= ed.obs;
+            nd[static_cast<size_t>(u)].defect ^= 1;
+        }
+        auto &[deg, ids] = link[static_cast<size_t>(u)];
+        ids ^= e;
+        if (--deg == 1 && !isRoot(u))
+            sc.leaves.push_back(u);
     }
     return obs;
 }

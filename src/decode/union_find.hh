@@ -12,15 +12,19 @@
  * flips, found on their boundary lists, and the scratch is reset from
  * touched lists. A defect's edges to non-defect nodes carry no state
  * until a walk re-rates them, and a defect whose cluster goes inactive
- * first only records when (UfScratch::Phase). A decode therefore costs
- * roughly O(edges of the defects + boundary edges of the flipped
- * clusters per union + queued events + a sort of each round's live
- * events by id), with no per-round pass over the active clusters and no
- * work proportional to the graph size. At d=13, p=5e-3 (decoder basis,
- * ~87 defects) a decode reads ~920 defect edges at the start, walks
- * ~2000 edges in ~120 walks (~87 of them defects that only stop),
- * re-rates ~890, queues ~620 events of which ~90 are live, and unites
- * ~78 times.
+ * first only records when (UfScratch::Phase); with none of its stateful
+ * edges open it does not even scan its edges. Peeling strips leaves off
+ * the spanning forest, each node holding its forest degree and the XOR
+ * of its forest edge ids. A decode therefore costs roughly O(edges of
+ * the defects + boundary edges of the flipped clusters per union +
+ * queued events + a sort of each round's live events by id + forest
+ * edges), with no per-round pass over the active clusters and no work
+ * proportional to the graph size. At d=13, p=5e-3 (decoder basis, ~87
+ * defects) a decode reads ~920 defect edges at the start, walks ~1440
+ * edges in ~120 walks (~345 of them at defects that only stop, which
+ * scanned ~920 before they counted their open edges), re-rates ~890,
+ * queues ~620 events of which ~90 are live, and unites and peels ~78
+ * forest edges.
  */
 
 #ifndef SURF_DECODE_UNION_FIND_HH
@@ -65,15 +69,19 @@ struct UfScratch
     };
 
     /** Per-node union-find state. Between decodes node v holds
-     *  {v, 1, v, v, -1, 0, 0, 0, 0, kUnwalked}. */
+     *  {v, 1, v, v, 0, 0, 0, 0, 0, 0, kUnwalked}. */
     struct Node
     {
         int parent;  ///< union-find parent (self for a root)
         int size;    ///< cluster size (roots only)
         int next;    ///< circular list of the cluster's boundary nodes
         int minNode; ///< smallest node id in the cluster (roots only)
-        int slot;    ///< index into the peeling forest, -1 if none
-        uint8_t defect;   ///< this node fired (odd multiplicity)
+        /** Defects only: incident edges carrying an EdgeState, and those
+         *  of them still open (a stopping defect with none open skips
+         *  its edge scan). A detector has far fewer than 2^16 edges. */
+        uint16_t ratedEdges, ratedOpen;
+        uint8_t defect;   ///< this node fired (odd multiplicity); while
+                          ///< peeling, the parity of its peeled subtree
         uint8_t parity;   ///< cluster defect parity (roots only)
         uint8_t boundary; ///< cluster holds the boundary node (roots only)
         uint8_t touched;  ///< listed in touchedNodes
@@ -102,6 +110,10 @@ struct UfScratch
      *  cluster went inactive; {0, 0} otherwise. */
     std::vector<std::pair<int, int>> stoppedAt;
     std::vector<EdgeState> edge;
+    /** Per node, while peeling: its forest edges not yet peeled and the
+     *  XOR of their ids (a leaf's last edge). Peeling returns every slot
+     *  to {0, 0}. */
+    std::vector<std::pair<int, int>> forestLink;
     /** Fuse events: bucket r % kBuckets holds the edge ids due in round
      *  r (stale entries included; they are dropped when popped) and, as
      *  ~v, the wake-ups of unwalked defects v. */
@@ -109,10 +121,8 @@ struct UfScratch
     /** The current round's events, in ascending edge id. */
     std::vector<int> now;
     std::vector<int> touchedNodes, touchedEdges, forest;
-    /** Peeling buffers, rebuilt each decode (no reset needed). */
-    std::vector<int> forestNodes, adjOff, order, parentEdge;
-    std::vector<std::pair<int, int>> adj; ///< (edge, other end) per slot
-    std::vector<uint8_t> sub;
+    /** Peeling worklist: forest leaves not yet peeled. */
+    std::vector<int> leaves;
 
     /** True when every slot is back in its between-decodes state. */
     bool clean() const;

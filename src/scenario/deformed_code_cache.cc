@@ -65,7 +65,7 @@ DeformedCodeCache::get(const std::string &key,
                             .count();
     const double cost = wall + prebuilt.seconds;
     build_seconds_ += cost;
-    segment_wall_ += wall + prebuilt.wallSeconds;
+    nested_wall_ += wall + prebuilt.wallSeconds;
     Entry entry;
     entry.seg = std::move(seg);
     entry.bytes = entry.seg->memoryBytes() + key.size();
@@ -136,7 +136,7 @@ DeformedCodeCache::getTimeline(const std::string &key,
     ++misses_;
     ++timeline_misses_;
     const auto t0 = std::chrono::steady_clock::now();
-    const double nested0 = segment_wall_;
+    const double nested0 = nested_wall_;
     // The build resolves its per-epoch segments through get(), so it
     // must run before this entry is inserted (the nested lookups mutate
     // the map and may evict).
@@ -149,7 +149,7 @@ DeformedCodeCache::getTimeline(const std::string &key,
     // stitching work on top of them (what a rebuild against cached
     // segments would pay). DEMs prefetched in parallel overlap on the
     // wall clock, so the wall they took is subtracted, not their cost.
-    const double cost = std::max(0.0, wall - (segment_wall_ - nested0));
+    const double cost = std::max(0.0, wall - (nested_wall_ - nested0));
     build_seconds_ += cost;
     Entry entry;
     entry.tl = std::move(tl);

@@ -137,6 +137,14 @@ class DeformedCodeCache
     getTimeline(const std::string &key,
                 const std::function<CachedTimeline()> &build);
 
+    /** Wall seconds the running getTimeline() build spent waiting on
+     *  work that is not its own (a batch sampled for the caller): left
+     *  out of the entry's cost, like its nested segment misses. */
+    void excludeFromTimelineBuild(double wallSeconds)
+    {
+        nested_wall_ += wallSeconds;
+    }
+
     /**
      * Bound the cache: evict (cost-weighted LRU) until the approximate
      * byte footprint is at most `max_bytes`; 0 means unbounded. Applies
@@ -244,9 +252,9 @@ class DeformedCodeCache
     double clock_ = 0.0;
     double build_seconds_ = 0.0;
     /** Caller wall-clock seconds spent on segment misses (their build()
-     *  calls plus their prebuilt wall shares); getTimeline() subtracts
-     *  its builds' nested share of this. */
-    double segment_wall_ = 0.0;
+     *  calls plus their prebuilt wall shares) and on excluded work;
+     *  getTimeline() subtracts its builds' nested share of this. */
+    double nested_wall_ = 0.0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;

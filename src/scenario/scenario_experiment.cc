@@ -162,6 +162,56 @@ deadTimeline(const ScenarioConfig &cfg, size_t events)
     return tl;
 }
 
+/** One batch's syndromes, sampled ahead of its decode. */
+struct SampledBatch
+{
+    size_t shots = 0;                    ///< 0: not sampled yet
+    std::vector<SparseSyndromes> epochs; ///< ids relative to detBegin
+    BitVec obs;
+    std::vector<BitVec> probes;
+};
+
+/** Each epoch's detector range [begin, end) in the stitched circuit. */
+using DetRanges = std::vector<std::pair<size_t, size_t>>;
+
+/**
+ * Sample `shots` shots of `circuit` at `seed` into `out`: epoch by epoch
+ * the fired detectors of its range, published to `progress` (if any)
+ * once out, then the observable and every probe. Reuses `sim` when it
+ * already holds `shots` shots of `circuit`.
+ */
+void
+sampleBatch(std::unique_ptr<FrameSimulator> &sim, const Circuit &circuit,
+            const DetRanges &ranges, SampledBatch &out, size_t shots,
+            uint64_t seed, JobProgress *progress)
+{
+    if (!sim || sim->shots() != shots)
+        sim = std::make_unique<FrameSimulator>(circuit, shots);
+    sim->reset(seed);
+    out.epochs.resize(ranges.size());
+    for (size_t e = 0; e < ranges.size(); ++e) {
+        sim->runUntil(ranges[e].second);
+        sim->sparseFiredDetectors(out.epochs[e], ranges[e].first,
+                                  ranges[e].second);
+        if (progress)
+            progress->publish(static_cast<uint32_t>(e + 1));
+    }
+    sim->run(); // the rest: final readout, observable, closing probe
+    out.obs = sim->observableBits(0);
+    out.probes.resize(sim->numProbes());
+    for (size_t p = 0; p < out.probes.size(); ++p)
+        out.probes[p] = sim->probeBits(p);
+    out.shots = shots;
+}
+
+/** A batch buildStitchedTimeline may sample while its DEMs build. */
+struct FirstBatch
+{
+    SampledBatch *out; ///< keeps shots 0 when nothing could hide it
+    size_t shots;
+    uint64_t seed;
+};
+
 } // namespace
 
 /**
@@ -187,11 +237,18 @@ deadTimeline(const ScenarioConfig &cfg, size_t events)
  * epochs' segments resolve, while the build is mid-flight — entries the
  * earlier epochs pinned stay usable through their shared_ptrs, the
  * stormed segments rebuild, and the result is bit-identical either way.
+ *
+ * `first` (optional) asks for the caller's first batch. When the whole
+ * timeline stitched, some DEM is prefetched and the pool has a second
+ * worker, one more task of the prefetch job samples it from the stitched
+ * circuit, at index 1 so the calling thread takes the first DEM. Its
+ * seconds are neither the DEMs' nor the timeline's build cost.
  */
 CachedTimeline
 buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
                       DeformedCodeCache &cache, ThreadPool &pool,
-                      const FaultInjector *inject, DegradationLedger *ledger)
+                      const FaultInjector *inject, DegradationLedger *ledger,
+                      const FirstBatch *first)
 {
     using Clock = std::chrono::steady_clock;
     const auto secondsSince = [](Clock::time_point t0) {
@@ -211,6 +268,7 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         DetectorErrorModel dem;
         std::exception_ptr error;
         PrebuiltWork work;
+        Clock::time_point builtAt; ///< when the prefetched DEM was done
     };
     CachedTimeline out;
     const size_t n_epochs = plan.epochs.size();
@@ -297,22 +355,48 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         if (!cfg.useCache || (!cache.peekSegment(builds[e].key) &&
                               queued.insert(builds[e].key).second))
             prefetch.push_back(e);
+    // The first batch samples beside the DEMs only when a DEM build and a
+    // second worker can hide it; its simulator dies with its task, as the
+    // circuit it reads moves into the cache entry afterwards.
+    const bool sample_first = first && stitched == n_epochs &&
+                              !prefetch.empty() && pool.size() > 1;
+    DetRanges ranges;
+    if (sample_first)
+        for (const EpochBuild &eb : builds)
+            ranges.emplace_back(eb.detBegin, eb.detEnd);
     const auto t0 = Clock::now();
-    pool.parallelFor(prefetch.size(), [&](size_t t, size_t) {
-        EpochBuild &eb = builds[prefetch[t]];
+    const size_t n_tasks = prefetch.size() + (sample_first ? 1 : 0);
+    pool.parallelFor(n_tasks, [&](size_t t, size_t) {
+        if (sample_first && t == 1) {
+            std::unique_ptr<FrameSimulator> sim;
+            sampleBatch(sim, out.circuit, ranges, *first->out, first->shots,
+                        first->seed, nullptr);
+            return;
+        }
+        const size_t e = prefetch[sample_first && t > 1 ? t - 1 : t];
+        EpochBuild &eb = builds[e];
         const auto t1 = Clock::now();
         try {
-            eb.dem = segmentDem(prefetch[t]);
+            eb.dem = segmentDem(e);
         } catch (...) {
             eb.error = std::current_exception();
         }
-        eb.work.seconds = secondsSince(t1);
+        eb.builtAt = Clock::now();
+        eb.work.seconds =
+            std::chrono::duration<double>(eb.builtAt - t1).count();
         eb.prefetched = true;
     });
     // Each entry is charged its own worker seconds, and its share of the
-    // prefetch's wall time is what the enclosing timeline build does not
-    // count as its own stitching (see PrebuiltWork).
-    const double prefetch_wall = secondsSince(t0);
+    // DEMs' wall time is what the enclosing timeline build does not count
+    // as its own stitching (see PrebuiltWork). Sampling that outlasted the
+    // DEMs is the caller's work, not the build's.
+    auto dems_done = t0;
+    for (size_t e : prefetch)
+        dems_done = std::max(dems_done, builds[e].builtAt);
+    const double prefetch_wall =
+        std::chrono::duration<double>(dems_done - t0).count();
+    if (sample_first && cfg.useCache)
+        cache.excludeFromTimelineBuild(secondsSince(dems_done));
     double worker_seconds = 0.0;
     for (size_t e : prefetch)
         worker_seconds += builds[e].work.seconds;
@@ -418,18 +502,22 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
     // --- Resolve the stitched timeline: one lookup covers the seam
     // classification, circuit stitching and every per-epoch decode
     // segment. Warm sweeps and quiet (event-free) timelines skip
-    // straight to sampling. ----------------------------------------------
+    // straight to sampling. A cold build may sample batch 0 into
+    // batches[0] while its DEMs build, when batch 0 will run. -------------
+    SampledBatch batches[2];
     const FaultInjector *bi = inject.enabled() ? &inject : nullptr;
-    std::shared_ptr<const CachedTimeline> tlc;
-    if (cfg.useCache) {
-        tlc = cache.getTimeline(timelineCacheKey(plan, cfg), [&] {
-            return buildStitchedTimeline(plan, cfg, cache, pool, bi,
-                                         &tl.ledger);
-        });
-    } else {
-        tlc = std::make_shared<const CachedTimeline>(
-            buildStitchedTimeline(plan, cfg, cache, pool, bi, &tl.ledger));
-    }
+    const FirstBatch first{&batches[0],
+                           static_cast<size_t>(std::min<uint64_t>(
+                               cfg.batchShots, cfg.maxShotsPerTimeline)),
+                           batchSeedBase};
+    const auto build = [&] {
+        return buildStitchedTimeline(
+            plan, cfg, cache, pool, bi, &tl.ledger,
+            failuresSoFar < cfg.targetFailures ? &first : nullptr);
+    };
+    std::shared_ptr<const CachedTimeline> tlc =
+        cfg.useCache ? cache.getTimeline(timelineCacheKey(plan, cfg), build)
+                     : std::make_shared<const CachedTimeline>(build());
     if (!tlc->alive) {
         // Keep what the build tallied (its cache storms) before the
         // seam that killed the timeline.
@@ -440,8 +528,10 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
     const Circuit &ckt = tlc->circuit;
     const size_t n_epochs = tlc->epochs.size();
     tl.epochs.resize(n_epochs);
+    DetRanges ranges;
     for (size_t e = 0; e < n_epochs; ++e) {
         const CachedTimelineEpoch &ce = tlc->epochs[e];
+        ranges.emplace_back(ce.detBegin, ce.detEnd);
         EpochStats &st = tl.epochs[e];
         st.startRound = ce.startRound;
         st.rounds = ce.rounds;
@@ -462,36 +552,16 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
     // own seed in batch order and shots decode independently, so the
     // result is bit-identical for any thread count; a batch sampled ahead
     // and then cut by early stop leaves no trace.
-    struct SampledBatch
-    {
-        size_t shots = 0;                    ///< 0: not sampled yet
-        std::vector<SparseSyndromes> epochs; ///< ids relative to detBegin
-        BitVec obs;
-        std::vector<BitVec> probes;
-    };
-    SampledBatch batches[2];
     size_t cur = 0; ///< batches[cur] is the batch being decoded
     std::unique_ptr<FrameSimulator> sim;
     JobProgress sampled; ///< epochs of batches[cur] ready to decode
-    const auto sampleBatch = [&](SampledBatch &out, size_t shots,
-                                 uint64_t seed, bool publish) {
-        if (!sim || sim->shots() != shots)
-            sim = std::make_unique<FrameSimulator>(ckt, shots);
-        sim->reset(seed);
-        out.epochs.resize(n_epochs);
-        for (size_t e = 0; e < n_epochs; ++e) {
-            const CachedTimelineEpoch &ce = tlc->epochs[e];
-            sim->runUntil(ce.detEnd);
-            sim->sparseFiredDetectors(out.epochs[e], ce.detBegin, ce.detEnd);
-            if (publish)
-                sampled.publish(static_cast<uint32_t>(e + 1));
-        }
-        sim->run(); // the rest: final readout, observable, closing probe
-        out.obs = sim->observableBits(0);
-        out.probes.resize(sim->numProbes());
-        for (size_t p = 0; p < out.probes.size(); ++p)
-            out.probes[p] = sim->probeBits(p);
-        out.shots = shots;
+    // Sample one batch; the simulator is freed after the timeline's last.
+    const auto sample = [&](SampledBatch &out, size_t shots, uint64_t seed,
+                            bool publish, bool last) {
+        sampleBatch(sim, ckt, ranges, out, shots, seed,
+                    publish ? &sampled : nullptr);
+        if (last)
+            sim.reset();
     };
 
     std::vector<MwpmScratch> mwpm_scratch(pool.size());
@@ -605,11 +675,13 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         const bool sampler = pool.size() > 1 &&
                              ((!presampled && n_epochs > 1) || next_batch != 0);
         if (!presampled && !sampler)
-            sampleBatch(now, batch, batch_seed, false);
+            sample(now, batch, batch_seed, false, next_batch == 0);
         const bool stream = sampler && !presampled;
         sampled.reset(stream ? 0 : static_cast<uint32_t>(n_epochs));
 
-        const size_t n_shards = std::min(batch, pool.size() * 4);
+        // Small shards keep a rare slow shot (an MWPM decode building
+        // cold rows) from leaving its worker as the batch's tail.
+        const size_t n_shards = std::min(batch, pool.size() * 32);
         predicted_at.resize(n_epochs * batch);
         pool.parallelFor(
             (sampler ? 1 : 0) + n_epochs * n_shards,
@@ -617,10 +689,12 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
                 if (sampler && task == 0) {
                     try {
                         if (stream)
-                            sampleBatch(now, batch, batch_seed, true);
+                            sample(now, batch, batch_seed, true,
+                                   next_batch == 0);
                         if (next_batch)
-                            sampleBatch(ahead, next_batch, batch_seed + 1,
-                                        false);
+                            sample(ahead, next_batch, batch_seed + 1, false,
+                                   shots_after + next_batch ==
+                                       cfg.maxShotsPerTimeline);
                     } catch (...) {
                         sampled.fail();
                         throw;

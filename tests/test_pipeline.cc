@@ -18,12 +18,12 @@
 #include "decode/union_find.hh"
 #include "defects/defect_sampler.hh"
 #include "faultinject/fault_plan.hh"
-#include "fnv64.hh"
 #include "lattice/rotated.hh"
 #include "scenario/epoch_plan.hh"
 #include "scenario/scenario_experiment.hh"
 #include "sim/dem.hh"
 #include "sim/frame.hh"
+#include "timeline_digest.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
 
@@ -267,48 +267,8 @@ mix(uint64_t seed, uint64_t salt)
     return z ^ (z >> 31);
 }
 
-void
-addLedger(testref::Fnv64 &f, const DegradationLedger &l)
-{
-    f.add(l.ladderDecodes);
-    f.add(l.degradedDecodes);
-    for (size_t s = 0; s < kNumDecodeStages; ++s) {
-        f.add(l.stageAttempts[s]);
-        f.add(l.stageTimeouts[s]);
-        f.add(l.stageCompleted[s]);
-        const LatencyHistogram &h = l.stageLatency[s];
-        for (uint64_t b : h.buckets)
-            f.add(b);
-        f.add(h.samples);
-        f.add(h.totalNs);
-        f.add(h.maxNs);
-    }
-    f.add(l.injectedStalls);
-    f.add(l.injectedBursts);
-    f.add(l.injectedBurstDetectors);
-    f.add(l.cacheStorms);
-    f.add(l.snapRestoredEntries);
-    f.add(l.snapRejectedRecords);
-    f.add(l.snapRecoveries);
-    f.add(l.fabDeadPatches);
-    f.add(l.fabAdaptedPatches);
-    f.add(l.fabDistanceLoss);
-}
-
-void
-addTimeline(testref::Fnv64 &f, const TimelineStats &tl)
-{
-    f.add(tl.shots);
-    f.add(tl.failures);
-    f.add(tl.events);
-    f.add(tl.dead);
-    f.add(tl.epochs.size());
-    for (const EpochStats &e : tl.epochs) {
-        f.add(e.shots);
-        f.add(e.mismatches);
-    }
-    addLedger(f, tl.ledger);
-}
+using testref::addLedger;
+using testref::addTimeline;
 
 /** The scenario-d7 benchmark workload: d=7 cosmic-ray histories (seed
  *  20240731, event rate x20000) in 20-round windows, 16 shots each. */

@@ -27,6 +27,7 @@
 #include "sim/frame.hh"
 #include "sim/segment.hh"
 #include "tableau.hh"
+#include "timeline_digest.hh"
 
 namespace surf {
 namespace {
@@ -383,15 +384,31 @@ struct ColdPassOutcome
     bool lastDead = false;
 };
 
-/**
- * Cold pass over a sampled d=5 cosmic-ray history (plus, optionally, a
- * hand-made plan whose logical dies at its third seam) against one fresh
- * cache. Every timeline misses several segments, so their standalone
- * DEMs are prefetched on the pool together.
- */
-ColdPassOutcome
-runColdPass(size_t threads, bool use_cache, size_t budget,
-            const char *faults, bool dying)
+/** Pristine, struck, recovered, then a code shifted one plaquette row
+ *  down whose measured-out top row is all defective: no continuation of
+ *  the logical exists at the third seam. */
+ScenarioPlan
+dyingPlan()
+{
+    ScenarioPlan plan = strikePlan(5, 2, 10, 20, 30, {5, 5}, 2);
+    const CodePatch &prev = plan.epochs.back().deformed.patch;
+    const CodePatch shifted = squarePatch(5, {0, 2});
+    std::set<Coord> lost;
+    for (const Coord &q : prev.dataQubits())
+        if (!shifted.hasData(q))
+            lost.insert(q);
+    Epoch e = makeEpoch(Strategy::SurfDeformer, 5, 2, 30, 10, {});
+    e.deformed.patch = shifted;
+    e.structSig = patchSignature(shifted);
+    e.activeSites = lost;
+    plan.epochs.push_back(std::move(e));
+    plan.epochs.push_back(makeEpoch(Strategy::SurfDeformer, 5, 2, 40, 10, {}));
+    return plan;
+}
+
+/** The d=5 cosmic-ray config of the cold-pass tests. */
+ScenarioConfig
+coldPassConfig(size_t threads, bool use_cache)
 {
     ScenarioConfig cfg;
     cfg.timeline.strategy = Strategy::SurfDeformer;
@@ -407,11 +424,13 @@ runColdPass(size_t threads, bool use_cache, size_t budget,
     cfg.batchShots = 32;
     cfg.threads = threads;
     cfg.useCache = use_cache;
-    if (faults) {
-        auto plan = parseFaultPlan(faults);
-        EXPECT_TRUE(plan.ok());
-        cfg.faults = plan.value();
-    }
+    return cfg;
+}
+
+/** Four sampled d=5 cosmic-ray histories, each of several epochs. */
+std::vector<ScenarioPlan>
+coldPassPlans(const ScenarioConfig &cfg)
+{
     DefectModelParams model = cfg.defectModel;
     model.eventRatePerQubitSec *= 150000.0;
     const CodePatch base = squarePatch(cfg.timeline.d);
@@ -422,26 +441,28 @@ runColdPass(size_t threads, bool use_cache, size_t budget,
         plans.push_back(planEpochs(
             cfg.timeline, sampler.sampleEvents(base, 60), &memo));
     }
-    if (dying) {
-        // Pristine, struck, recovered, then a code shifted one plaquette
-        // row down whose measured-out top row is all defective: no
-        // continuation of the logical exists at the third seam.
-        ScenarioPlan plan = strikePlan(5, 2, 10, 20, 30, {5, 5}, 2);
-        const CodePatch &prev = plan.epochs.back().deformed.patch;
-        const CodePatch shifted = squarePatch(5, {0, 2});
-        std::set<Coord> lost;
-        for (const Coord &q : prev.dataQubits())
-            if (!shifted.hasData(q))
-                lost.insert(q);
-        Epoch e = makeEpoch(Strategy::SurfDeformer, 5, 2, 30, 10, {});
-        e.deformed.patch = shifted;
-        e.structSig = patchSignature(shifted);
-        e.activeSites = lost;
-        plan.epochs.push_back(std::move(e));
-        plan.epochs.push_back(
-            makeEpoch(Strategy::SurfDeformer, 5, 2, 40, 10, {}));
-        plans.push_back(std::move(plan));
+    return plans;
+}
+
+/**
+ * Cold pass over a sampled d=5 cosmic-ray history (plus, optionally, a
+ * hand-made plan whose logical dies at its third seam) against one fresh
+ * cache. Every timeline misses several segments, so their standalone
+ * DEMs are prefetched on the pool together.
+ */
+ColdPassOutcome
+runColdPass(size_t threads, bool use_cache, size_t budget,
+            const char *faults, bool dying)
+{
+    ScenarioConfig cfg = coldPassConfig(threads, use_cache);
+    if (faults) {
+        auto plan = parseFaultPlan(faults);
+        EXPECT_TRUE(plan.ok());
+        cfg.faults = plan.value();
     }
+    std::vector<ScenarioPlan> plans = coldPassPlans(cfg);
+    if (dying)
+        plans.push_back(dyingPlan());
 
     DeformedCodeCache cache;
     if (budget)
@@ -518,6 +539,70 @@ TEST(ScenarioEngine, PrefetchedColdBuildsKeepCountersAndResults)
         }
 }
 
+TEST(ScenarioEngine, ColdFirstBatchSampledBesideDemsKeepsResults)
+{
+    // A cold timeline samples its first batch while its DEMs build. The
+    // digest below was recorded when batch 0 was still sampled in the
+    // batch loop, and must repeat at 1, 2, 4 and 8 threads with the cache
+    // on and off.
+    constexpr uint64_t kExpected = 16392013283823874319ULL;
+    for (bool use_cache : {false, true})
+        for (size_t threads : {1u, 2u, 4u, 8u}) {
+            SCOPED_TRACE(std::string(use_cache ? "cached" : "uncached") +
+                         ", threads " + std::to_string(threads));
+            testref::Fnv64 f;
+            const ScenarioConfig cfg = coldPassConfig(threads, use_cache);
+            std::vector<ScenarioPlan> plans = coldPassPlans(cfg);
+            plans.push_back(dyingPlan());
+            const auto pass = [&](const ScenarioConfig &c) {
+                DeformedCodeCache cache;
+                for (size_t t = 0; t < plans.size(); ++t)
+                    testref::addTimeline(
+                        f, runPlannedTimeline(plans[t], c, cache, 1000 + t, 0));
+            };
+            // Two batches per timeline, and a seam that kills the last.
+            pass(cfg);
+            // Eviction storms at every second epoch build and before
+            // every batch, batch 0 included.
+            ScenarioConfig storms = cfg;
+            storms.faults =
+                parseFaultPlan("storm.epochs=2;storm.batches=1").value();
+            pass(storms);
+            // One batch larger than the whole timeline.
+            ScenarioConfig wide = cfg;
+            wide.batchShots = 100;
+            wide.maxShotsPerTimeline = 40;
+            pass(wide);
+
+            // The early-stop tally is already reached: batch 0 never
+            // runs, though the cold build still resolves the timeline.
+            ScenarioConfig done = cfg;
+            done.targetFailures = 5;
+            DeformedCodeCache cache;
+            const TimelineStats stopped =
+                runPlannedTimeline(plans[0], done, cache, 1000, 5);
+            EXPECT_EQ(stopped.shots, 0u);
+            EXPECT_EQ(cache.size() > 0, use_cache);
+            testref::addTimeline(f, stopped);
+
+            // One-epoch memory runs of several batches, the last short:
+            // batch 1 on samples from the cached circuit, not from the
+            // one the build stitched.
+            MemoryExperimentConfig mc;
+            mc.spec.rounds = 5;
+            mc.noise.p = 5e-3;
+            mc.maxShots = 1000;
+            mc.batchShots = 256;
+            mc.seed = 7;
+            mc.threads = threads;
+            const MemoryExperimentResult mem =
+                runMemoryExperiment(squarePatch(5), mc);
+            f.add(mem.shots);
+            f.add(mem.failures);
+            EXPECT_EQ(f.h, kExpected);
+        }
+}
+
 TEST(DeformedCodeCache, GreedyDualEvictionIsCostWeighted)
 {
     // Eviction priority is (clock at last use + measured build seconds):
@@ -589,6 +674,45 @@ TEST(DeformedCodeCache, PrebuiltWorkIsChargedToItsEntry)
     EXPECT_EQ(cache.hits(), 0u);
     cache.get("prefetched", empty);
     EXPECT_EQ(cache.hits(), 1u) << "the prefetched entry was evicted";
+}
+
+TEST(DeformedCodeCache, FirstBatchSamplingIsNoBuildCost)
+{
+    // A cold d=3 timeline whose one 2^18-shot batch takes several times
+    // longer to sample than its segment DEM takes to build. The batch is
+    // sampled inside the timeline build, beside the DEM, yet neither the
+    // segment entry nor the timeline entry is charged for it: both costs
+    // together stay well below the sampling time alone (minimum of three
+    // repetitions each side, against a noisy clock).
+    constexpr size_t kShots = size_t{1} << 18;
+    ScenarioConfig cfg;
+    cfg.timeline.horizonRounds = 3;
+    cfg.noise.p = 1e-3;
+    cfg.maxShotsPerTimeline = kShots;
+    cfg.batchShots = kShots;
+    cfg.threads = 2;
+    ScenarioPlan plan;
+    plan.epochs.push_back(makeEpoch(Strategy::SurfDeformer, 3, 0, 0, 3, {}));
+    MemorySpec spec;
+    spec.rounds = 3;
+    const BuiltCircuit built =
+        buildMemoryCircuit(squarePatch(3), spec, cfg.noise);
+    double build_s = 1e9, sample_s = 1e9;
+    for (int rep = 0; rep < 3; ++rep) {
+        DeformedCodeCache cache;
+        runPlannedTimeline(plan, cfg, cache, 1 + rep, 0);
+        build_s = std::min(build_s, cache.buildSeconds());
+        const auto t0 = std::chrono::steady_clock::now();
+        FrameSimulator sim(built.circuit, kShots);
+        sim.reset(1 + rep);
+        sim.run();
+        SparseSyndromes syn;
+        sim.sparseFiredDetectors(syn);
+        sample_s = std::min(sample_s, std::chrono::duration<double>(
+                                          std::chrono::steady_clock::now() - t0)
+                                          .count());
+    }
+    EXPECT_LT(build_s, 0.5 * sample_s);
 }
 
 TEST(EpochPlanner, ConstantWindowsMergeAndCapsSplit)
