@@ -20,6 +20,8 @@
  * cold-persist vs warm-restart epochs/sec, restore wall time, snapshot
  * size, and a corrupted-snapshot recovery check, into BENCH_persist.json
  * — with a non-zero exit when warm results diverge or nothing restores.
+ * The cached passes gate too: a cold or warm pass whose shots or
+ * failures differ from the uncached pass also exits non-zero.
  *
  * Flags: --scale=S (Monte-Carlo budget), --d=N, --timelines=N,
  * --cache_mb=M (bound the shared cache to M megabytes; 0 = unbounded),
@@ -162,12 +164,18 @@ main(int argc, char **argv)
                 "every hit)\n",
                 static_cast<unsigned long>(shared_cache.timelineHits()),
                 static_cast<unsigned long>(shared_cache.timelineMisses()));
+    // Entries are pure functions of their keys: caching and eviction must
+    // reproduce the uncached results exactly, cold and warm.
+    const auto sameAsUncached = [&](const ScenarioResult &r) {
+        return r.failures == uncached.result.failures &&
+               r.shots == uncached.result.shots;
+    };
+    const bool cache_identical =
+        sameAsUncached(cold.result) && sameAsUncached(cached.result);
     std::printf("speedup %.1fx; identical results: %s (%lu failures / "
                 "%lu shots, p_round %.3e)\n",
                 cached_eps / std::max(1e-9, uncached_eps),
-                cached.result.failures == uncached.result.failures
-                    ? "yes"
-                    : "NO (BUG)",
+                cache_identical ? "yes" : "NO (BUG)",
                 static_cast<unsigned long>(cached.result.failures),
                 static_cast<unsigned long>(cached.result.shots),
                 cached.result.pRound);
@@ -195,9 +203,7 @@ main(int argc, char **argv)
     report.metric("dead_timelines", static_cast<double>(
                                         cached.result.deadTimelines));
     report.metric("p_round", cached.result.pRound);
-    report.metric("results_identical",
-                  cached.result.failures == uncached.result.failures ? 1.0
-                                                                     : 0.0);
+    report.metric("results_identical", cache_identical ? 1.0 : 0.0);
 
     // Robustness pass: the same workload under a soft decode deadline and
     // a deterministic fault plan. Stalls force trips down the fallback
@@ -378,6 +384,11 @@ main(int argc, char **argv)
     persist.metric("warm_restored_nonzero", warm_restored ? 1.0 : 0.0);
     (void)corrupt_write;
 
+    if (!cache_identical) {
+        std::fprintf(stderr, "cache gate failed: a cached pass diverged "
+                             "from the uncached pass\n");
+        return 1;
+    }
     if (!warm_identical || !warm_restored) {
         std::fprintf(stderr, "persistence gate failed: identical=%d "
                              "restored=%d\n",

@@ -1,7 +1,6 @@
 #include "scenario/deformed_code_cache.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <set>
 
 #include "util/logging.hh"
@@ -37,60 +36,30 @@ CachedTimeline::memoryBytes() const
 }
 
 std::shared_ptr<const CachedSegment>
-DeformedCodeCache::get(const std::string &key,
-                       const std::function<CachedSegment()> &build,
-                       const PrebuiltWork &prebuilt)
-{
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        ++hits_;
-        Entry &e = it->second;
-        SURF_ASSERT(e.seg, "segment lookup hit a timeline entry");
-        // Re-measure the growable part on every hit: the sparse decoder
-        // graphs grow as decode workers memoize Dijkstra rows, and a
-        // byte budget must see that growth, not the at-insert size.
-        // Everything else in the segment is immutable (measured once).
-        const size_t bytes = e.static_bytes + e.seg->dynamicBytes();
-        bytes_used_ += bytes - e.bytes;
-        e.bytes = bytes;
-        touch(e);
-        enforceBudget(&e);
-        return e.seg;
-    }
-    ++misses_;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto seg = std::make_shared<CachedSegment>(build());
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    const double cost = wall + prebuilt.seconds;
-    build_seconds_ += cost;
-    nested_wall_ += wall + prebuilt.wallSeconds;
-    Entry entry;
-    entry.seg = std::move(seg);
-    entry.bytes = entry.seg->memoryBytes() + key.size();
-    entry.static_bytes = entry.bytes - entry.seg->dynamicBytes();
-    entry.cost = cost;
-    Entry &stored = entries_.emplace(key, std::move(entry)).first->second;
-    bytes_used_ += stored.bytes;
-    touch(stored);
-    enforceBudget(&stored);
-    return stored.seg;
-}
-
-void
-DeformedCodeCache::refreshSegment(const std::string &key)
+DeformedCodeCache::get(const std::string &key)
 {
     const auto it = entries_.find(key);
-    if (it == entries_.end())
-        return; // evicted; charged to the pinning timeline instead
+    if (it == entries_.end()) {
+        ++misses_;
+        return nullptr;
+    }
+    ++hits_;
     Entry &e = it->second;
-    if (!e.seg)
-        return;
-    const size_t bytes = e.static_bytes + e.seg->dynamicBytes();
-    bytes_used_ += bytes - e.bytes;
-    e.bytes = bytes;
+    SURF_ASSERT(e.seg, "segment lookup hit a timeline entry");
     touch(e);
+    enforceBudget(&e);
+    return e.seg;
+}
+
+std::shared_ptr<const CachedSegment>
+DeformedCodeCache::insert(const std::string &key, CachedSegment seg,
+                          double cost)
+{
+    auto stored = std::make_shared<const CachedSegment>(std::move(seg));
+    const bool added = add(key, stored, nullptr, cost);
+    SURF_ASSERT(added, "segment insert over a resident key");
+    build_seconds_ += cost;
+    return stored;
 }
 
 size_t
@@ -109,65 +78,75 @@ DeformedCodeCache::timelineBytes(const Entry &e) const
 }
 
 std::shared_ptr<const CachedTimeline>
-DeformedCodeCache::getTimeline(const std::string &key,
-                               const std::function<CachedTimeline()> &build)
+DeformedCodeCache::getTimeline(const std::string &key)
 {
-    auto it = entries_.find(key);
-    if (it != entries_.end()) {
-        ++hits_;
-        ++timeline_hits_;
-        Entry &e = it->second;
-        SURF_ASSERT(e.tl, "timeline lookup hit a segment entry");
-        // A warm hit skips the per-epoch get() calls, so keep the
-        // pinned segment entries live in the budget's eyes: re-measure
-        // their growable row pools and lift their LRU stamps. Segments
-        // whose own entries were evicted stay resident through the
-        // timeline's pins — re-measure charges them to this entry.
-        for (const CachedTimelineEpoch &ep : e.tl->epochs)
-            if (!ep.segKey.empty())
-                refreshSegment(ep.segKey);
-        const size_t bytes = timelineBytes(e);
-        bytes_used_ += bytes - e.bytes;
-        e.bytes = bytes;
-        touch(e);
-        enforceBudget(&e);
-        return e.tl;
+    const auto it = entries_.find(key);
+    if (it == entries_.end()) {
+        ++misses_;
+        ++timeline_misses_;
+        return nullptr;
     }
-    ++misses_;
-    ++timeline_misses_;
-    const auto t0 = std::chrono::steady_clock::now();
-    const double nested0 = nested_wall_;
-    // The build resolves its per-epoch segments through get(), so it
-    // must run before this entry is inserted (the nested lookups mutate
-    // the map and may evict).
-    auto tl = std::make_shared<CachedTimeline>(build());
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-    // The nested segment misses already logged their own build time and
-    // carry their own eviction priorities; this entry's cost is the
-    // stitching work on top of them (what a rebuild against cached
-    // segments would pay). DEMs prefetched in parallel overlap on the
-    // wall clock, so the wall they took is subtracted, not their cost.
-    const double cost = std::max(0.0, wall - (nested_wall_ - nested0));
+    ++hits_;
+    ++timeline_hits_;
+    Entry &e = it->second;
+    SURF_ASSERT(e.tl, "timeline lookup hit a segment entry");
+    // A warm hit skips the per-epoch get() calls, so keep the pinned
+    // segment entries live in the budget's eyes: re-measure their
+    // growable row pools and lift their LRU stamps. Segments whose own
+    // entries were evicted stay resident through the timeline's pins —
+    // re-measuring charges them to this entry.
+    for (const CachedTimelineEpoch &ep : e.tl->epochs)
+        if (const auto seg = entries_.find(ep.segKey);
+            seg != entries_.end() && seg->second.seg)
+            touch(seg->second);
+    touch(e);
+    enforceBudget(&e);
+    return e.tl;
+}
+
+std::shared_ptr<const CachedTimeline>
+DeformedCodeCache::insertTimeline(const std::string &key, CachedTimeline tl,
+                                  double cost)
+{
+    auto stored = std::make_shared<const CachedTimeline>(std::move(tl));
+    const bool added = add(key, nullptr, stored, cost);
+    SURF_ASSERT(added, "timeline insert over a resident key");
     build_seconds_ += cost;
-    Entry entry;
-    entry.tl = std::move(tl);
-    entry.static_bytes = entry.tl->memoryBytes() + key.size();
-    entry.cost = cost;
-    Entry &stored = entries_.emplace(key, std::move(entry)).first->second;
-    // Segments evicted during this very build (tiny budgets) are
-    // already orphaned — charge them here like on a hit.
-    stored.bytes = timelineBytes(stored);
-    bytes_used_ += stored.bytes;
-    touch(stored);
-    enforceBudget(&stored);
-    return stored.tl;
+    return stored;
+}
+
+bool
+DeformedCodeCache::add(const std::string &key,
+                       std::shared_ptr<const CachedSegment> seg,
+                       std::shared_ptr<const CachedTimeline> tl, double cost)
+{
+    const auto [it, added] = entries_.try_emplace(key);
+    if (!added)
+        return false;
+    Entry &e = it->second;
+    e.seg = std::move(seg);
+    e.tl = std::move(tl);
+    e.static_bytes = key.size() + (e.seg ? e.seg->memoryBytes() -
+                                               e.seg->dynamicBytes()
+                                         : e.tl->memoryBytes());
+    e.cost = cost;
+    touch(e);
+    enforceBudget(&e);
+    return true;
 }
 
 void
 DeformedCodeCache::touch(Entry &e)
 {
+    // A segment re-measures its growable part: the sparse decoder graphs
+    // grow as decode workers memoize Dijkstra rows, and a byte budget
+    // must see that growth, not the at-insert size. A timeline charges
+    // the pinned segments whose own entries were evicted (tiny budgets
+    // orphan some during the timeline's own build).
+    const size_t bytes = e.seg ? e.static_bytes + e.seg->dynamicBytes()
+                               : timelineBytes(e);
+    bytes_used_ += bytes - e.bytes;
+    e.bytes = bytes;
     // GreedyDual: priority decays to the clock as other entries evict;
     // a use (or the insert) lifts it back by the entry's build cost.
     e.pri = clock_ + e.cost;
@@ -244,36 +223,16 @@ bool
 DeformedCodeCache::restoreSegment(const std::string &key, CachedSegment seg,
                                   double cost)
 {
-    if (entries_.count(key))
-        return false;
-    Entry entry;
-    entry.seg = std::make_shared<CachedSegment>(std::move(seg));
-    entry.bytes = entry.seg->memoryBytes() + key.size();
-    entry.static_bytes = entry.bytes - entry.seg->dynamicBytes();
-    entry.cost = cost;
-    Entry &stored = entries_.emplace(key, std::move(entry)).first->second;
-    bytes_used_ += stored.bytes;
-    touch(stored);
-    enforceBudget(&stored);
-    return true;
+    return add(key, std::make_shared<const CachedSegment>(std::move(seg)),
+               nullptr, cost);
 }
 
 bool
 DeformedCodeCache::restoreTimeline(const std::string &key, CachedTimeline tl,
                                    double cost)
 {
-    if (entries_.count(key))
-        return false;
-    Entry entry;
-    entry.tl = std::make_shared<CachedTimeline>(std::move(tl));
-    entry.static_bytes = entry.tl->memoryBytes() + key.size();
-    entry.cost = cost;
-    Entry &stored = entries_.emplace(key, std::move(entry)).first->second;
-    stored.bytes = timelineBytes(stored);
-    bytes_used_ += stored.bytes;
-    touch(stored);
-    enforceBudget(&stored);
-    return true;
+    return add(key, nullptr,
+               std::make_shared<const CachedTimeline>(std::move(tl)), cost);
 }
 
 } // namespace surf

@@ -13,13 +13,15 @@
  *
  * The cache is bounded: setBudget() caps the approximate byte footprint,
  * and eviction runs the classic GreedyDual policy — each entry's priority
- * is (global clock at last use + measured build seconds), the
- * minimum-priority entry is evicted, and the clock advances to the
- * evicted priority. With equal build costs this is exact
- * LRU; with unequal costs, entries that were expensive to build survive
- * proportionally longer. Entries are handed out as shared_ptr, so a
- * segment still referenced by an in-flight timeline survives its own
- * eviction.
+ * is (global clock at last use + build cost), the minimum-priority entry
+ * is evicted, and the clock advances to the evicted priority. With equal
+ * build costs this is exact LRU; with unequal costs, entries that were
+ * expensive to build survive proportionally longer. The cache reads no
+ * clock: the code that builds an entry measures its cost and hands it
+ * to insert() (a segment's DEM seconds, on whichever thread built it,
+ * plus its decoder construction; a timeline's stitching pass). Entries
+ * are handed out as shared_ptr, so a segment still referenced by an
+ * in-flight timeline survives its own eviction.
  *
  * Not thread-safe: only the orchestrating thread touches the cache.
  * Cold segment builds do run on pool workers — a stitched timeline's
@@ -97,53 +99,42 @@ struct CachedTimeline
     size_t memoryBytes() const;
 };
 
-/**
- * Build work a segment miss did before get() was called: its DEM,
- * prefetched on a pool worker while the caller waited for the batch.
- */
-struct PrebuiltWork
-{
-    /** Measured on the worker: part of the entry's cost (a rebuild pays
-     *  it) and of buildSeconds(). */
-    double seconds = 0.0;
-    /** The entry's share of the caller's wall clock spent waiting on the
-     *  prefetch: an enclosing getTimeline() build counts it as nested
-     *  segment work, not as its own stitching. */
-    double wallSeconds = 0.0;
-};
-
 /** Signature-keyed store of decode-ready segments. */
 class DeformedCodeCache
 {
   public:
     /**
-     * Look up `key`, building the entry with `build` on a miss. The
+     * Look up `key`: the resident segment, or null on a miss, after which
+     * the caller builds the segment and hands it to insert(). The
      * returned pointer keeps the segment alive even if the entry is
-     * later evicted to stay within budget. `prebuilt` is work the miss
-     * did before the call; a hit ignores it.
+     * later evicted to stay within budget.
+     */
+    std::shared_ptr<const CachedSegment> get(const std::string &key);
+
+    /**
+     * Store the segment a get() miss built, under a `key` that is not
+     * resident. `cost` is the seconds its build measured: the entry's
+     * GreedyDual priority lift, also added to buildSeconds().
      */
     std::shared_ptr<const CachedSegment>
-    get(const std::string &key, const std::function<CachedSegment()> &build,
-        const PrebuiltWork &prebuilt = {});
+    insert(const std::string &key, CachedSegment seg, double cost);
 
     /**
      * Timeline-level lookup: memoized stitched sampling circuits, same
      * budget and eviction policy as the segment entries (a timeline's
-     * bytes exclude its segments, which keep their own entries; the
-     * build may itself call get() to resolve them). Keys live in the
-     * same namespace as segment keys — callers prefix them.
+     * bytes exclude its segments, which keep their own entries). Null on
+     * a miss, after which the caller builds the timeline (resolving its
+     * segments through get()/insert()) and hands it to insertTimeline().
+     * Keys live in the same namespace as segment keys — callers prefix
+     * them.
      */
     std::shared_ptr<const CachedTimeline>
-    getTimeline(const std::string &key,
-                const std::function<CachedTimeline()> &build);
+    getTimeline(const std::string &key);
 
-    /** Wall seconds the running getTimeline() build spent waiting on
-     *  work that is not its own (a batch sampled for the caller): left
-     *  out of the entry's cost, like its nested segment misses. */
-    void excludeFromTimelineBuild(double wallSeconds)
-    {
-        nested_wall_ += wallSeconds;
-    }
+    /** Timeline counterpart of insert(); `cost` is the build's own work
+     *  (its stitching), as its segments carry their own costs. */
+    std::shared_ptr<const CachedTimeline>
+    insertTimeline(const std::string &key, CachedTimeline tl, double cost);
 
     /**
      * Bound the cache: evict (cost-weighted LRU) until the approximate
@@ -165,8 +156,7 @@ class DeformedCodeCache
      *  workers memoize Dijkstra rows — so byte budgets track the real
      *  footprint of each entry as of its last use. */
     size_t bytesUsed() const { return bytes_used_; }
-    /** Total seconds spent building entries (misses), prefetched DEMs
-     *  counted at their worker-measured time. */
+    /** Sum of the costs handed to insert() and insertTimeline(). */
     double buildSeconds() const { return build_seconds_; }
 
     void
@@ -188,7 +178,7 @@ class DeformedCodeCache
 
     // --- Snapshot support (src/persist/cache_snapshot). Entries are pure
     // functions of their keys, so serializing and rehydrating them can
-    // never change results — a restored entry is what get() would have
+    // never change results — a restored entry is what a miss would have
     // built, minus the build time.
 
     /** Visit every resident segment entry (key, contents, measured build
@@ -205,7 +195,7 @@ class DeformedCodeCache
                                  const CachedTimeline &tl, double cost)> &fn)
         const;
 
-    /** Statless lookup: the resident segment for `key`, or null. Used by
+    /** Stateless lookup: the resident segment for `key`, or null. Used by
      *  the snapshot loader to re-pin timeline epochs without perturbing
      *  hit/miss counts or LRU stamps. */
     std::shared_ptr<const CachedSegment>
@@ -233,14 +223,18 @@ class DeformedCodeCache
         std::shared_ptr<const CachedTimeline> tl;
         size_t bytes = 0;        ///< static_bytes + dynamic at last use
         size_t static_bytes = 0; ///< immutable part, measured at insert
-        double cost = 0.0;       ///< measured build seconds
+        double cost = 0.0;       ///< build seconds handed to insert
         double pri = 0.0;        ///< GreedyDual priority at last use
     };
 
+    /** The one insert path of built and restored entries; false (and
+     *  nothing stored) when `key` is resident. */
+    bool add(const std::string &key,
+             std::shared_ptr<const CachedSegment> seg,
+             std::shared_ptr<const CachedTimeline> tl, double cost);
+    /** A use (or the insert): re-measure `e`'s bytes, lift its priority. */
     void touch(Entry &e);
     void enforceBudget(const Entry *pinned);
-    /** Re-measure + touch a segment entry by key (timeline hits). */
-    void refreshSegment(const std::string &key);
     /** A timeline entry's current bytes: its static size plus every
      *  pinned segment whose own entry was evicted (the pin keeps that
      *  memory resident, so the budget charges it to the timeline). */
@@ -251,10 +245,6 @@ class DeformedCodeCache
     size_t bytes_used_ = 0;
     double clock_ = 0.0;
     double build_seconds_ = 0.0;
-    /** Caller wall-clock seconds spent on segment misses (their build()
-     *  calls plus their prebuilt wall shares) and on excluded work;
-     *  getTimeline() subtracts its builds' nested share of this. */
-    double nested_wall_ = 0.0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t evictions_ = 0;

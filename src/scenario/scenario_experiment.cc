@@ -241,14 +241,18 @@ struct FirstBatch
  * `first` (optional) asks for the caller's first batch. When the whole
  * timeline stitched, some DEM is prefetched and the pool has a second
  * worker, one more task of the prefetch job samples it from the stitched
- * circuit, at index 1 so the calling thread takes the first DEM. Its
- * seconds are neither the DEMs' nor the timeline's build cost.
+ * circuit, at index 1 so the calling thread takes the first DEM.
+ *
+ * Each segment this inserts costs its DEM seconds, timed on whichever
+ * thread built it, plus its decoder construction; `stitchSeconds`
+ * receives the first pass's seconds, the timeline entry's own cost. The
+ * first batch's sampling is neither.
  */
 CachedTimeline
 buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
                       DeformedCodeCache &cache, ThreadPool &pool,
                       const FaultInjector *inject, DegradationLedger *ledger,
-                      const FirstBatch *first)
+                      const FirstBatch *first, double &stitchSeconds)
 {
     using Clock = std::chrono::steady_clock;
     const auto secondsSince = [](Clock::time_point t0) {
@@ -267,8 +271,7 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         bool prefetched = false;
         DetectorErrorModel dem;
         std::exception_ptr error;
-        PrebuiltWork work;
-        Clock::time_point builtAt; ///< when the prefetched DEM was done
+        double demSeconds = 0.0; ///< the prefetched DEM's build
     };
     CachedTimeline out;
     const size_t n_epochs = plan.epochs.size();
@@ -279,6 +282,7 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
     };
 
     // --- Pass 1: seam plans, circuit stitching, segment keys -------------
+    const auto stitch_t0 = Clock::now();
     std::map<Coord, uint32_t> qubit_id;
     SeamState carry;
     std::vector<Coord> tracked; ///< representative carried across seams
@@ -337,6 +341,7 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         eb.spec = spec;
         eb.spec.epochProbes = false;
     }
+    stitchSeconds = secondsSince(stitch_t0);
 
     // --- Prefetch: the DEMs of the segments the cache lacks --------------
     // Each distinct missing key once, at its first epoch (a later epoch
@@ -364,7 +369,6 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
     if (sample_first)
         for (const EpochBuild &eb : builds)
             ranges.emplace_back(eb.detBegin, eb.detEnd);
-    const auto t0 = Clock::now();
     const size_t n_tasks = prefetch.size() + (sample_first ? 1 : 0);
     pool.parallelFor(n_tasks, [&](size_t t, size_t) {
         if (sample_first && t == 1) {
@@ -381,30 +385,9 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
         } catch (...) {
             eb.error = std::current_exception();
         }
-        eb.builtAt = Clock::now();
-        eb.work.seconds =
-            std::chrono::duration<double>(eb.builtAt - t1).count();
+        eb.demSeconds = secondsSince(t1);
         eb.prefetched = true;
     });
-    // Each entry is charged its own worker seconds, and its share of the
-    // DEMs' wall time is what the enclosing timeline build does not count
-    // as its own stitching (see PrebuiltWork). Sampling that outlasted the
-    // DEMs is the caller's work, not the build's.
-    auto dems_done = t0;
-    for (size_t e : prefetch)
-        dems_done = std::max(dems_done, builds[e].builtAt);
-    const double prefetch_wall =
-        std::chrono::duration<double>(dems_done - t0).count();
-    if (sample_first && cfg.useCache)
-        cache.excludeFromTimelineBuild(secondsSince(dems_done));
-    double worker_seconds = 0.0;
-    for (size_t e : prefetch)
-        worker_seconds += builds[e].work.seconds;
-    for (size_t e : prefetch)
-        builds[e].work.wallSeconds =
-            worker_seconds > 0.0
-                ? prefetch_wall * builds[e].work.seconds / worker_seconds
-                : 0.0;
 
     // --- Pass 2: resolve the epochs in order -----------------------------
     out.epochs.reserve(stitched);
@@ -418,7 +401,13 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
             break;
         const Epoch &ep = plan.epochs[e];
         EpochBuild &eb = builds[e];
-        auto build = [&] {
+        CachedTimelineEpoch ce;
+        if (cfg.useCache) {
+            ce.segKey = std::move(eb.key);
+            ce.seg = cache.get(ce.segKey);
+        }
+        if (!ce.seg) {
+            const auto t1 = Clock::now();
             CachedSegment cs;
             if (eb.prefetched) {
                 eb.prefetched = false;
@@ -431,15 +420,11 @@ buildStitchedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
             cs.mwpm = std::make_unique<MwpmDecoder>(cs.dem, tag, &pool,
                                                     cfg.matching);
             cs.uf = std::make_unique<UnionFindDecoder>(cs.dem, tag);
-            return cs;
-        };
-        CachedTimelineEpoch ce;
-        if (cfg.useCache) {
-            ce.segKey = std::move(eb.key);
-            ce.seg = cache.get(ce.segKey, build,
-                               eb.prefetched ? eb.work : PrebuiltWork{});
-        } else {
-            ce.seg = std::make_shared<const CachedSegment>(build());
+            const double cost = eb.demSeconds + secondsSince(t1);
+            ce.seg = cfg.useCache
+                         ? cache.insert(ce.segKey, std::move(cs), cost)
+                         : std::make_shared<const CachedSegment>(
+                               std::move(cs));
         }
         if (ce.seg->dem.numDetectors != eb.detEnd - eb.detBegin)
             // A structurally inconsistent epoch plan (or a malformed
@@ -510,14 +495,19 @@ runPlannedTimeline(const ScenarioPlan &plan, const ScenarioConfig &cfg,
                            static_cast<size_t>(std::min<uint64_t>(
                                cfg.batchShots, cfg.maxShotsPerTimeline)),
                            batchSeedBase};
-    const auto build = [&] {
-        return buildStitchedTimeline(
-            plan, cfg, cache, pool, bi, &tl.ledger,
-            failuresSoFar < cfg.targetFailures ? &first : nullptr);
-    };
+    const std::string tl_key =
+        cfg.useCache ? timelineCacheKey(plan, cfg) : std::string();
     std::shared_ptr<const CachedTimeline> tlc =
-        cfg.useCache ? cache.getTimeline(timelineCacheKey(plan, cfg), build)
-                     : std::make_shared<const CachedTimeline>(build());
+        cfg.useCache ? cache.getTimeline(tl_key) : nullptr;
+    if (!tlc) {
+        double stitch_s = 0.0;
+        CachedTimeline built = buildStitchedTimeline(
+            plan, cfg, cache, pool, bi, &tl.ledger,
+            failuresSoFar < cfg.targetFailures ? &first : nullptr, stitch_s);
+        tlc = cfg.useCache
+                  ? cache.insertTimeline(tl_key, std::move(built), stitch_s)
+                  : std::make_shared<const CachedTimeline>(std::move(built));
+    }
     if (!tlc->alive) {
         // Keep what the build tallied (its cache storms) before the
         // seam that killed the timeline.

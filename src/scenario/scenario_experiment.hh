@@ -88,8 +88,9 @@ struct ScenarioConfig
 
     bool useCache = true; ///< disable to rebuild decoders per epoch (bench)
     /** Optional external cache; bound it with its setBudget(). Eviction
-     *  is cost-weighted LRU and can never change results — entries are
-     *  pure functions of their keys. */
+     *  is cost-weighted LRU on the seconds each entry's build measured
+     *  (segment DEM plus decoders, timeline stitching) and can never
+     *  change results — entries are pure functions of their keys. */
     DeformedCodeCache *cache = nullptr;
 
     /**

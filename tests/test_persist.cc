@@ -16,6 +16,7 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <map>
 #include <random>
 #include <string>
 #include <thread>
@@ -583,6 +584,27 @@ TEST(CacheSnapshot, DirectSaveLoadRoundTrip)
     EXPECT_EQ(loaded->rows, saved->rows);
     EXPECT_EQ(loaded->rejectedRecords, 0u);
     EXPECT_FALSE(loaded->truncated);
+
+    // A restore is neither a lookup nor a build, and every entry keeps
+    // the cost its original build measured, bit for bit.
+    EXPECT_EQ(fresh.hits(), 0u);
+    EXPECT_EQ(fresh.misses(), 0u);
+    EXPECT_EQ(fresh.buildSeconds(), 0.0);
+    const auto costBits = [](const DeformedCodeCache &c) {
+        std::map<std::string, uint64_t> bits;
+        const auto add = [&](const std::string &key, double cost) {
+            uint64_t b;
+            std::memcpy(&b, &cost, sizeof b);
+            bits[key] = b;
+        };
+        c.forEachSegment([&](const std::string &key, const CachedSegment &,
+                             double cost) { add(key, cost); });
+        c.forEachTimeline([&](const std::string &key, const CachedTimeline &,
+                              double cost) { add(key, cost); });
+        return bits;
+    };
+    EXPECT_EQ(saved->skippedTimelines, 0u);
+    EXPECT_EQ(costBits(fresh), costBits(cache));
 
     // The warm cache reproduces the run bit-identically with zero misses
     // on the segments it restored.

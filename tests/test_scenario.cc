@@ -605,35 +605,32 @@ TEST(ScenarioEngine, ColdFirstBatchSampledBesideDemsKeepsResults)
 
 TEST(DeformedCodeCache, GreedyDualEvictionIsCostWeighted)
 {
-    // Eviction priority is (clock at last use + measured build seconds):
+    // Eviction priority is (clock at last use + the entry's build cost):
     // with a full cache, the cheap-to-rebuild entry goes first even if
-    // the expensive one is older.
-    auto segment = [](double build_seconds) {
-        return [build_seconds] {
-            const auto t0 = std::chrono::steady_clock::now();
-            while (std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count() < build_seconds) {
-            }
-            return CachedSegment{};
-        };
-    };
+    // the expensive one is older. A miss inserts the entry with the cost
+    // its build measured, as the engine does.
     DeformedCodeCache cache;
-    cache.get("expensive", segment(0.05));
-    cache.get("cheap", segment(0.0));
+    const auto use = [&](const std::string &key, double cost) {
+        if (!cache.get(key))
+            cache.insert(key, CachedSegment{}, cost);
+    };
+    use("expensive", 0.05);
+    use("cheap", 0.001);
     EXPECT_EQ(cache.size(), 2u);
     // Room for exactly these two: their keys are the two longest, so
     // any two of the three entries fit and all three overflow.
     cache.setBudget(cache.bytesUsed());
     EXPECT_EQ(cache.size(), 2u);
-    cache.get("new", segment(0.0));
+    use("new", 0.002);
     EXPECT_EQ(cache.size(), 2u);
     EXPECT_EQ(cache.evictions(), 1u);
     EXPECT_EQ(cache.misses(), 3u);
-    cache.get("expensive", segment(0.05));
+    use("expensive", 0.05);
     EXPECT_EQ(cache.hits(), 1u) << "the expensive entry was evicted";
-    cache.get("cheap", segment(0.0));
+    use("cheap", 0.001);
     EXPECT_EQ(cache.misses(), 4u) << "the cheap entry should have gone";
+    // Hits add nothing: buildSeconds() sums the four inserted costs.
+    EXPECT_DOUBLE_EQ(cache.buildSeconds(), 0.05 + 0.001 + 0.002 + 0.001);
 
     // An impossible budget empties the cache.
     cache.setBudget(1);
@@ -641,39 +638,44 @@ TEST(DeformedCodeCache, GreedyDualEvictionIsCostWeighted)
     EXPECT_EQ(cache.bytesUsed(), 0u);
 }
 
-TEST(DeformedCodeCache, PrebuiltWorkIsChargedToItsEntry)
+TEST(DeformedCodeCache, TimelineIsChargedOnlyItsOwnCost)
 {
-    // A DEM prefetched on a pool worker is part of its entry's build
-    // cost: it lifts the GreedyDual priority and counts in
-    // buildSeconds(). The enclosing timeline build subtracts only the
-    // wall-clock share the prefetch took, so the timeline's own cost
-    // stays its stitching time.
-    const auto spin = [](double seconds) {
-        const auto t0 = std::chrono::steady_clock::now();
-        while (std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count() < seconds) {
-        }
-    };
-    const auto empty = [] { return CachedSegment{}; };
+    // A timeline entry's priority lift is the cost handed to
+    // insertTimeline() (its stitching), not that plus the costs of the
+    // segments its build inserted: those carry their own priorities.
     DeformedCodeCache cache;
-    cache.getTimeline("timeline", [&] {
-        // 30 ms of the build's wall clock, 20 ms of it spent waiting on
-        // a prefetch whose DEM took 50 ms of worker time.
-        spin(0.03);
-        cache.get("prefetched", empty, PrebuiltWork{0.05, 0.02});
-        return CachedTimeline{};
-    });
-    EXPECT_GE(cache.buildSeconds(), 0.05 + 0.01 - 1e-4);
-    cache.get("cheap", empty);
-    // Room for exactly these three: the next insert evicts the cheapest,
-    // and the prefetched entry outranks it by its worker seconds.
-    cache.setBudget(cache.bytesUsed());
-    cache.get("new", empty);
-    EXPECT_EQ(cache.evictions(), 1u);
-    EXPECT_EQ(cache.hits(), 0u);
-    cache.get("prefetched", empty);
-    EXPECT_EQ(cache.hits(), 1u) << "the prefetched entry was evicted";
+    const auto resident = [&](const std::string &key) {
+        bool found = false;
+        cache.forEachSegment([&](const std::string &k, const CachedSegment &,
+                                 double) { found |= k == key; });
+        cache.forEachTimeline([&](const std::string &k,
+                                  const CachedTimeline &,
+                                  double) { found |= k == key; });
+        return found;
+    };
+    ASSERT_EQ(cache.getTimeline("t"), nullptr);
+    ASSERT_EQ(cache.get("a"), nullptr);
+    CachedTimeline tl;
+    tl.epochs.emplace_back();
+    tl.epochs.back().segKey = "a";
+    tl.epochs.back().seg = cache.insert("a", CachedSegment{}, 0.05);
+    cache.insertTimeline("t", std::move(tl), 0.03);
+    cache.insert("b", CachedSegment{}, 0.04);
+    cache.insert("c", CachedSegment{}, 0.02);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_DOUBLE_EQ(cache.buildSeconds(), 0.05 + 0.03 + 0.04 + 0.02);
+
+    // Each one-byte cut evicts the minimum-priority entry alone. The
+    // timeline outlives a segment charged less than its stitching...
+    cache.setBudget(cache.bytesUsed() - 1);
+    EXPECT_FALSE(resident("c"));
+    EXPECT_TRUE(resident("t"));
+    // ...and goes before one charged less than stitching plus segment.
+    cache.setBudget(cache.bytesUsed() - 1);
+    EXPECT_FALSE(resident("t"));
+    EXPECT_TRUE(resident("a"));
+    EXPECT_TRUE(resident("b"));
+    EXPECT_EQ(cache.evictions(), 2u);
 }
 
 TEST(DeformedCodeCache, FirstBatchSamplingIsNoBuildCost)
